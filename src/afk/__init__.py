@@ -7,15 +7,11 @@ from .diagram import (
     DiagramError,
     EmptyLevel,
     LevelOutOfRange,
-    Node,
     ShapeMismatch,
     SizeOverflowAtEdge,
     ValidationReport,
-    compose_multiplicities,
     ensure_valid,
     materialize,
-    node_at,
-    predecessors,
     validate,
 )
 from .io import DiagramDocument, ParseError, export_dot, from_diagram, input_digest, parse, serialize, to_diagram
@@ -30,16 +26,7 @@ from .kstability import (
     replay_witness,
     telescope,
 )
-from .linalg import (
-    DimensionMismatch,
-    IntMatrix,
-    NotSquare,
-    Subspace,
-    eventual_rank,
-    image_through,
-    multiply,
-    rank,
-)
+from .linalg import DimensionMismatch, IntMatrix, NotSquare, multiply, rank
 from .truncation import EvenDegree, TruncatedSystem, build_system, d, truncate_map
 
 __version__ = "0.1.0"
@@ -60,34 +47,27 @@ __all__ = [
     "KChainWitness",
     "KStabilityVerdict",
     "LevelOutOfRange",
-    "Node",
     "NotSquare",
     "ParseError",
     "ShapeMismatch",
     "SizeOverflowAtEdge",
-    "Subspace",
     "TruncatedSystem",
     "ValidationReport",
     "build_system",
     "classify",
     "colimit_dimension",
-    "compose_multiplicities",
     "d",
     "ensure_valid",
-    "eventual_rank",
     "export_dot",
     "find_infinite_k_chain",
     "fm_dimension",
     "fm_profile",
     "from_diagram",
-    "image_through",
     "input_digest",
     "k0_rational_dimension",
     "materialize",
     "multiply",
-    "node_at",
     "parse",
-    "predecessors",
     "rank",
     "replay_witness",
     "serialize",

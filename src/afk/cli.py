@@ -17,7 +17,7 @@ import sys
 from typing import Any, Optional
 
 from . import __version__
-from .colimit import ColimitResult, fm_dimension, fm_profile, k0_rational_dimension
+from .colimit import ColimitResult, colimit_dimension, fm_dimension, fm_profile, k0_rational_dimension
 from .diagram import validate as validate_diagram
 from .io import (
     ParseError,
@@ -84,6 +84,14 @@ def _resolve_budget(args) -> int:
     if budget < 1:
         raise ParseError("--budget", f"must be at least 1, got {budget}")
     return budget
+
+
+def _check_degree_flags(args) -> None:
+    """Degrees and dimensions start at 1; reject the rest with the flag as locus."""
+    for dest in ("m", "max_m", "min_dim", "degree"):
+        value = getattr(args, dest, None)
+        if value is not None and value < 1:
+            raise ParseError("--" + dest.replace("_", "-"), f"must be at least 1, got {value}")
 
 
 def _witness_payload(w: KChainWitness) -> dict:
@@ -161,6 +169,8 @@ def _render_text(report: dict) -> str:
             ))
         for p in result["problems"]:
             lines.append(f"problem: {p['message']}")
+    elif "problems" in result:  # the command refused invalid or non-injective input
+        lines += [f"problem: {p['message']}" for p in result["problems"]]
     elif cmd == "fm":
         lines += fmt_dim(result, f"F_{result['m']} dimension")
         for k, mat in enumerate(result.get("maps", []), start=1):
@@ -215,6 +225,7 @@ def _preflight(args):
 
 def _dispatch(args) -> int:
     budget = _resolve_budget(args)
+    _check_degree_flags(args)
     fmt = args.format
     doc, diagram, digest = _preflight(args)
     report_v = validate_diagram(diagram)
@@ -245,12 +256,12 @@ def _dispatch(args) -> int:
 
     if args.command == "fm":
         flags = {"m": args.m, "budget": budget}
-        res = fm_dimension(diagram, args.m, budget)
+        system = build_system(diagram, args.m, budget) if args.m % 2 == 1 else None
+        res = fm_dimension(diagram, args.m, budget) if system is None else colimit_dimension(system)
         result = _colimit_payload(res)
         result["m"] = args.m
         levels_used = 0
-        if args.m % 2 == 1:
-            system = build_system(diagram, args.m, budget)
+        if system is not None:
             levels_used = system.levels
             result["dims"] = list(system.dims)
             cap = len(system.maps)

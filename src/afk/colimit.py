@@ -4,11 +4,21 @@ The image of level k inside the limit has dimension
 lim_N rank(composite k -> N), and the limit itself is the nested union of
 those images, so its dimension is the supremum of the per-level limit ranks.
 
-With a detected tail cycle the supremum is attained: the composite C over
-one full period is square, rank(C^j) freezes (kernel chains stabilize), and
-every earlier level's contribution is the eventual image of its column space
-pushed through C.  Without a tail law a finite unrolling can only certify a
-lower bound, and that is all we report.
+With a detected tail cycle the supremum is attained, and integer ranks
+certify it.  The composite C over one full period is square (n x n), and
+after the cycle start every further period multiplies by C again.
+rank(C^j) does not increase with j, and the kernel chain ker C ⊆ ker C² ⊆ …
+freezes at the first j with rank(C^j) = rank(C^(j+1)), so j <= n.  Let
+P = C^j.  Beyond that point C is invertible on im P, so no later period
+lowers rank(P · X) for any X: rank(P · composite(k -> cycle start)) is
+level k's eventual contribution, and rank(P) is the dimension.
+
+The plateau must be found on the powers of C alone.  A plateau found
+separately for each level is not enough: with C = [[0,0],[1,0]] and X the
+first unit vector, rank(X) = rank(C·X) = 1 but C²·X = 0.
+
+Without a tail law a finite unrolling can only certify a lower bound, and
+that is all we report.
 """
 
 from __future__ import annotations
@@ -17,8 +27,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .diagram import BratteliDiagram
-from .linalg import IntMatrix, Subspace, eventual_rank, image_through, multiply, rank
-from .truncation import TruncatedSystem, build_system, build_untruncated_system
+from .linalg import IntMatrix, multiply, rank, stable_power
+from .truncation import TruncatedSystem, build_system
 
 
 @dataclass(frozen=True)
@@ -39,9 +49,9 @@ class ColimitResult:
     note: Optional[str] = None
 
 
-def _composites_to(sys: TruncatedSystem, target: int) -> list[IntMatrix]:
-    """composite(k -> target) for k = 1..target, built in one backward sweep."""
-    out = [IntMatrix.identity(sys.dims[target - 1])]
+def _composites_to(sys: TruncatedSystem, target: int, seed: IntMatrix) -> list[IntMatrix]:
+    """seed · composite(k -> target) for k = 1..target, built in one backward sweep."""
+    out = [seed]
     for k in range(target - 1, 0, -1):
         out.append(multiply(out[-1], sys.maps[k - 1]))
     out.reverse()
@@ -51,20 +61,12 @@ def _composites_to(sys: TruncatedSystem, target: int) -> list[IntMatrix]:
 def colimit_dimension(sys: TruncatedSystem) -> ColimitResult:
     if sys.cycle_start is not None:
         cs = sys.cycle_start
-        period = sys.period or 1
         cycle = IntMatrix.identity(sys.dims[cs - 1])
-        for k in range(cs - 1, cs - 1 + period):
+        for k in range(cs - 1, cs - 1 + (sys.period or 1)):
             cycle = multiply(sys.maps[k], cycle)
-        if cycle.shape != (sys.dims[cs - 1], sys.dims[cs - 1]):
-            raise AssertionError("cycle composite is not square; cycle detection is broken")
-        dim = eventual_rank(cycle)
-        n = sys.dims[cs - 1]
-        ranks = []
-        for k, comp in enumerate(_composites_to(sys, cs), start=1):
-            w = image_through(comp, Subspace.full(sys.dims[k - 1]))
-            for _ in range(n):
-                w = image_through(cycle, w)
-            ranks.append((k, w.dim))
+        images = _composites_to(sys, cs, stable_power(cycle))
+        ranks = [(k, rank(img)) for k, img in enumerate(images, start=1)]
+        dim = ranks[-1][1]  # the cycle start's own image is im P
         stabilized = next(k for k, r in ranks if r == dim)
         return ColimitResult(
             dimension=dim,
@@ -74,7 +76,8 @@ def colimit_dimension(sys: TruncatedSystem) -> ColimitResult:
         )
     # no certified cycle: probe every level at the last materialized one
     last = sys.levels
-    ranks = [(k, rank(comp)) for k, comp in enumerate(_composites_to(sys, last), start=1)]
+    comps = _composites_to(sys, last, IntMatrix.identity(sys.dims[last - 1]))
+    ranks = [(k, rank(comp)) for k, comp in enumerate(comps, start=1)]
     first_live = next((k for k in range(1, last + 1) if sys.dims[k - 1] > 0), None)
     dim = ranks[first_live - 1][1] if first_live is not None else 0
     return ColimitResult(
@@ -101,7 +104,7 @@ def fm_dimension(d: BratteliDiagram, m: int, budget: int = 64) -> ColimitResult:
 
 def k0_rational_dimension(d: BratteliDiagram, budget: int = 64) -> ColimitResult:
     """Rank of rational K0: the colimit of the untruncated multiplicity system."""
-    return colimit_dimension(build_untruncated_system(d, budget))
+    return colimit_dimension(build_system(d, 1, budget))
 
 
 def fm_profile(

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .linalg import IntMatrix, multiply
+from .linalg import IntMatrix
 
 
 class DiagramError(ValueError):
@@ -36,15 +36,6 @@ class SizeOverflowAtEdge(DiagramError):
 
 class LevelOutOfRange(DiagramError):
     pass
-
-
-@dataclass(frozen=True)
-class Node:
-    """One summand of one level: the i-th matrix block of the level-p algebra."""
-
-    level: int
-    summand: int
-    size: int
 
 
 @dataclass(frozen=True)
@@ -234,36 +225,3 @@ def materialize(
         matrices.append(tm)
     return profiles, matrices
 
-
-def compose_multiplicities(d: BratteliDiagram, frm: int, to: int) -> IntMatrix:
-    """Product of connecting matrices from level `frm` up to level `to` (1-based)."""
-    if frm > to or frm < 1:
-        raise LevelOutOfRange(f"bad level range {frm}..{to}")
-    profiles, matrices = materialize(d, to)
-    result = IntMatrix.identity(len(profiles[frm - 1]))
-    for k in range(frm - 1, to - 1):
-        result = multiply(matrices[k], result)
-    return result
-
-
-def node_at(d: BratteliDiagram, level: int, summand: int) -> Node:
-    profiles, _ = materialize(d, level)
-    profile = profiles[level - 1]
-    if not 1 <= summand <= len(profile):
-        raise LevelOutOfRange(f"level {level} has no summand {summand}")
-    return Node(level, summand, profile[summand - 1])
-
-
-def predecessors(d: BratteliDiagram, node: Node) -> list[tuple[Node, int]]:
-    """Nodes one level down with a positive multiplicity into `node`."""
-    if node.level < 2:
-        raise LevelOutOfRange("level-1 nodes have no predecessor level")
-    profiles, matrices = materialize(d, node.level)
-    m = matrices[node.level - 2]
-    below = profiles[node.level - 2]
-    out = []
-    for j in range(len(below)):
-        mult = m.at(node.summand - 1, j)
-        if mult > 0:
-            out.append((Node(node.level - 1, j + 1, below[j]), mult))
-    return out

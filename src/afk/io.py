@@ -82,6 +82,8 @@ def parse(text: str) -> DiagramDocument:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno} column {exc.colno}", exc.msg) from None
+    except RecursionError:
+        raise ParseError("$", "nesting is too deep") from None
     if not isinstance(raw, dict):
         raise ParseError("$", "expected a JSON object")
     unknown = set(raw) - {"levels", "matrices", "tail", "metadata"}

@@ -1,16 +1,22 @@
-"""Exact linear algebra over the integers and rationals.
+"""Exact integer linear algebra.
 
-Everything here is exact: integer matrices use Python's arbitrary-precision
-ints, subspaces carry `fractions.Fraction` entries, and rank is computed by
-fraction-free (Bareiss) elimination so no intermediate value is ever rounded.
-All values are immutable after construction and safe to share.
+Matrices hold Python's arbitrary-precision ints, and rank over Q is computed
+by fraction-free (Bareiss) elimination, so no intermediate value is ever
+rounded and no rational arithmetic is needed.  A subspace is never stored:
+it is the column space of an integer matrix, and its dimension is that
+matrix's rank.  All values are immutable after construction and safe to share.
+
+`stable_power` finds where the powers of a square matrix C stop losing rank.
+rank(C^j) does not increase with j, and the kernel chain ker C ⊆ ker C² ⊆ …
+freezes at the first j with rank(C^j) = rank(C^(j+1)), so j <= n for an
+n x n matrix.  From there on C is invertible on im C^j, so
+rank(C^(j+t) · X) = rank(C^j · X) for every t and every X.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class DimensionMismatch(ValueError):
@@ -137,121 +143,14 @@ def rank(m: IntMatrix) -> int:
     return piv_row
 
 
-def power(m: IntMatrix, k: int) -> IntMatrix:
+def stable_power(m: IntMatrix) -> IntMatrix:
+    """m^j for the first j >= 0 at which rank(m^j) = rank(m^(j+1)); j <= n."""
     if not m.is_square():
-        raise NotSquare(f"cannot take powers of a {m.shape} matrix")
-    result = IntMatrix.identity(m.rows)
-    for _ in range(k):
-        result = multiply(result, m)
-    return result
-
-
-def eventual_rank(m: IntMatrix) -> int:
-    """Stabilized rank of powers: rank(m^n) for an n x n matrix.
-
-    rank(m^k) is nonincreasing in k and the kernel chain ker m ⊆ ker m² ⊆ …
-    freezes permanently at the first plateau, so iteration may stop as soon
-    as two consecutive powers have equal rank (and always by k = n).
-    """
-    if not m.is_square():
-        raise NotSquare(f"eventual_rank needs a square matrix, got {m.shape}")
-    n = m.rows
-    if n == 0:
-        return 0
-    current = m
-    r = rank(current)
-    for _ in range(n - 1):
-        nxt = multiply(current, m)
+        raise NotSquare(f"stable_power needs a square matrix, got {m.shape}")
+    p, r = IntMatrix.identity(m.rows), m.rows
+    while True:
+        nxt = multiply(m, p)
         r_next = rank(nxt)
         if r_next == r:
-            return r
-        current, r = nxt, r_next
-    return r
-
-
-def _rref(vectors: Iterable[Sequence[Fraction]], ambient: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Reduced row echelon form over Q; zero rows dropped.
-
-    RREF is unique for a given row space, which makes it a canonical form:
-    two subspaces are equal iff their bases compare equal structurally.
-    """
-    work = [list(v) for v in vectors]
-    for v in work:
-        if len(v) != ambient:
-            raise DimensionMismatch(f"vector length {len(v)} != ambient {ambient}")
-    basis: list[list[Fraction]] = []
-    pivots: list[int] = []
-    for vec in work:
-        v = [Fraction(x) for x in vec]
-        for b, p in zip(basis, pivots):
-            if v[p]:
-                c = v[p]
-                for j in range(ambient):
-                    v[j] -= c * b[j]
-        lead = next((j for j in range(ambient) if v[j]), None)
-        if lead is None:
-            continue
-        inv = v[lead]
-        v = [x / inv for x in v]
-        for b in basis:
-            if b[lead]:
-                c = b[lead]
-                for j in range(ambient):
-                    b[j] -= c * v[j]
-        basis.append(v)
-        pivots.append(lead)
-    order = sorted(range(len(basis)), key=lambda i: pivots[i])
-    return tuple(tuple(basis[i]) for i in order)
-
-
-@dataclass(frozen=True)
-class Subspace:
-    """A linear subspace of Q^ambient_dim, held as a canonical RREF basis."""
-
-    ambient_dim: int
-    basis: tuple[tuple[Fraction, ...], ...]
-
-    @classmethod
-    def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        vecs = [[Fraction(x) for x in v] for v in vectors]
-        return cls(ambient_dim, _rref(vecs, ambient_dim))
-
-    @classmethod
-    def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, ())
-
-    @classmethod
-    def full(cls, ambient_dim: int) -> "Subspace":
-        eye = [[Fraction(1 if i == j else 0) for j in range(ambient_dim)] for i in range(ambient_dim)]
-        return cls(ambient_dim, tuple(tuple(r) for r in eye))
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def contains(self, vector: Sequence) -> bool:
-        v = [Fraction(x) for x in vector]
-        if len(v) != self.ambient_dim:
-            raise DimensionMismatch("vector/ambient mismatch")
-        for b in self.basis:
-            lead = next(j for j in range(self.ambient_dim) if b[j])
-            if v[lead]:
-                c = v[lead]
-                for j in range(self.ambient_dim):
-                    v[j] -= c * b[j]
-        return not any(v)
-
-    def is_subspace_of(self, other: "Subspace") -> bool:
-        if self.ambient_dim != other.ambient_dim:
-            raise DimensionMismatch("ambient dimensions differ")
-        return all(other.contains(b) for b in self.basis)
-
-
-def image_through(m: IntMatrix, s: Subspace) -> Subspace:
-    """The subspace m.s = span{m v : v in s}, canonicalized."""
-    if s.ambient_dim != m.cols:
-        raise DimensionMismatch(f"subspace of Q^{s.ambient_dim} cannot feed a {m.shape} matrix")
-    images = []
-    for v in s.basis:
-        images.append([sum(Fraction(m.at(i, k)) * v[k] for k in range(m.cols)) for i in range(m.rows)])
-    return Subspace(m.rows, _rref(images, m.rows))
+            return p
+        p, r = nxt, r_next

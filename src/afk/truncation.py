@@ -114,7 +114,3 @@ def build_system(diagram: BratteliDiagram, m: int, budget: int = 64) -> Truncate
         budget_exceeded=budget_exceeded,
     )
 
-
-def build_untruncated_system(diagram: BratteliDiagram, budget: int = 64) -> TruncatedSystem:
-    """The full multiplicity system (no summand deleted): degree 1 keeps everything."""
-    return build_system(diagram, 1, budget)

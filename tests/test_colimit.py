@@ -2,6 +2,7 @@ import random
 
 from afk.colimit import fm_dimension, fm_profile, k0_rational_dimension
 from afk.diagram import AffineTail, BratteliDiagram
+from afk.io import parse, to_diagram
 from afk.linalg import IntMatrix, multiply, rank
 from afk.truncation import build_system
 from cases import doubling, single_level, stationary_identity, two_column, worked_example
@@ -169,3 +170,23 @@ def test_random_stationary_tails_match_oracle():
             probe_from = sys.cycle_start
             probe_to = probe_from + (sys.period or 1) * (width + 3)
             assert res.dimension == oracle_truncated_colimit(d, m, probe_from, probe_to)
+            assert [k for k, _ in res.per_level_ranks] == list(range(1, probe_from + 1))
+            for k, r in res.per_level_ranks:
+                assert r == oracle_truncated_colimit(d, m, k, probe_to)
+            assert res.stabilized_at == next(k for k, r in res.per_level_ranks if r == res.dimension)
+
+
+def test_nilpotent_cycle_is_certified_on_powers_not_per_level():
+    # degree 3 keeps summands 2 and 3 of (1,3,3): the cycle is [[0,0],[1,0]].
+    # Level 1's image keeps rank 1 through one period but dies in the next.
+    d = to_diagram(
+        parse(
+            '{"levels":[[3],[1,3,3]],"matrices":[[[0],[1],[0]]],'
+            '"tail":{"matrix":[[1,0,0],[3,0,0],[0,1,0]],"slack":[0,0,0]}}'
+        )
+    )
+    res = fm_dimension(d, 3)
+    assert res.exact
+    assert res.dimension == 0
+    assert res.per_level_ranks == ((1, 0), (2, 0))
+    assert res.dimension == oracle_truncated_colimit(d, 3, 1, 8)

@@ -1,24 +1,38 @@
 import random
+import re
 
 import pytest
 
+from afk.colimit import _composites_to
 from afk.diagram import (
     AffineTail,
     BratteliDiagram,
     EmptyLevel,
     LevelOutOfRange,
-    Node,
     ShapeMismatch,
     SizeOverflowAtEdge,
-    compose_multiplicities,
     ensure_valid,
     materialize,
-    node_at,
-    predecessors,
     validate,
 )
+from afk.io import export_dot
 from afk.linalg import IntMatrix, multiply
+from afk.truncation import build_system
 from cases import constant_column, single_level, two_column, worked_example
+
+
+def compose_multiplicities(d, frm, to, seed=None):
+    """seed . (connecting matrices from level `frm` up to `to`), by the colimit's sweep."""
+    system = build_system(d, 1, budget=to)
+    if seed is None:
+        seed = IntMatrix.identity(system.dims[to - 1])
+    return _composites_to(system, to, seed)[frm - 1]
+
+
+def predecessors(d, level, summand):
+    """(source summand, multiplicity) of the DOT edges into one node."""
+    edge = re.compile(rf'"L{level - 1}S(\d+)" -> "L{level}S{summand}" \[label="(\d+)"\]')
+    return [(int(j), int(mult)) for j, mult in edge.findall(export_dot(d, budget=level))]
 
 
 def test_validate_worked_example_unital():
@@ -140,13 +154,12 @@ def test_compose_transitivity():
         left = compose_multiplicities(d, a, c)
         right = multiply(compose_multiplicities(d, b, c), compose_multiplicities(d, a, b))
         assert left == right
+        seed = IntMatrix.from_rows([[rng.randint(-2, 2) for _ in range(2)] for _ in range(3)])
+        assert compose_multiplicities(d, a, c, seed) == multiply(seed, left)
 
 
 def test_predecessors_worked_example():
-    d = worked_example()
-    node = node_at(d, 2, 2)
-    assert node == Node(2, 2, 3)
-    assert predecessors(d, node) == [(Node(1, 1, 1), 1), (Node(1, 2, 2), 1)]
+    assert predecessors(worked_example(), 2, 2) == [(1, 1), (2, 1)]
 
 
 def test_predecessors_orphan_empty():
@@ -154,20 +167,14 @@ def test_predecessors_orphan_empty():
         prefix_levels=((1,), (1, 1)),
         prefix_matrices=(IntMatrix.from_rows([[1], [0]]),),
     )
-    assert predecessors(d, node_at(d, 2, 2)) == []
+    assert predecessors(d, 2, 2) == []
+    assert predecessors(d, 2, 1) == [(1, 1)]
 
 
 def test_predecessors_two_column():
     d = two_column()
     for level in (2, 3, 4, 5):
-        node = node_at(d, level, 2)
-        preds = predecessors(d, node)
-        assert [(p.summand, m) for p, m in preds] == [(1, 1), (2, 1)]
-
-
-def test_predecessors_level_one_rejected():
-    with pytest.raises(LevelOutOfRange):
-        predecessors(two_column(), node_at(two_column(), 1, 1))
+        assert predecessors(d, level, 2) == [(1, 1), (2, 1)]
 
 
 def test_equal_size_chain_edges_have_multiplicity_one():

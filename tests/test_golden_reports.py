@@ -1,0 +1,95 @@
+"""Pinned report bytes: every command, in both formats, on fixed inputs.
+
+`golden_reports.json` maps each call, written "<input> | <argv>", to its
+exit code and the sha256 of its stdout.  A change that must leave every
+report as it was keeps this test passing.  A change that means to alter
+reports regenerates the file with
+
+    PYTHONPATH=src python tests/test_golden_reports.py
+
+and says in CHANGES.md which reports changed and why.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import random
+import sys
+from pathlib import Path
+
+from afk.cli import main
+from afk.io import from_diagram, serialize
+from cases import constant_column, doubling, single_level, stationary_identity, two_column, worked_example
+from generators import random_document
+
+GOLDEN = Path(__file__).with_name("golden_reports.json")
+
+COMMANDS = (
+    ("validate",),
+    ("fm", "--m", "1"),
+    ("fm", "--m", "2"),
+    ("fm", "--m", "3"),
+    ("fm", "--m", "5", "--budget", "3"),
+    ("fm-profile", "--max-m", "7", "--budget", "16"),
+    ("k0q",),
+    ("kstable", "--budget", "16"),
+    ("telescope", "--min-dim", "3", "--budget", "16"),
+    ("export-dot", "--budget", "4"),
+    ("export-dot", "--degree", "3", "--budget", "4"),
+)
+
+# a nilpotent degree-3 cycle: the early-exit trap for per-level plateaus
+NILPOTENT = '{"levels":[[3],[1,3,3]],"matrices":[[[0],[1],[0]]],"tail":{"matrix":[[1,0,0],[3,0,0],[0,1,0]],"slack":[0,0,0]}}'
+
+
+def inputs() -> dict[str, str]:
+    named = {
+        "worked_example": worked_example(),
+        "two_column": two_column(),
+        "constant_column": constant_column(),
+        "single_level_1": single_level(1),
+        "single_level_4": single_level(4),
+        "doubling": doubling(),
+        "stationary_identity_2": stationary_identity(2),
+        "stationary_identity_3": stationary_identity(3),
+    }
+    out = {name: serialize(from_diagram(d)) for name, d in named.items()}
+    out["nilpotent"] = NILPOTENT
+    rng = random.Random(4423)
+    for i in range(40):
+        out[f"random_{i:02d}"] = serialize(random_document(rng))
+    return out
+
+
+def run(argv: list[str], text: str) -> tuple[int, str]:
+    out = io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    return code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+
+
+def reports() -> dict[str, list]:
+    table = {}
+    for name, text in inputs().items():
+        for command in COMMANDS:
+            for fmt in ("json", "text"):
+                argv = [*command, "--format", fmt, "--input", "-"]
+                table[f"{name} | {' '.join(argv)}"] = list(run(argv, text))
+    return table
+
+
+def test_reports_match_golden():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    got = reports()
+    changed = sorted(k for k in golden.keys() | got.keys() if golden.get(k) != got.get(k))
+    assert not changed, f"{len(changed)} reports changed, first: {changed[:5]}"
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(reports(), indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from afk.cli import main
 from afk.io import (
@@ -263,10 +265,80 @@ def test_cli_text_format(tmp_path, capsys):
 
 def test_cli_internal_error_exit_three(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(
-        "afk.cli.fm_dimension", lambda *a, **k: (_ for _ in ()).throw(RuntimeError("boom"))
+        "afk.cli.colimit_dimension", lambda *a, **k: (_ for _ in ()).throw(RuntimeError("boom"))
     )
     code, out = run_cli(tmp_path, capsys, TWO_COLUMN_JSON, "fm", "--m", "3")
     report = json.loads(out)
     assert code == 3
     assert report["status"] == "error"
     assert report["error"]["type"] == "RuntimeError"
+
+
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "argv, doc, locus",
+    [
+        (["fm", "--m", "-1"], TWO_COLUMN_JSON, "--m"),
+        (["fm", "--m", "0"], TWO_COLUMN_JSON, "--m"),
+        (["fm-profile", "--max-m", "0"], TWO_COLUMN_JSON, "--max-m"),
+        (["telescope", "--min-dim", "0"], TWO_COLUMN_JSON, "--min-dim"),
+        (["telescope", "--min-dim", "-4"], TWO_COLUMN_JSON, "--min-dim"),
+        (["export-dot", "--degree", "0"], WORKED_JSON, "--degree"),
+        (["export-dot", "--degree", "-3"], WORKED_JSON, "--degree"),
+        (["validate"], DEEP_JSON, "$"),
+    ],
+    ids=["m-1", "m0", "max-m0", "min-dim0", "min-dim-4", "degree0", "degree-3", "deep-document"],
+)
+def test_cli_rejects_out_of_range_input_with_locus(tmp_path, capsys, argv, doc, locus):
+    for fmt in ("json", "text"):
+        code, out = run_cli(tmp_path, capsys, doc, *argv, "--format", fmt)
+        assert code == 1
+        if fmt == "json":
+            report = json.loads(out)
+            assert report["status"] == "invalid"
+            assert report["error"]["locus"] == locus
+        else:
+            assert f"error at {locus}: " in out
+
+
+
+OVERFLOW_JSON = '{"levels":[[2],[1]],"matrices":[[[1]]]}'
+NON_INJECTIVE_JSON = '{"levels":[[1],[1,1]],"matrices":[[[1],[1]]],"tail":{"matrix":[[1,0],[1,0]],"slack":[0,0]}}'
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["fm", "--m", "3"], OVERFLOW_JSON),
+        (["fm-profile", "--max-m", "3"], OVERFLOW_JSON),
+        (["k0q"], OVERFLOW_JSON),
+        (["kstable"], OVERFLOW_JSON),
+        (["telescope", "--min-dim", "2"], OVERFLOW_JSON),
+        (["export-dot"], OVERFLOW_JSON),
+        (["kstable"], NON_INJECTIVE_JSON),
+        (["telescope", "--min-dim", "2"], NON_INJECTIVE_JSON),
+    ],
+    ids=["fm", "fm-profile", "k0q", "kstable", "telescope", "export-dot", "kstable-non-injective", "telescope-non-injective"],
+)
+def test_cli_text_report_of_refused_input(tmp_path, capsys, argv, doc):
+    code, out = run_cli(tmp_path, capsys, doc, *argv, "--format", "text")
+    assert code == 1
+    assert "status: invalid\nproblem: " in out
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(
+        [("fm", "--m"), ("fm-profile", "--max-m"), ("telescope", "--min-dim"), ("export-dot", "--degree")]
+    ),
+    st.integers(-3, 12),
+    st.integers(-2, 8),
+    st.sampled_from([TWO_COLUMN_JSON, WORKED_JSON]),
+    st.sampled_from(["json", "text"]),
+)
+def test_cli_integer_flags_never_exit_three(tmp_path_factory, command, value, budget, doc, fmt):
+    path = tmp_path_factory.mktemp("flags") / "diagram.json"
+    path.write_text(doc, encoding="utf-8")
+    argv = [command[0], "--input", str(path), command[1], str(value), "--budget", str(budget), "--format", fmt]
+    assert main(argv) != 3
