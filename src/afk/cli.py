@@ -149,10 +149,8 @@ def _render_text(report: dict) -> str:
     result = report["result"]
 
     def fmt_dim(block: dict, label: str) -> list[str]:
-        kind = "exact" if block["exact"] else (
-            "budget exceeded" if block.get("budget_exceeded") else "lower bound"
-        )
-        out = [f"{label}: {block['dimension']} ({kind})"]
+        value = f"{block['dimension']} (exact)" if block["exact"] else "inconclusive (budget exceeded)"
+        out = [f"{label}: {value}"]
         if block.get("stabilized_at") is not None:
             out.append(f"  stabilized at level {block['stabilized_at']}")
         if block.get("note"):
@@ -177,8 +175,7 @@ def _render_text(report: dict) -> str:
             lines.append(f"  map {k} -> {k + 1}: {mat}")
     elif cmd == "fm-profile":
         for row in result["profile"]:
-            mark = "" if row["exact"] else " (lower bound)"
-            lines.append(f"m={row['m']}: {row['dimension']}{mark}")
+            lines.append(f"m={row['m']}: {row['dimension'] if row['exact'] else 'inconclusive'}")
     elif cmd == "k0q":
         lines += fmt_dim(result, "K0 rational rank")
     elif cmd == "kstable":
@@ -262,12 +259,9 @@ def _dispatch(args) -> int:
         result["m"] = args.m
         levels_used = 0
         if system is not None:
-            levels_used = system.levels
+            levels_used = budget if system.budget_exceeded else system.levels
             result["dims"] = list(system.dims)
-            cap = len(system.maps)
-            if system.cycle_start is not None:
-                cap = min(cap, system.cycle_start + (system.period or 1) - 1)
-            result["maps"] = [_matrix_payload(m) for m in system.maps[:cap]]
+            result["maps"] = [_matrix_payload(m) for m in system.maps]
             if system.cycle_start is not None:
                 result["cycle"] = {"start": system.cycle_start, "period": system.period}
         status = "ok" if res.exact else "inconclusive"

@@ -17,8 +17,12 @@ The plateau must be found on the powers of C alone.  A plateau found
 separately for each level is not enough: with C = [[0,0],[1,0]] and X the
 first unit vector, rank(X) = rank(C·X) = 1 but C²·X = 0.
 
-Without a tail law a finite unrolling can only certify a lower bound, and
-that is all we report.
+Without a tail the diagram is the finite-dimensional algebra of its last
+level, so the sweep is seeded with the identity there: the dimension is the
+last level's dimension (in degree m, the number of last-level summands with
+m <= 2p - 1).  A tail whose clamped sizes never repeated within the level
+budget gets no number at all: a finite unrolling neither bounds nor
+certifies the limit.
 """
 
 from __future__ import annotations
@@ -35,13 +39,13 @@ from .truncation import TruncatedSystem, build_system
 class ColimitResult:
     """Outcome of a colimit computation.
 
-    `exact` distinguishes certified dimensions from lower bounds;
-    `budget_exceeded` marks tails whose mask state never repeated within the
-    level budget.  `per_level_ranks` pairs each level with the rank of its
-    contribution to the limit (probed at the final level when not exact).
+    `exact` marks a certified dimension; otherwise `budget_exceeded` is set,
+    the tail's clamped sizes never repeated within the level budget, and
+    `dimension` is None.  `per_level_ranks` pairs each level with the rank
+    of its contribution to the limit (empty when there is no dimension).
     """
 
-    dimension: int
+    dimension: Optional[int]
     exact: bool
     stabilized_at: Optional[int]
     per_level_ranks: tuple[tuple[int, int], ...]
@@ -59,33 +63,31 @@ def _composites_to(sys: TruncatedSystem, target: int, seed: IntMatrix) -> list[I
 
 
 def colimit_dimension(sys: TruncatedSystem) -> ColimitResult:
-    if sys.cycle_start is not None:
-        cs = sys.cycle_start
-        cycle = IntMatrix.identity(sys.dims[cs - 1])
-        for k in range(cs - 1, cs - 1 + (sys.period or 1)):
-            cycle = multiply(sys.maps[k], cycle)
-        images = _composites_to(sys, cs, stable_power(cycle))
-        ranks = [(k, rank(img)) for k, img in enumerate(images, start=1)]
-        dim = ranks[-1][1]  # the cycle start's own image is im P
-        stabilized = next(k for k, r in ranks if r == dim)
+    if sys.budget_exceeded:
         return ColimitResult(
-            dimension=dim,
-            exact=True,
-            stabilized_at=stabilized,
-            per_level_ranks=tuple(ranks),
+            dimension=None,
+            exact=False,
+            stabilized_at=None,
+            per_level_ranks=(),
+            budget_exceeded=True,
         )
-    # no certified cycle: probe every level at the last materialized one
-    last = sys.levels
-    comps = _composites_to(sys, last, IntMatrix.identity(sys.dims[last - 1]))
-    ranks = [(k, rank(comp)) for k, comp in enumerate(comps, start=1)]
-    first_live = next((k for k in range(1, last + 1) if sys.dims[k - 1] > 0), None)
-    dim = ranks[first_live - 1][1] if first_live is not None else 0
+    if sys.cycle_start is None:  # no tail: the last level is the algebra
+        target, seed = sys.levels, IntMatrix.identity(sys.dims[-1])
+    else:
+        target = sys.cycle_start
+        cycle = IntMatrix.identity(sys.dims[target - 1])
+        for k in range(target - 1, target - 1 + sys.period):
+            cycle = multiply(sys.maps[k], cycle)
+        seed = stable_power(cycle)
+    images = _composites_to(sys, target, seed)
+    ranks = [(k, rank(img)) for k, img in enumerate(images, start=1)]
+    dim = ranks[-1][1]  # the target's own image: im P, or the whole last level
+    stabilized = next(k for k, r in ranks if r == dim)
     return ColimitResult(
         dimension=dim,
-        exact=False,
-        stabilized_at=None,
+        exact=True,
+        stabilized_at=stabilized,
         per_level_ranks=tuple(ranks),
-        budget_exceeded=sys.budget_exceeded,
     )
 
 

@@ -10,7 +10,7 @@ everywhere a human sees them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Hashable, Optional, Sequence
 
 from .linalg import IntMatrix
 
@@ -163,12 +163,7 @@ def validate(d: BratteliDiagram) -> ValidationReport:
                 )
         # positivity of the first generated tail level; later ones only grow
         # in the sense q'_i >= slack_i + (row i applied to positives) >= 1
-        start = d.prefix_levels[-1]
-        first = [
-            sum(tm.at(i, j) * start[j] for j in range(tm.cols)) + d.tail.slack[i]
-            for i in range(tm.rows)
-        ]
-        for i, v in enumerate(first):
+        for i, v in enumerate(tail_step(d.tail, d.prefix_levels[-1])):
             if v < 1:
                 problems.append(
                     ValidationProblem(
@@ -197,6 +192,15 @@ def ensure_valid(d: BratteliDiagram) -> None:
     raise ShapeMismatch(p.message)
 
 
+def tail_step(tail: AffineTail, q: Sequence[int]) -> tuple[int, ...]:
+    """The tail level after q: q' = phi.q + slack."""
+    tm = tail.matrix
+    return tuple(
+        sum(tm.at(i, j) * q[j] for j in range(tm.cols)) + tail.slack[i]
+        for i in range(tm.rows)
+    )
+
+
 def materialize(
     d: BratteliDiagram, levels: int
 ) -> tuple[list[tuple[int, ...]], list[IntMatrix]]:
@@ -215,13 +219,35 @@ def materialize(
     matrices = list(d.prefix_matrices[: max(0, levels - 1)])
     while len(profiles) < levels:
         assert d.tail is not None
-        q = profiles[-1]
-        tm = d.tail.matrix
-        nxt = tuple(
-            sum(tm.at(i, j) * q[j] for j in range(tm.cols)) + d.tail.slack[i]
-            for i in range(tm.rows)
-        )
-        profiles.append(nxt)
-        matrices.append(tm)
+        profiles.append(tail_step(d.tail, profiles[-1]))
+        matrices.append(d.tail.matrix)
     return profiles, matrices
 
+
+def unroll_to_repeat(
+    d: BratteliDiagram, key: Callable[[tuple[int, ...]], Hashable], budget: int
+) -> Optional[tuple[list[tuple[int, ...]], list[IntMatrix], int, int]]:
+    """Unroll the tail up to the first level whose key(profile) was seen before.
+
+    The scan starts at the last prefix level and never passes level `budget`.
+    At the first level L whose key equals that of an earlier level `start`,
+    returns (profiles of levels 1..L, the L-1 matrices joining them, start,
+    L - start).  Returns None when the diagram has no tail or no key repeats
+    by level `budget`.
+
+    Stopping there is sound whenever key(q) determines key(q') for the next
+    level q' (the analyses use clamped sizes and the bounded coordinates):
+    the keys then evolve on their own, so their first repeat repeats forever.
+    """
+    if d.tail is None:
+        return None
+    profiles, matrices = list(d.prefix_levels), list(d.prefix_matrices)
+    seen: dict[Hashable, int] = {}
+    for level in range(d.prefix_len, budget + 1):
+        state = key(profiles[-1])
+        if state in seen:
+            return profiles, matrices, seen[state], level - seen[state]
+        seen[state] = level
+        profiles.append(tail_step(d.tail, profiles[-1]))
+        matrices.append(d.tail.matrix)
+    return None

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
-from .diagram import BratteliDiagram, ensure_valid, materialize
+from .diagram import BratteliDiagram, ensure_valid, materialize, unroll_to_repeat
 from .linalg import IntMatrix
 
 
@@ -144,12 +144,15 @@ def coordinate_classes(tm: IntMatrix, slack: Sequence[int]) -> tuple[tuple[int, 
 
 @dataclass(frozen=True)
 class TailOrbit:
-    """Certified eventual periodicity of the bounded tail coordinates."""
+    """Certified eventual periodicity of the bounded tail coordinates.
+
+    `profiles` and `matrices` run up to level start + period, where the
+    bounded sub-vector first repeats.
+    """
 
     profiles: tuple[tuple[int, ...], ...]
     matrices: tuple[IntMatrix, ...]
     bounded: tuple[int, ...]
-    divergent: tuple[int, ...]
     start: int  # first level of the periodic window (1-based)
     period: int
 
@@ -157,22 +160,18 @@ class TailOrbit:
 def tail_orbit(d: BratteliDiagram, budget: int = 64) -> Union[TailOrbit, _Inconclusive]:
     if d.tail is None:
         return INCONCLUSIVE
-    profiles, matrices = materialize(d, budget)
-    bounded, divergent = coordinate_classes(d.tail.matrix, d.tail.slack)
-    seen: dict[tuple[int, ...], int] = {}
-    for lvl in range(d.prefix_len, budget + 1):
-        state = tuple(profiles[lvl - 1][i] for i in bounded)
-        if state in seen:
-            return TailOrbit(
-                profiles=tuple(profiles),
-                matrices=tuple(matrices),
-                bounded=bounded,
-                divergent=divergent,
-                start=seen[state],
-                period=lvl - seen[state],
-            )
-        seen[state] = lvl
-    return INCONCLUSIVE
+    bounded, _ = coordinate_classes(d.tail.matrix, d.tail.slack)
+    found = unroll_to_repeat(d, lambda q: tuple(q[i] for i in bounded), budget)
+    if found is None:
+        return INCONCLUSIVE
+    profiles, matrices, start, period = found
+    return TailOrbit(
+        profiles=tuple(profiles),
+        matrices=tuple(matrices),
+        bounded=bounded,
+        start=start,
+        period=period,
+    )
 
 
 def _phase_graph_cycle(
@@ -281,8 +280,6 @@ def find_infinite_k_chain(
     is complete, so None is a genuine certificate of absence.
     """
     ensure_valid(d)
-    if d.tail is None:
-        return INCONCLUSIVE
     orbit = tail_orbit(d, budget)
     if orbit is INCONCLUSIVE:
         return INCONCLUSIVE
@@ -363,11 +360,12 @@ def _drop_before(
 
 
 def _identity_completion_witness(d: BratteliDiagram) -> KChainWitness:
-    profiles, matrices = materialize(d, d.prefix_len)
-    last = profiles[-1]
+    last = d.prefix_levels[-1]
     k = min(last)
     idx = last.index(k)
-    start_level, path = _extend_backward(profiles, matrices, d.prefix_len, idx, k)
+    start_level, path = _extend_backward(
+        d.prefix_levels, d.prefix_matrices, d.prefix_len, idx, k
+    )
     return KChainWitness(
         k=k,
         start_level=start_level,
@@ -393,34 +391,21 @@ def _raise_stage(
     (which never changes the limit) is the whole telescoping step.
     """
     if d.tail is None:
-        profiles = list(d.prefix_levels)
+        profiles, start = d.prefix_levels, d.prefix_len
         if min(profiles[-1]) <= s:
             raise InfiniteChainError(_identity_completion_witness(d))
-        cut = d.prefix_len
-        while cut > 1 and min(profiles[cut - 2]) > s:
-            cut -= 1
-        return _drop_before(d, profiles, cut), cut
-    cap = s + 1
-    profiles, _ = materialize(d, budget)
-    clamped = [tuple(min(q, cap) for q in p) for p in profiles]
-    seen: dict[tuple[int, ...], int] = {}
-    start = period = None
-    for lvl in range(d.prefix_len, budget + 1):
-        state = clamped[lvl - 1]
-        if state in seen:
-            start = seen[state]
-            period = lvl - start
-            break
-        seen[state] = lvl
-    if start is None:
-        return INCONCLUSIVE
-    if any(min(clamped[lvl - 1]) <= s for lvl in range(start, start + period)):
-        found = find_infinite_k_chain(d, budget)
-        if isinstance(found, KChainWitness):
-            raise InfiniteChainError(found)
-        return INCONCLUSIVE
+    else:
+        found = unroll_to_repeat(d, lambda q: tuple(min(x, s + 1) for x in q), budget)
+        if found is None:
+            return INCONCLUSIVE
+        profiles, _, start, period = found
+        if any(min(profiles[lvl - 1]) <= s for lvl in range(start, start + period)):
+            chain = find_infinite_k_chain(d, budget)
+            if isinstance(chain, KChainWitness):
+                raise InfiniteChainError(chain)
+            return INCONCLUSIVE
     cut = start
-    while cut > 1 and min(clamped[cut - 2]) > s:
+    while cut > 1 and min(profiles[cut - 2]) > s:
         cut -= 1
     return _drop_before(d, profiles, cut), cut
 
@@ -482,13 +467,14 @@ def classify(d: BratteliDiagram, budget: int = 64, m_max: int = 8) -> KStability
         return KStabilityVerdict(INCONCLUSIVE_AT_BUDGET)
     if isinstance(found, KChainWitness):
         return KStabilityVerdict(NOT_K_STABLE, witness=found)
-    certificates = []
-    for m in range(1, m_max + 1):
-        try:
-            out = _telescope(d, m, budget)
-        except InfiniteChainError as exc:
-            return KStabilityVerdict(NOT_K_STABLE, witness=exc.witness)
-        if out is INCONCLUSIVE:
-            return KStabilityVerdict(INCONCLUSIVE_AT_BUDGET)
-        certificates.append((m, out[1]))
-    return KStabilityVerdict(K_STABLE, certificate=tuple(certificates))
+    # the stages for m are the first m-1 stages for m_max: telescope once
+    try:
+        out = _telescope(d, m_max, budget)
+    except InfiniteChainError as exc:
+        return KStabilityVerdict(NOT_K_STABLE, witness=exc.witness)
+    if out is INCONCLUSIVE:
+        return KStabilityVerdict(INCONCLUSIVE_AT_BUDGET)
+    schedule = out[1]
+    return KStabilityVerdict(
+        K_STABLE, certificate=tuple((m, schedule[: m - 1]) for m in range(1, m_max + 1))
+    )

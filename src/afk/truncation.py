@@ -9,8 +9,11 @@ engine.
 For affine tails the kept mask is driven by the clamped size vector
 min(q_i, h) with h = (m+1)/2: that clamped vector evolves autonomously
 (a clamped coordinate only feeds values that clamp again), takes finitely
-many values, and therefore repeats.  A repeat certifies that masks and
-truncated matrices cycle forever, which is what the colimit engine needs.
+many values, and therefore repeats.  Its first repeat repeats forever, so
+masks and truncated matrices cycle from there on, which is what the colimit
+engine needs; the system ends at the repeat level.  A diagram without a tail
+is read as the finite-dimensional algebra of its last level: the system is
+all of its given levels.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .diagram import BratteliDiagram, ensure_valid, materialize
+from .diagram import BratteliDiagram, ensure_valid, unroll_to_repeat
 from .linalg import IntMatrix
 
 
@@ -53,9 +56,11 @@ def truncate_map(
 class TruncatedSystem:
     """The degree-m chain of vector spaces extracted from a diagram.
 
-    `cycle_start` / `period` (1-based level, length) are set when the diagram
-    has a tail and the kept-mask/truncated-matrix state was observed to
-    repeat; `budget_exceeded` is set when a tail ran out of budget first.
+    With a tail, `cycle_start` / `period` (1-based level, length) certify
+    that the clamped sizes repeat from `cycle_start` on, and the system ends
+    at level cycle_start + period; `budget_exceeded` is set instead when no
+    repeat showed within the level budget, and the system then holds only
+    the prefix.  Without a tail the system is every given level.
     """
 
     m: int
@@ -73,31 +78,15 @@ class TruncatedSystem:
 
 
 def build_system(diagram: BratteliDiagram, m: int, budget: int = 64) -> TruncatedSystem:
-    """Materialize the degree-m truncated system over at most `budget` levels."""
+    """The degree-m truncated system, up to the first repeat of the clamped sizes."""
     if m % 2 == 0:
         raise EvenDegree(f"degree {m} is even; F_even vanishes, build the system for odd m")
     ensure_valid(diagram)
     h = (m + 1) // 2
-    if diagram.tail is None:
-        levels = min(budget, diagram.prefix_len)
-        profiles, matrices = materialize(diagram, levels)
-        cycle_start = None
-        period = None
-        budget_exceeded = False
-    else:
-        levels = budget
-        profiles, matrices = materialize(diagram, levels)
-        cycle_start = None
-        period = None
-        seen: dict[tuple[int, ...], int] = {}
-        for lvl in range(diagram.prefix_len, levels + 1):
-            state = tuple(min(q, h) for q in profiles[lvl - 1])
-            if state in seen:
-                cycle_start = seen[state]
-                period = lvl - cycle_start
-                break
-            seen[state] = lvl
-        budget_exceeded = cycle_start is None
+    found = unroll_to_repeat(diagram, lambda q: tuple(min(x, h) for x in q), budget)
+    profiles, matrices, cycle_start, period = found or (
+        diagram.prefix_levels, diagram.prefix_matrices, None, None
+    )
     kept = tuple(kept_indices(p, m) for p in profiles)
     dims = tuple(len(k) for k in kept)
     maps = tuple(
@@ -111,6 +100,5 @@ def build_system(diagram: BratteliDiagram, m: int, budget: int = 64) -> Truncate
         has_tail=diagram.tail is not None,
         cycle_start=cycle_start,
         period=period,
-        budget_exceeded=budget_exceeded,
+        budget_exceeded=diagram.tail is not None and found is None,
     )
-

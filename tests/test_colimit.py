@@ -48,7 +48,7 @@ def test_k0q_doubling():
 def test_k0q_single_level_counts_summands():
     res = k0_rational_dimension(single_level(4))
     assert res.dimension == 1
-    assert not res.exact  # no tail law, so only a lower bound is certified
+    assert res.exact  # no tail: the algebra of the last level, exactly
 
 
 def test_fm_profile_two_column():
@@ -65,9 +65,9 @@ def test_fm_profile_single_m3():
 
 def test_worked_example_prefix_only_lower_bound():
     res = fm_dimension(worked_example(), 5, budget=2)
-    assert not res.exact
-    assert res.dimension == 1  # rank of the degree-5 map [[0],[1],[2]]
-    assert res.stabilized_at is None
+    assert res.exact
+    assert res.dimension == 3  # last level (1,3,5,8): sizes 3, 5, 8 survive
+    assert res.stabilized_at == 2
 
 
 def test_per_level_ranks_nondecreasing():
@@ -94,6 +94,7 @@ def test_budget_exceeded_reported():
     )
     res = fm_dimension(d, 9, budget=3)
     assert res.budget_exceeded and not res.exact
+    assert res.dimension is None
 
 
 def test_determinism():

@@ -13,17 +13,24 @@ from afk.diagram import (
     SizeOverflowAtEdge,
     ensure_valid,
     materialize,
+    unroll_to_repeat,
     validate,
 )
 from afk.io import export_dot
+from afk.kstability import coordinate_classes
 from afk.linalg import IntMatrix, multiply
-from afk.truncation import build_system
+from afk.truncation import TruncatedSystem
 from cases import constant_column, single_level, two_column, worked_example
+from generators import random_growing_tail_diagram, random_pinned_tail_diagram, random_stationary_tail_diagram
 
 
 def compose_multiplicities(d, frm, to, seed=None):
     """seed . (connecting matrices from level `frm` up to `to`), by the colimit's sweep."""
-    system = build_system(d, 1, budget=to)
+    profiles, matrices = materialize(d, to)
+    kept = tuple(tuple(range(len(p))) for p in profiles)
+    system = TruncatedSystem(
+        m=1, dims=tuple(map(len, kept)), maps=tuple(matrices), kept=kept, has_tail=d.tail is not None
+    )
     if seed is None:
         seed = IntMatrix.identity(system.dims[to - 1])
     return _composites_to(system, to, seed)[frm - 1]
@@ -128,6 +135,44 @@ def test_materialize_prefix_property():
         b, mb = materialize(d, k + 1)
         assert b[:k] == a
         assert mb[: k - 1] == ma
+
+
+def _first_repeat(profiles, key, prefix_len):
+    """(start, period) of the first repeated key from the last prefix level on."""
+    keys = [key(p) for p in profiles[prefix_len - 1 :]]
+    for i, k in enumerate(keys):
+        if k in keys[:i]:
+            start = keys.index(k) + prefix_len
+            return start, prefix_len + i - start
+    return None
+
+
+def test_unroll_to_repeat_matches_a_scan_over_materialize():
+    rng = random.Random(3021)
+    makers = (random_growing_tail_diagram, random_pinned_tail_diagram, random_stationary_tail_diagram)
+    cases = 0
+    for _ in range(12):
+        for make in makers:
+            d = make(rng)
+            bounded, _ = coordinate_classes(d.tail.matrix, d.tail.slack)
+            keys = [lambda q, c=c: tuple(min(x, c) for x in q) for c in range(1, 7)]
+            keys.append(lambda q: tuple(q[i] for i in bounded))
+            for budget in range(1, 41):
+                profiles, _ = materialize(d, budget)
+                for key in keys:
+                    found = unroll_to_repeat(d, key, budget)
+                    expected = _first_repeat(profiles, key, d.prefix_len)
+                    if expected is None:
+                        assert found is None
+                        continue
+                    got_profiles, got_matrices, start, period = found
+                    assert (start, period) == expected
+                    assert len(got_profiles) == start + period
+                    assert got_profiles == profiles[: len(got_profiles)]
+                    assert got_matrices == materialize(d, len(got_profiles))[1]
+                    cases += 1
+    assert cases >= 1000
+    assert unroll_to_repeat(worked_example(), tuple, 64) is None  # no tail, nothing to unroll
 
 
 def test_compose_identity_at_same_level():

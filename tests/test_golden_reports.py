@@ -37,6 +37,9 @@ COMMANDS = (
     ("telescope", "--min-dim", "3", "--budget", "16"),
     ("export-dot", "--budget", "4"),
     ("export-dot", "--degree", "3", "--budget", "4"),
+    ("kstable", "--budget", "1024"),
+    ("telescope", "--min-dim", "3", "--budget", "1024"),
+    ("fm", "--m", "5", "--budget", "1024"),
 )
 
 # a nilpotent degree-3 cycle: the early-exit trap for per-level plateaus

@@ -135,11 +135,27 @@ def run_cli(tmp_path, capsys, doc_text, *argv):
 def test_cli_fm_worked_example_lower_bound(tmp_path, capsys):
     code, out = run_cli(tmp_path, capsys, WORKED_JSON, "fm", "--m", "3")
     report = json.loads(out)
-    assert code == 2  # a prefix-only analysis is inconclusive about the limit
-    assert report["status"] == "inconclusive"
+    assert code == 0  # no tail: the algebra of the last level, exactly
+    assert report["status"] == "ok"
     assert report["result"]["maps"] == [[[1, 0], [0, 1], [1, 2]]]
-    assert report["result"]["dimension"] == 2
-    assert report["result"]["exact"] is False
+    assert report["result"]["dimension"] == 3
+    assert report["result"]["exact"] is True
+
+
+def test_cli_fm_budget_exhausted_tail_has_no_number(tmp_path, capsys):
+    # the clamped sizes repeat at level 3, past the budget; the exact F_9 is 1,
+    # and the first-level probe once reported 2 here
+    doc = '{"levels":[[2,3]],"matrices":[],"tail":{"matrix":[[1,1],[1,1]],"slack":[1,1]}}'
+    code, out = run_cli(tmp_path, capsys, doc, "fm", "--m", "9", "--budget", "2")
+    report = json.loads(out)
+    assert code == 2
+    assert report["result"]["dimension"] is None
+    assert report["result"]["budget_exceeded"] is True
+    code, out = run_cli(tmp_path, capsys, doc, "fm", "--m", "9", "--budget", "2", "--format", "text")
+    assert code == 2
+    [line] = [ln for ln in out.splitlines() if ln.startswith("F_9 dimension:")]
+    assert not any(ch.isdigit() for ch in line.split(":", 1)[1])
+    assert "inconclusive" in line
 
 
 def test_cli_fm_even_shortcut(tmp_path, capsys):

@@ -63,11 +63,12 @@ def test_truncate_all_kept_is_identity_transformation():
 
 def test_build_system_two_column_high_degree():
     # sizes 1,2,3,... and 1,2,4,7,...; degree 9 keeps sizes >= 5
+    # the clamped sizes min(q, 5) first repeat at level 6, so the system ends there
     sys = build_system(two_column(), 9, budget=8)
-    assert sys.dims == (0, 0, 0, 1, 2, 2, 2, 2)
+    assert sys.dims == (0, 0, 0, 1, 2, 2)
+    assert (sys.cycle_start, sys.period) == (5, 1)
     assert sys.maps[-1] == IntMatrix.from_rows([[1, 0], [1, 1]])
-    assert sys.maps[-2] == IntMatrix.from_rows([[1, 0], [1, 1]])
-    assert sys.cycle_start is not None
+    assert sys.maps[-2] == IntMatrix.from_rows([[0], [1]])
 
 
 def test_build_system_m1_keeps_everything():
