@@ -17,8 +17,7 @@ import sys
 from typing import Any, Optional
 
 from . import __version__
-from .colimit import ColimitResult, colimit_dimension, fm_dimension, fm_profile, k0_rational_dimension
-from .diagram import validate as validate_diagram
+from .colimit import ColimitResult, colimit_dimension, fm_dimension, profile_systems
 from .io import (
     ParseError,
     document_to_json,
@@ -119,6 +118,11 @@ def _colimit_payload(res: ColimitResult) -> dict:
     if res.note:
         out["note"] = res.note
     return out
+
+
+def _levels_used(system, budget: int) -> int:
+    """Levels a truncated system holds; `budget` when its tail ran out of levels."""
+    return budget if system.budget_exceeded else system.levels
 
 
 def _report(command: str, digest: str, flags: dict, status: str, result: dict, levels_used: int, budget: int) -> dict:
@@ -225,7 +229,7 @@ def _dispatch(args) -> int:
     _check_degree_flags(args)
     fmt = args.format
     doc, diagram, digest = _preflight(args)
-    report_v = validate_diagram(diagram)
+    report_v = diagram.validation
 
     if args.command == "validate":
         result = {
@@ -259,7 +263,7 @@ def _dispatch(args) -> int:
         result["m"] = args.m
         levels_used = 0
         if system is not None:
-            levels_used = budget if system.budget_exceeded else system.levels
+            levels_used = _levels_used(system, budget)
             result["dims"] = list(system.dims)
             result["maps"] = [_matrix_payload(m) for m in system.maps]
             if system.cycle_start is not None:
@@ -272,7 +276,10 @@ def _dispatch(args) -> int:
         flags = {"max_m": args.max_m, "budget": budget}
         rows = []
         all_exact = True
-        for m, res in fm_profile(diagram, args.max_m, budget):
+        levels_used = 0
+        for m, system, res in profile_systems(diagram, args.max_m, budget):
+            if system is not None:
+                levels_used = max(levels_used, _levels_used(system, budget))
             rows.append(
                 {
                     "m": m,
@@ -284,14 +291,15 @@ def _dispatch(args) -> int:
             )
             all_exact = all_exact and res.exact
         status = "ok" if all_exact else "inconclusive"
-        _emit(_report("fm-profile", digest, flags, status, {"profile": rows}, budget, budget), fmt)
+        _emit(_report("fm-profile", digest, flags, status, {"profile": rows}, levels_used, budget), fmt)
         return EXIT_OK if all_exact else EXIT_INCONCLUSIVE
 
     if args.command == "k0q":
         flags = {"budget": budget}
-        res = k0_rational_dimension(diagram, budget)
+        system = build_system(diagram, 1, budget)
+        res = colimit_dimension(system)
         status = "ok" if res.exact else "inconclusive"
-        _emit(_report("k0q", digest, flags, status, _colimit_payload(res), budget, budget), fmt)
+        _emit(_report("k0q", digest, flags, status, _colimit_payload(res), _levels_used(system, budget), budget), fmt)
         return EXIT_OK if res.exact else EXIT_INCONCLUSIVE
 
     if args.command == "kstable":

@@ -23,6 +23,14 @@ last level's dimension (in degree m, the number of last-level summands with
 m <= 2p - 1).  A tail whose clamped sizes never repeated within the level
 budget gets no number at all: a finite unrolling neither bounds nor
 certifies the limit.
+
+`fm_profile` computes one colimit per distinct system.  `colimit_dimension`
+reads only five fields of a `TruncatedSystem`: `dims`, `maps`,
+`cycle_start`, `period` and `budget_exceeded` (the degree m and the kept
+indices never enter it).  It is a pure function of them, so two degrees
+whose systems agree in those fields get equal `ColimitResult`s, and the
+first one computed can stand for both.  Degrees whose summand masks agree
+on every level give such systems, and a whole profile has few of them.
 """
 
 from __future__ import annotations
@@ -113,4 +121,26 @@ def fm_profile(
     d: BratteliDiagram, max_m: int, budget: int = 64
 ) -> list[tuple[int, ColimitResult]]:
     """Results for every degree 1..max_m; even rows are the zero shortcut."""
-    return [(m, fm_dimension(d, m, budget)) for m in range(1, max_m + 1)]
+    return [(m, res) for m, _, res in profile_systems(d, max_m, budget)]
+
+
+def profile_systems(
+    d: BratteliDiagram, max_m: int, budget: int = 64
+) -> list[tuple[int, Optional[TruncatedSystem], ColimitResult]]:
+    """(m, degree-m system, its colimit) for m = 1..max_m; even degrees have no system.
+
+    Systems equal in the fields the colimit reads share one result (see the
+    module docstring); the memo lives for this call only.
+    """
+    memo: dict[tuple, ColimitResult] = {}
+    rows = []
+    for m in range(1, max_m + 1):
+        if m % 2 == 0:
+            rows.append((m, None, fm_dimension(d, m, budget)))
+            continue
+        system = build_system(d, m, budget)
+        key = (system.dims, system.maps, system.cycle_start, system.period, system.budget_exceeded)
+        if key not in memo:
+            memo[key] = colimit_dimension(system)
+        rows.append((m, system, memo[key]))
+    return rows

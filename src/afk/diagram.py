@@ -10,6 +10,8 @@ everywhere a human sees them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import mul
 from typing import Callable, Hashable, Optional, Sequence
 
 from .linalg import IntMatrix
@@ -107,6 +109,11 @@ class BratteliDiagram:
                 f"{len(self.prefix_levels[-1])} summands"
             )
 
+    @cached_property
+    def validation(self) -> ValidationReport:
+        """`validate(self)`, computed once: a frozen diagram's report cannot change."""
+        return validate(self)
+
     @property
     def prefix_len(self) -> int:
         return len(self.prefix_levels)
@@ -183,7 +190,7 @@ def validate(d: BratteliDiagram) -> ValidationReport:
 
 def ensure_valid(d: BratteliDiagram) -> None:
     """Raise the first validation problem as an exception; no-op when valid."""
-    report = validate(d)
+    report = d.validation
     if report.ok:
         return
     p = report.problems[0]
@@ -195,10 +202,7 @@ def ensure_valid(d: BratteliDiagram) -> None:
 def tail_step(tail: AffineTail, q: Sequence[int]) -> tuple[int, ...]:
     """The tail level after q: q' = phi.q + slack."""
     tm = tail.matrix
-    return tuple(
-        sum(tm.at(i, j) * q[j] for j in range(tm.cols)) + tail.slack[i]
-        for i in range(tm.rows)
-    )
+    return tuple(sum(map(mul, tm.row(i), q)) + tail.slack[i] for i in range(tm.rows))
 
 
 def materialize(

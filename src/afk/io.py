@@ -200,19 +200,23 @@ def export_dot(d: BratteliDiagram, degree: Optional[int] = None, budget: int = 6
     """
     levels = d.prefix_len if d.tail is None else max(budget, d.prefix_len)
     profiles, matrices = materialize(d, levels)
-    lines = ["digraph bratteli {", "  rankdir=TB;", '  node [shape=circle];']
+    parts = ["digraph bratteli {\n  rankdir=TB;\n  node [shape=circle];\n"]
     for lvl, profile in enumerate(profiles, start=1):
-        row = []
-        for i, size in enumerate(profile, start=1):
-            label = size if degree is None else degree_indicator(degree, size)
-            lines.append(f'  "L{lvl}S{i}" [label="{label}"];')
-            row.append(f'"L{lvl}S{i}"')
-        lines.append(f"  {{ rank=same; {'; '.join(row)}; }}")
+        labels = profile if degree is None else [degree_indicator(degree, p) for p in profile]
+        names = [f'"L{lvl}S{i}"' for i in range(1, len(profile) + 1)]
+        parts.append("".join(f"  {n} [label=\"{x}\"];\n" for n, x in zip(names, labels)))
+        parts.append(f"  {{ rank=same; {'; '.join(names)}; }}\n")
+    # a tail repeats one matrix object: its edge lines are built once, with
+    # the source and target level numbers left as fields {0} and {1}
+    templates: dict[int, str] = {}
     for lvl, m in enumerate(matrices, start=1):
-        for i in range(m.rows):
-            for j in range(m.cols):
-                mult = m.at(i, j)
-                if mult > 0:
-                    lines.append(f'  "L{lvl}S{j + 1}" -> "L{lvl + 1}S{i + 1}" [label="{mult}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        if id(m) not in templates:
+            templates[id(m)] = "".join(
+                f'  "L{{0}}S{j + 1}" -> "L{{1}}S{i + 1}" [label="{mult}"];\n'
+                for i in range(m.rows)
+                for j, mult in enumerate(m.row(i))
+                if mult > 0
+            )
+        parts.append(templates[id(m)].format(lvl, lvl + 1))
+    parts.append("}\n")
+    return "".join(parts)

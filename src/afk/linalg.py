@@ -16,6 +16,7 @@ rank(C^(j+t) · X) = rank(C^j · X) for every t and every X.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 
@@ -78,7 +79,9 @@ class IntMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "IntMatrix":
-        ents = tuple(self.at(i, j) for i in row_idx for j in col_idx)
+        e = self.entries
+        starts = [i * self.cols for i in row_idx]
+        ents = tuple(e[s + j] for s in starts for j in col_idx)
         return IntMatrix(len(row_idx), len(col_idx), ents)
 
     def is_square(self) -> bool:
@@ -92,12 +95,10 @@ def multiply(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """Exact integer matrix product a.b."""
     if a.cols != b.rows:
         raise DimensionMismatch(f"cannot multiply {a.shape} by {b.shape}")
-    out = []
-    for i in range(a.rows):
-        arow = a.row(i)
-        for j in range(b.cols):
-            out.append(sum(arow[k] * b.at(k, j) for k in range(a.cols)))
-    return IntMatrix(a.rows, b.cols, tuple(out))
+    arows = [a.row(i) for i in range(a.rows)]
+    bcols = [b.entries[j :: b.cols] for j in range(b.cols)]
+    out = tuple(sum(map(mul, row, col)) for row in arows for col in bcols)
+    return IntMatrix(a.rows, b.cols, out)
 
 
 def matvec(a: IntMatrix, v: Sequence[int]) -> tuple[int, ...]:

@@ -120,3 +120,11 @@ def random_document(rng) -> DiagramDocument:
         tail=tail,
         metadata=metadata,
     )
+
+
+def stationary_tail_of_width(rng, width, **kwargs):
+    """`random_stationary_tail_diagram` drawn until its tail has `width` summands."""
+    while True:
+        d = random_stationary_tail_diagram(rng, max_summands=width, **kwargs)
+        if len(d.prefix_levels[-1]) == width:
+            return d

@@ -1,11 +1,13 @@
 import random
 
+import afk.diagram
 from afk.colimit import fm_dimension, fm_profile, k0_rational_dimension
 from afk.diagram import AffineTail, BratteliDiagram
 from afk.io import parse, to_diagram
 from afk.linalg import IntMatrix, multiply, rank
 from afk.truncation import build_system
 from cases import doubling, single_level, stationary_identity, two_column, worked_example
+from generators import random_growing_tail_diagram, random_prefix, stationary_tail_of_width
 from oracles import oracle_truncated_colimit
 
 
@@ -191,3 +193,27 @@ def test_nilpotent_cycle_is_certified_on_powers_not_per_level():
     assert res.dimension == 0
     assert res.per_level_ranks == ((1, 0), (2, 0))
     assert res.dimension == oracle_truncated_colimit(d, 3, 1, 8)
+
+
+def test_fm_profile_equals_fm_dimension_field_for_field():
+    # the profile's shared colimits must be the ones each degree gets alone
+    rng = random.Random(39)
+    cases = [(stationary_tail_of_width(rng, w), 64) for w in range(2, 7) for _ in range(2)]
+    for _ in range(6):
+        levels, matrices = random_prefix(rng)
+        cases.append((BratteliDiagram(prefix_levels=tuple(levels), prefix_matrices=tuple(matrices)), 64))
+    cases += [(random_growing_tail_diagram(rng), budget) for budget in (1, 2, 3) for _ in range(3)]
+    exhausted = 0
+    for d, budget in cases:
+        profile = fm_profile(d, 39, budget)
+        assert profile == [(m, fm_dimension(d, m, budget)) for m in range(1, 40)]
+        exhausted += any(res.budget_exceeded for _, res in profile)
+    assert exhausted >= 3
+
+
+def test_fm_profile_validates_the_diagram_once(monkeypatch):
+    calls = []
+    validate = afk.diagram.validate
+    monkeypatch.setattr(afk.diagram, "validate", lambda d: calls.append(d) or validate(d))
+    fm_profile(two_column(), 39)
+    assert len(calls) == 1

@@ -3,10 +3,11 @@ import re
 
 import pytest
 
-from afk.colimit import _composites_to
+from afk.colimit import _composites_to, fm_profile
 from afk.diagram import (
     AffineTail,
     BratteliDiagram,
+    DiagramError,
     EmptyLevel,
     LevelOutOfRange,
     ShapeMismatch,
@@ -17,9 +18,9 @@ from afk.diagram import (
     validate,
 )
 from afk.io import export_dot
-from afk.kstability import coordinate_classes
+from afk.kstability import classify, coordinate_classes, find_infinite_k_chain, telescope
 from afk.linalg import IntMatrix, multiply
-from afk.truncation import TruncatedSystem
+from afk.truncation import TruncatedSystem, build_system
 from cases import constant_column, single_level, two_column, worked_example
 from generators import random_growing_tail_diagram, random_pinned_tail_diagram, random_stationary_tail_diagram
 
@@ -73,6 +74,34 @@ def test_validate_size_overflow():
 def test_validate_is_pure_and_idempotent():
     d = two_column()
     assert validate(d) == validate(d)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda d: build_system(d, 3),
+        lambda d: fm_profile(d, 5),
+        lambda d: find_infinite_k_chain(d),
+        lambda d: telescope(d, 2),
+        lambda d: classify(d),
+    ],
+    ids=["build_system", "fm_profile", "find_infinite_k_chain", "telescope", "classify"],
+)
+def test_every_entry_point_refuses_an_invalid_diagram(call):
+    overflow = BratteliDiagram(
+        prefix_levels=((2,), (1,)),
+        prefix_matrices=(IntMatrix.from_rows([[1]]),),
+        tail=AffineTail(matrix=IntMatrix.identity(1), slack=(0,)),
+    )
+    zero_row = BratteliDiagram(
+        prefix_levels=((1, 1),),
+        prefix_matrices=(),
+        tail=AffineTail(matrix=IntMatrix.from_rows([[1, 1], [0, 0]]), slack=(0, 1)),
+    )
+    for d in (overflow, zero_row):
+        for _ in range(2):  # the cached report refuses again
+            with pytest.raises(DiagramError):
+                call(d)
 
 
 def test_construction_rejects_bad_shapes():

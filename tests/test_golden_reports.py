@@ -21,7 +21,7 @@ from pathlib import Path
 from afk.cli import main
 from afk.io import from_diagram, serialize
 from cases import constant_column, doubling, single_level, stationary_identity, two_column, worked_example
-from generators import random_document
+from generators import random_document, stationary_tail_of_width
 
 GOLDEN = Path(__file__).with_name("golden_reports.json")
 
@@ -40,6 +40,7 @@ COMMANDS = (
     ("kstable", "--budget", "1024"),
     ("telescope", "--min-dim", "3", "--budget", "1024"),
     ("fm", "--m", "5", "--budget", "1024"),
+    ("fm-profile", "--max-m", "39"),
 )
 
 # a nilpotent degree-3 cycle: the early-exit trap for per-level plateaus
@@ -62,6 +63,11 @@ def inputs() -> dict[str, str]:
     rng = random.Random(4423)
     for i in range(40):
         out[f"random_{i:02d}"] = serialize(random_document(rng))
+    # wide stationary tails: degrees whose masks agree share one colimit
+    rng = random.Random(2005)
+    for width in (4, 6):
+        for i in range(2):
+            out[f"stationary_w{width}_{i}"] = serialize(from_diagram(stationary_tail_of_width(rng, width)))
     return out
 
 

@@ -198,6 +198,21 @@ def test_cli_fm_profile(tmp_path, capsys):
     assert dims == [(1, 2), (2, 0), (3, 2), (4, 0), (5, 2), (6, 0)]
 
 
+def test_cli_levels_materialized_counts_the_levels_held(tmp_path, capsys):
+    def levels(doc, *argv):
+        return json.loads(run_cli(tmp_path, capsys, doc, *argv)[1])["timing"]["levels_materialized"]
+
+    fm = [levels(TWO_COLUMN_JSON, "fm", "--m", str(m)) for m in (1, 3, 5)]
+    assert levels(TWO_COLUMN_JSON, "k0q") == fm[0]
+    assert levels(TWO_COLUMN_JSON, "fm-profile", "--max-m", "6") == max(fm)
+    assert levels(WORKED_JSON, "k0q") == levels(WORKED_JSON, "fm-profile", "--max-m", "9") == 2
+    # sizes 1, 2, 3, ...: degree 9 clamps at 5, so its sizes repeat at level 6
+    counting = '{"levels":[[1]],"matrices":[],"tail":{"matrix":[[1]],"slack":[1]}}'
+    assert levels(counting, "k0q") == 2
+    assert levels(counting, "fm-profile", "--max-m", "9") == 6
+    assert levels(counting, "fm-profile", "--max-m", "9", "--budget", "4") == 4
+
+
 def test_cli_k0q(tmp_path, capsys):
     code, out = run_cli(tmp_path, capsys, TWO_COLUMN_JSON, "k0q")
     report = json.loads(out)

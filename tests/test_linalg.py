@@ -187,3 +187,39 @@ def test_operations_are_pure():
     r2 = rank(m)
     assert r1 == r2
     assert m == M(rows)
+
+
+def _random_entry(rng):
+    """Small entries mostly, some beyond 2**64 (either sign)."""
+    if rng.random() < 0.3:
+        return rng.choice((-1, 1)) * (2**64 + rng.randrange(2**70))
+    return rng.randint(-3, 3)
+
+
+def test_multiply_matches_naive_loops():
+    rng = random.Random(4423)
+    shapes = set()
+    for _ in range(400):
+        n, k, p = (rng.randint(0, 4) for _ in range(3))
+        shapes.add((n, k, p))
+        a = [[_random_entry(rng) for _ in range(k)] for _ in range(n)]
+        b = [[_random_entry(rng) for _ in range(p)] for _ in range(k)]
+        got = multiply(IntMatrix(n, k, tuple(x for r in a for x in r)), IntMatrix(k, p, tuple(x for r in b for x in r)))
+        assert got.shape == (n, p)
+        assert got.entries == tuple(
+            sum(a[i][t] * b[t][j] for t in range(k)) for i in range(n) for j in range(p)
+        )
+    assert any(0 in s for s in shapes) and any(0 not in s for s in shapes)
+
+
+def test_submatrix_matches_naive_loops():
+    rng = random.Random(2005)
+    for _ in range(400):
+        n, k = rng.randint(0, 5), rng.randint(0, 5)
+        rows = [[_random_entry(rng) for _ in range(k)] for _ in range(n)]
+        m = IntMatrix(n, k, tuple(x for r in rows for x in r))
+        row_idx = sorted(rng.sample(range(n), rng.randint(0, n)))
+        col_idx = sorted(rng.sample(range(k), rng.randint(0, k)))
+        sub = m.submatrix(row_idx, col_idx)
+        assert sub.shape == (len(row_idx), len(col_idx))
+        assert sub.entries == tuple(rows[i][j] for i in row_idx for j in col_idx)
