@@ -1,8 +1,11 @@
 """Command-line surface.
 
 Commands: validate, fm, fm-profile, k0q, kstable, telescope, export-dot.
-Exit codes: 0 success, 1 parse/validation failure, 2 inconclusive at the
-level budget (so scripts can branch on it), 3 internal invariant violation.
+Each command returns a status, and the status alone sets the exit code:
+ok -> 0, invalid -> 1 (a parse or validation failure, or input the command
+refuses), inconclusive -> 2 (inconclusive at the level budget, so scripts
+can branch on it).  A usage error (an unknown command, a missing or
+malformed flag) also exits 1.  Exit 3 marks an internal invariant violation.
 
 Reports are deterministic: identical input and flags produce byte-identical
 output, so the timing block counts levels instead of wall-clock time.
@@ -17,7 +20,8 @@ import sys
 from typing import Any, Optional
 
 from . import __version__
-from .colimit import ColimitResult, colimit_dimension, fm_dimension, profile_systems
+from .colimit import ColimitResult, profile_systems
+from .diagram import DEFAULT_BUDGET
 from .io import (
     ParseError,
     document_to_json,
@@ -29,20 +33,28 @@ from .io import (
 )
 from .kstability import (
     INCONCLUSIVE,
+    INCONCLUSIVE_AT_BUDGET,
     InfiniteChainError,
     InjectivityRequired,
     KChainWitness,
     classify,
     telescope,
 )
-from .truncation import build_system
 
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INTERNAL = 3
 
-DEFAULT_BUDGET = 64
+EXIT_BY_STATUS = {"ok": EXIT_OK, "invalid": EXIT_INVALID, "inconclusive": EXIT_INCONCLUSIVE}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error: exit 2 means inconclusive at the budget."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -51,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--budget", type=int, default=None, help=f"max levels to materialize (default {DEFAULT_BUDGET}; AFK_BUDGET overrides)")
     shared.add_argument("--format", choices=("json", "text"), default="json", help="report format")
 
-    parser = argparse.ArgumentParser(prog="afk", description="Nonstable K-theory of AF-algebras from Bratteli diagrams, in exact arithmetic.")
+    parser = _Parser(prog="afk", description="Nonstable K-theory of AF-algebras from Bratteli diagrams, in exact arithmetic.")
     parser.add_argument("--version", action="version", version=f"afk {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -101,10 +113,6 @@ def _witness_payload(w: KChainWitness) -> dict:
         "cycle": {"period": w.cycle_period, "summands": list(w.cycle_summands)},
         "kind": w.kind,
     }
-
-
-def _matrix_payload(m) -> list[list[int]]:
-    return m.to_rows()
 
 
 def _colimit_payload(res: ColimitResult) -> dict:
@@ -213,147 +221,126 @@ def _read_input(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(path, str(exc)) from None
 
 
-def _preflight(args):
-    text = _read_input(args.input)
-    doc = parse(text)
-    diagram = to_diagram(doc)
-    return doc, diagram, input_digest(doc)
+def _problems(report) -> list[dict]:
+    return [
+        {"kind": p.kind, "level": p.level, "summand": p.summand, "message": p.message}
+        for p in report.problems
+    ]
+
+
+# Each command maps (args, diagram, budget) to (status, result, levels materialized).
+
+
+def _validate(args, diagram, budget):
+    v = diagram.validation
+    result = {
+        "valid": v.ok,
+        "injective": v.injective,
+        "edge_unital": list(v.edge_unital),
+        "problems": _problems(v),
+    }
+    return ("ok" if v.ok else "invalid"), result, diagram.prefix_len
+
+
+def _fm(args, diagram, budget):
+    [(m, system, res)] = profile_systems(diagram, (args.m,), budget)
+    result = _colimit_payload(res)
+    result["m"] = m
+    levels_used = 0
+    if system is not None:
+        levels_used = _levels_used(system, budget)
+        result["dims"] = list(system.dims)
+        result["maps"] = [mat.to_rows() for mat in system.maps]
+        if system.cycle_start is not None:
+            result["cycle"] = {"start": system.cycle_start, "period": system.period}
+    return ("ok" if res.exact else "inconclusive"), result, levels_used
+
+
+def _fm_profile(args, diagram, budget):
+    rows = profile_systems(diagram, range(1, args.max_m + 1), budget)
+    profile = [
+        {
+            "m": m,
+            "dimension": res.dimension,
+            "exact": res.exact,
+            "stabilized_at": res.stabilized_at,
+            "budget_exceeded": res.budget_exceeded,
+        }
+        for m, _, res in rows
+    ]
+    levels_used = max((_levels_used(s, budget) for _, s, _ in rows if s is not None), default=0)
+    status = "ok" if all(res.exact for _, _, res in rows) else "inconclusive"
+    return status, {"profile": profile}, levels_used
+
+
+def _k0q(args, diagram, budget):
+    [(_, system, res)] = profile_systems(diagram, (1,), budget)
+    return ("ok" if res.exact else "inconclusive"), _colimit_payload(res), _levels_used(system, budget)
+
+
+def _kstable(args, diagram, budget):
+    verdict = classify(diagram, budget)
+    result: dict[str, Any] = {"verdict": verdict.status}
+    if verdict.witness is not None:
+        result["witness"] = _witness_payload(verdict.witness)
+    if verdict.certificate is not None:
+        result["certificate"] = [{"m": m, "cuts": list(cuts)} for m, cuts in verdict.certificate]
+    return ("inconclusive" if verdict.status == INCONCLUSIVE_AT_BUDGET else "ok"), result, budget
+
+
+def _telescope(args, diagram, budget):
+    try:
+        out = telescope(diagram, args.min_dim, budget)
+    except InfiniteChainError as exc:
+        return "ok", {"outcome": "infinite-chain", "witness": _witness_payload(exc.witness)}, budget
+    if out is INCONCLUSIVE:
+        return "inconclusive", {"outcome": "inconclusive"}, budget
+    result = {
+        "outcome": "telescoped",
+        "min_dim": args.min_dim,
+        "diagram": document_to_json(from_diagram(out)),
+    }
+    return "ok", result, budget
+
+
+def _export_dot(args, diagram, budget):
+    return "ok", {"dot": export_dot(diagram, degree=args.degree, budget=budget)}, budget
+
+
+COMMANDS = {
+    "validate": _validate,
+    "fm": _fm,
+    "fm-profile": _fm_profile,
+    "k0q": _k0q,
+    "kstable": _kstable,
+    "telescope": _telescope,
+    "export-dot": _export_dot,
+}
 
 
 def _dispatch(args) -> int:
     budget = _resolve_budget(args)
     _check_degree_flags(args)
-    fmt = args.format
-    doc, diagram, digest = _preflight(args)
-    report_v = diagram.validation
-
-    if args.command == "validate":
-        result = {
-            "valid": report_v.ok,
-            "injective": report_v.injective,
-            "edge_unital": list(report_v.edge_unital),
-            "problems": [
-                {"kind": p.kind, "level": p.level, "summand": p.summand, "message": p.message}
-                for p in report_v.problems
-            ],
-        }
-        status = "ok" if report_v.ok else "invalid"
-        _emit(_report("validate", digest, {"budget": budget}, status, result, diagram.prefix_len, budget), fmt)
-        return EXIT_OK if report_v.ok else EXIT_INVALID
-
-    if not report_v.ok:
-        result = {
-            "problems": [
-                {"kind": p.kind, "level": p.level, "summand": p.summand, "message": p.message}
-                for p in report_v.problems
-            ]
-        }
-        _emit(_report(args.command, digest, {"budget": budget}, "invalid", result, 0, budget), fmt)
-        return EXIT_INVALID
-
-    if args.command == "fm":
-        flags = {"m": args.m, "budget": budget}
-        system = build_system(diagram, args.m, budget) if args.m % 2 == 1 else None
-        res = fm_dimension(diagram, args.m, budget) if system is None else colimit_dimension(system)
-        result = _colimit_payload(res)
-        result["m"] = args.m
-        levels_used = 0
-        if system is not None:
-            levels_used = _levels_used(system, budget)
-            result["dims"] = list(system.dims)
-            result["maps"] = [_matrix_payload(m) for m in system.maps]
-            if system.cycle_start is not None:
-                result["cycle"] = {"start": system.cycle_start, "period": system.period}
-        status = "ok" if res.exact else "inconclusive"
-        _emit(_report("fm", digest, flags, status, result, levels_used, budget), fmt)
-        return EXIT_OK if res.exact else EXIT_INCONCLUSIVE
-
-    if args.command == "fm-profile":
-        flags = {"max_m": args.max_m, "budget": budget}
-        rows = []
-        all_exact = True
-        levels_used = 0
-        for m, system, res in profile_systems(diagram, args.max_m, budget):
-            if system is not None:
-                levels_used = max(levels_used, _levels_used(system, budget))
-            rows.append(
-                {
-                    "m": m,
-                    "dimension": res.dimension,
-                    "exact": res.exact,
-                    "stabilized_at": res.stabilized_at,
-                    "budget_exceeded": res.budget_exceeded,
-                }
-            )
-            all_exact = all_exact and res.exact
-        status = "ok" if all_exact else "inconclusive"
-        _emit(_report("fm-profile", digest, flags, status, {"profile": rows}, levels_used, budget), fmt)
-        return EXIT_OK if all_exact else EXIT_INCONCLUSIVE
-
-    if args.command == "k0q":
-        flags = {"budget": budget}
-        system = build_system(diagram, 1, budget)
-        res = colimit_dimension(system)
-        status = "ok" if res.exact else "inconclusive"
-        _emit(_report("k0q", digest, flags, status, _colimit_payload(res), _levels_used(system, budget), budget), fmt)
-        return EXIT_OK if res.exact else EXIT_INCONCLUSIVE
-
-    if args.command == "kstable":
-        flags = {"budget": budget}
+    doc = parse(_read_input(args.input))
+    diagram = to_diagram(doc)
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "input", "format")}
+    flags["budget"] = budget
+    problems = None
+    if args.command != "validate" and not diagram.validation.ok:
+        flags, problems = {"budget": budget}, _problems(diagram.validation)
+    else:
         try:
-            verdict = classify(diagram, budget)
+            status, result, levels_used = COMMANDS[args.command](args, diagram, budget)
         except InjectivityRequired as exc:
-            result = {"problems": [{"kind": "injectivity-required", "message": str(exc)}]}
-            _emit(_report("kstable", digest, flags, "invalid", result, 0, budget), fmt)
-            return EXIT_INVALID
-        result: dict[str, Any] = {"verdict": verdict.status}
-        if verdict.witness is not None:
-            result["witness"] = _witness_payload(verdict.witness)
-        if verdict.certificate is not None:
-            result["certificate"] = [{"m": m, "cuts": list(cuts)} for m, cuts in verdict.certificate]
-        inconclusive = verdict.status == "inconclusive-at-budget"
-        status = "inconclusive" if inconclusive else "ok"
-        _emit(_report("kstable", digest, flags, status, result, budget, budget), fmt)
-        return EXIT_INCONCLUSIVE if inconclusive else EXIT_OK
-
-    if args.command == "telescope":
-        flags = {"min_dim": args.min_dim, "budget": budget}
-        try:
-            out = telescope(diagram, args.min_dim, budget)
-        except InjectivityRequired as exc:
-            result = {"problems": [{"kind": "injectivity-required", "message": str(exc)}]}
-            _emit(_report("telescope", digest, flags, "invalid", result, 0, budget), fmt)
-            return EXIT_INVALID
-        except InfiniteChainError as exc:
-            result = {"outcome": "infinite-chain", "witness": _witness_payload(exc.witness)}
-            _emit(_report("telescope", digest, flags, "ok", result, budget, budget), fmt)
-            return EXIT_OK
-        if out is INCONCLUSIVE:
-            result = {"outcome": "inconclusive"}
-            _emit(_report("telescope", digest, flags, "inconclusive", result, budget, budget), fmt)
-            return EXIT_INCONCLUSIVE
-        result = {
-            "outcome": "telescoped",
-            "min_dim": args.min_dim,
-            "diagram": document_to_json(from_diagram(out)),
-        }
-        _emit(_report("telescope", digest, flags, "ok", result, budget, budget), fmt)
-        return EXIT_OK
-
-    if args.command == "export-dot":
-        flags = {"budget": budget, "degree": args.degree}
-        dot = export_dot(diagram, degree=args.degree, budget=budget)
-        if fmt == "json":
-            _emit(_report("export-dot", digest, flags, "ok", {"dot": dot}, budget, budget), fmt)
-        else:
-            sys.stdout.write(dot)
-        return EXIT_OK
-
-    raise AssertionError(f"unhandled command {args.command}")
+            problems = [{"kind": "injectivity-required", "message": str(exc)}]
+    if problems is not None:  # the command refused the input
+        status, result, levels_used = "invalid", {"problems": problems}, 0
+    _emit(_report(args.command, input_digest(doc), flags, status, result, levels_used, budget), args.format)
+    return EXIT_BY_STATUS[status]
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -24,21 +24,19 @@ m <= 2p - 1).  A tail whose clamped sizes never repeated within the level
 budget gets no number at all: a finite unrolling neither bounds nor
 certifies the limit.
 
-`fm_profile` computes one colimit per distinct system.  `colimit_dimension`
-reads only five fields of a `TruncatedSystem`: `dims`, `maps`,
-`cycle_start`, `period` and `budget_exceeded` (the degree m and the kept
-indices never enter it).  It is a pure function of them, so two degrees
-whose systems agree in those fields get equal `ColimitResult`s, and the
-first one computed can stand for both.  Degrees whose summand masks agree
-on every level give such systems, and a whole profile has few of them.
+`profile_systems` holds the rule for every degree: an even degree vanishes,
+and an odd one is the colimit of its truncated system.  `colimit_dimension`
+is a pure function of the system, so degrees whose systems are equal (their
+summand masks agree on every level) share one result, and a whole profile
+has few distinct systems.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
-from .diagram import BratteliDiagram
+from .diagram import DEFAULT_BUDGET, BratteliDiagram
 from .linalg import IntMatrix, multiply, rank, stable_power
 from .truncation import TruncatedSystem, build_system
 
@@ -99,48 +97,49 @@ def colimit_dimension(sys: TruncatedSystem) -> ColimitResult:
     )
 
 
-def fm_dimension(d: BratteliDiagram, m: int, budget: int = 64) -> ColimitResult:
-    """Dimension of the degree-m group; even degrees vanish with no work."""
-    if m % 2 == 0:
-        return ColimitResult(
-            dimension=0,
-            exact=True,
-            stabilized_at=None,
-            per_level_ranks=(),
-            note="even degree vanishes identically",
-        )
-    return colimit_dimension(build_system(d, m, budget))
-
-
-def k0_rational_dimension(d: BratteliDiagram, budget: int = 64) -> ColimitResult:
-    """Rank of rational K0: the colimit of the untruncated multiplicity system."""
-    return colimit_dimension(build_system(d, 1, budget))
-
-
-def fm_profile(
-    d: BratteliDiagram, max_m: int, budget: int = 64
-) -> list[tuple[int, ColimitResult]]:
-    """Results for every degree 1..max_m; even rows are the zero shortcut."""
-    return [(m, res) for m, _, res in profile_systems(d, max_m, budget)]
+_EVEN_DEGREE = ColimitResult(
+    dimension=0,
+    exact=True,
+    stabilized_at=None,
+    per_level_ranks=(),
+    note="even degree vanishes identically",
+)
 
 
 def profile_systems(
-    d: BratteliDiagram, max_m: int, budget: int = 64
+    d: BratteliDiagram, degrees: Iterable[int], budget: int = DEFAULT_BUDGET
 ) -> list[tuple[int, Optional[TruncatedSystem], ColimitResult]]:
-    """(m, degree-m system, its colimit) for m = 1..max_m; even degrees have no system.
+    """(m, degree-m system, its colimit) for each m; even degrees have no system.
 
-    Systems equal in the fields the colimit reads share one result (see the
-    module docstring); the memo lives for this call only.
+    Equal systems share one result (see the module docstring); the memo
+    lives for this call only.
     """
-    memo: dict[tuple, ColimitResult] = {}
+    memo: dict[TruncatedSystem, ColimitResult] = {}
     rows = []
-    for m in range(1, max_m + 1):
+    for m in degrees:
         if m % 2 == 0:
-            rows.append((m, None, fm_dimension(d, m, budget)))
+            rows.append((m, None, _EVEN_DEGREE))
             continue
         system = build_system(d, m, budget)
-        key = (system.dims, system.maps, system.cycle_start, system.period, system.budget_exceeded)
-        if key not in memo:
-            memo[key] = colimit_dimension(system)
-        rows.append((m, system, memo[key]))
+        res = memo.get(system)
+        if res is None:
+            res = memo[system] = colimit_dimension(system)
+        rows.append((m, system, res))
     return rows
+
+
+def fm_dimension(d: BratteliDiagram, m: int, budget: int = DEFAULT_BUDGET) -> ColimitResult:
+    """Dimension of the degree-m group; even degrees vanish with no work."""
+    return profile_systems(d, (m,), budget)[0][2]
+
+
+def k0_rational_dimension(d: BratteliDiagram, budget: int = DEFAULT_BUDGET) -> ColimitResult:
+    """Rank of rational K0: the colimit of the untruncated (degree-1) system."""
+    return fm_dimension(d, 1, budget)
+
+
+def fm_profile(
+    d: BratteliDiagram, max_m: int, budget: int = DEFAULT_BUDGET
+) -> list[tuple[int, ColimitResult]]:
+    """Results for every degree 1..max_m."""
+    return [(m, res) for m, _, res in profile_systems(d, range(1, max_m + 1), budget)]

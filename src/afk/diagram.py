@@ -14,7 +14,10 @@ from functools import cached_property
 from operator import mul
 from typing import Callable, Hashable, Optional, Sequence
 
-from .linalg import IntMatrix
+from .linalg import IntMatrix, matvec
+
+# levels an analysis may unroll when its caller names no budget
+DEFAULT_BUDGET = 64
 
 
 class DiagramError(ValueError):
@@ -142,7 +145,7 @@ def validate(d: BratteliDiagram) -> ValidationReport:
     for k, m in enumerate(d.prefix_matrices):
         src = d.prefix_levels[k]
         dst = d.prefix_levels[k + 1]
-        mapped = [sum(m.at(i, j) * src[j] for j in range(len(src))) for i in range(len(dst))]
+        mapped = matvec(m, src)
         edge_ok = True
         for i, (got, cap) in enumerate(zip(mapped, dst)):
             if got > cap:
@@ -155,7 +158,7 @@ def validate(d: BratteliDiagram) -> ValidationReport:
                         f"edge {k + 1}->{k + 2}: summand {i + 1} receives {got} > size {cap}",
                     )
                 )
-        unital.append(edge_ok and mapped == list(dst))
+        unital.append(edge_ok and mapped == tuple(dst))
     if d.tail is not None:
         tm = d.tail.matrix
         for i in range(tm.rows):

@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from .diagram import AffineTail, BratteliDiagram, DiagramError, materialize
+from .diagram import DEFAULT_BUDGET, AffineTail, BratteliDiagram, DiagramError, materialize
 from .linalg import IntMatrix
 from .truncation import d as degree_indicator
 
@@ -192,7 +192,7 @@ def from_diagram(d: BratteliDiagram, metadata: Optional[dict] = None) -> Diagram
     )
 
 
-def export_dot(d: BratteliDiagram, degree: Optional[int] = None, budget: int = 64) -> str:
+def export_dot(d: BratteliDiagram, degree: Optional[int] = None, budget: int = DEFAULT_BUDGET) -> str:
     """Render the diagram (or its degree-m shadow) as deterministic DOT text.
 
     One node per (level, summand), labeled with the summand size, or with the

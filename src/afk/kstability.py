@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
-from .diagram import BratteliDiagram, ensure_valid, materialize, unroll_to_repeat
+from .diagram import DEFAULT_BUDGET, BratteliDiagram, ensure_valid, materialize, unroll_to_repeat
 from .linalg import IntMatrix
 
 
@@ -53,6 +53,9 @@ INCONCLUSIVE = _Inconclusive()
 NOT_K_STABLE = "not-k-stable"
 K_STABLE = "k-stable"
 INCONCLUSIVE_AT_BUDGET = "inconclusive-at-budget"
+
+# a K-stable verdict certifies the telescoping stages for degrees 1..M_MAX
+M_MAX = 8
 
 
 @dataclass(frozen=True)
@@ -157,7 +160,7 @@ class TailOrbit:
     period: int
 
 
-def tail_orbit(d: BratteliDiagram, budget: int = 64) -> Union[TailOrbit, _Inconclusive]:
+def tail_orbit(d: BratteliDiagram, budget: int = DEFAULT_BUDGET) -> Union[TailOrbit, _Inconclusive]:
     if d.tail is None:
         return INCONCLUSIVE
     bounded, _ = coordinate_classes(d.tail.matrix, d.tail.slack)
@@ -271,7 +274,7 @@ def _witness_from_cycle(
 
 
 def find_infinite_k_chain(
-    d: BratteliDiagram, budget: int = 64
+    d: BratteliDiagram, budget: int = DEFAULT_BUDGET
 ) -> Union[KChainWitness, None, _Inconclusive]:
     """Search for an infinite constant-size chain.
 
@@ -298,7 +301,7 @@ def find_infinite_k_chain(
     return None
 
 
-def replay_witness(d: BratteliDiagram, w: KChainWitness, budget: int = 64) -> list[str]:
+def replay_witness(d: BratteliDiagram, w: KChainWitness, budget: int = DEFAULT_BUDGET) -> list[str]:
     """Re-verify every chain condition against the materialized diagram.
 
     Returns human-readable violations; an empty list means the witness checks
@@ -433,7 +436,7 @@ def _telescope(
 
 
 def telescope(
-    d: BratteliDiagram, m: int, budget: int = 64
+    d: BratteliDiagram, m: int, budget: int = DEFAULT_BUDGET
 ) -> Union[BratteliDiagram, _Inconclusive]:
     """Telescope to an equal-colimit presentation with min summand size >= m.
 
@@ -450,7 +453,7 @@ def telescope(
     return out[0]
 
 
-def classify(d: BratteliDiagram, budget: int = 64, m_max: int = 8) -> KStabilityVerdict:
+def classify(d: BratteliDiagram, budget: int = DEFAULT_BUDGET) -> KStabilityVerdict:
     """Decide K-stability (equivalently, rational K-stability).
 
     A tail-less diagram presents a finite-dimensional algebra, which is its
@@ -467,14 +470,14 @@ def classify(d: BratteliDiagram, budget: int = 64, m_max: int = 8) -> KStability
         return KStabilityVerdict(INCONCLUSIVE_AT_BUDGET)
     if isinstance(found, KChainWitness):
         return KStabilityVerdict(NOT_K_STABLE, witness=found)
-    # the stages for m are the first m-1 stages for m_max: telescope once
+    # the stages for m are the first m-1 stages for M_MAX: telescope once
     try:
-        out = _telescope(d, m_max, budget)
+        out = _telescope(d, M_MAX, budget)
     except InfiniteChainError as exc:
         return KStabilityVerdict(NOT_K_STABLE, witness=exc.witness)
     if out is INCONCLUSIVE:
         return KStabilityVerdict(INCONCLUSIVE_AT_BUDGET)
     schedule = out[1]
     return KStabilityVerdict(
-        K_STABLE, certificate=tuple((m, schedule[: m - 1]) for m in range(1, m_max + 1))
+        K_STABLE, certificate=tuple((m, schedule[: m - 1]) for m in range(1, M_MAX + 1))
     )

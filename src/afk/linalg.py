@@ -104,7 +104,7 @@ def multiply(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 def matvec(a: IntMatrix, v: Sequence[int]) -> tuple[int, ...]:
     if a.cols != len(v):
         raise DimensionMismatch(f"cannot apply {a.shape} to vector of length {len(v)}")
-    return tuple(sum(a.at(i, k) * v[k] for k in range(a.cols)) for i in range(a.rows))
+    return tuple(sum(map(mul, a.row(i), v)) for i in range(a.rows))
 
 
 def rank(m: IntMatrix) -> int:

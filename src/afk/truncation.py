@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .diagram import BratteliDiagram, ensure_valid, unroll_to_repeat
+from .diagram import DEFAULT_BUDGET, BratteliDiagram, ensure_valid, unroll_to_repeat
 from .linalg import IntMatrix
 
 
@@ -63,11 +63,8 @@ class TruncatedSystem:
     the prefix.  Without a tail the system is every given level.
     """
 
-    m: int
     dims: tuple[int, ...]
     maps: tuple[IntMatrix, ...]
-    kept: tuple[tuple[int, ...], ...]
-    has_tail: bool
     cycle_start: Optional[int] = None
     period: Optional[int] = None
     budget_exceeded: bool = False
@@ -77,7 +74,7 @@ class TruncatedSystem:
         return len(self.dims)
 
 
-def build_system(diagram: BratteliDiagram, m: int, budget: int = 64) -> TruncatedSystem:
+def build_system(diagram: BratteliDiagram, m: int, budget: int = DEFAULT_BUDGET) -> TruncatedSystem:
     """The degree-m truncated system, up to the first repeat of the clamped sizes."""
     if m % 2 == 0:
         raise EvenDegree(f"degree {m} is even; F_even vanishes, build the system for odd m")
@@ -93,11 +90,8 @@ def build_system(diagram: BratteliDiagram, m: int, budget: int = 64) -> Truncate
         matrices[k].submatrix(kept[k + 1], kept[k]) for k in range(len(matrices))
     )
     return TruncatedSystem(
-        m=m,
         dims=dims,
         maps=maps,
-        kept=kept,
-        has_tail=diagram.tail is not None,
         cycle_start=cycle_start,
         period=period,
         budget_exceeded=diagram.tail is not None and found is None,

@@ -28,10 +28,7 @@ from generators import random_growing_tail_diagram, random_pinned_tail_diagram, 
 def compose_multiplicities(d, frm, to, seed=None):
     """seed . (connecting matrices from level `frm` up to `to`), by the colimit's sweep."""
     profiles, matrices = materialize(d, to)
-    kept = tuple(tuple(range(len(p))) for p in profiles)
-    system = TruncatedSystem(
-        m=1, dims=tuple(map(len, kept)), maps=tuple(matrices), kept=kept, has_tail=d.tail is not None
-    )
+    system = TruncatedSystem(dims=tuple(map(len, profiles)), maps=tuple(matrices))
     if seed is None:
         seed = IntMatrix.identity(system.dims[to - 1])
     return _composites_to(system, to, seed)[frm - 1]

@@ -80,7 +80,7 @@ def run(argv: list[str], text: str) -> tuple[int, str]:
             code = main(argv)
     finally:
         sys.stdin = saved
-    return code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    return code, out.getvalue()
 
 
 def reports() -> dict[str, list]:
@@ -89,7 +89,8 @@ def reports() -> dict[str, list]:
         for command in COMMANDS:
             for fmt in ("json", "text"):
                 argv = [*command, "--format", fmt, "--input", "-"]
-                table[f"{name} | {' '.join(argv)}"] = list(run(argv, text))
+                code, out = run(argv, text)
+                table[f"{name} | {' '.join(argv)}"] = [code, hashlib.sha256(out.encode("utf-8")).hexdigest()]
     return table
 
 
@@ -98,6 +99,13 @@ def test_reports_match_golden():
     got = reports()
     changed = sorted(k for k in golden.keys() | got.keys() if golden.get(k) != got.get(k))
     assert not changed, f"{len(changed)} reports changed, first: {changed[:5]}"
+
+
+def test_exit_code_is_set_by_the_report_status():
+    for text in inputs().values():
+        for command in COMMANDS:
+            code, out = run([*command, "--format", "json", "--input", "-"], text)
+            assert code == {"ok": 0, "invalid": 1, "inconclusive": 2}[json.loads(out)["status"]], command
 
 
 if __name__ == "__main__":

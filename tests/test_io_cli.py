@@ -296,13 +296,41 @@ def test_cli_text_format(tmp_path, capsys):
 
 def test_cli_internal_error_exit_three(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(
-        "afk.cli.colimit_dimension", lambda *a, **k: (_ for _ in ()).throw(RuntimeError("boom"))
+        "afk.cli.profile_systems", lambda *a, **k: (_ for _ in ()).throw(RuntimeError("boom"))
     )
     code, out = run_cli(tmp_path, capsys, TWO_COLUMN_JSON, "fm", "--m", "3")
     report = json.loads(out)
     assert code == 3
     assert report["status"] == "error"
     assert report["error"]["type"] == "RuntimeError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fm", "--input", "-", "--m", "x"],
+        ["fm", "--input", "-"],
+        ["bogus", "--input", "-"],
+        ["k0q", "--input", "-", "--format", "xml"],
+    ],
+    ids=["m-not-an-integer", "m-missing", "unknown-command", "unknown-format"],
+)
+def test_cli_usage_errors_exit_one(capsys, argv):
+    # exit 2 means inconclusive at the budget, so a typo must not read as one
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_cli_non_utf8_input_file_exits_one(tmp_path, capsys):
+    path = tmp_path / "diagram.json"
+    path.write_bytes(b'{"levels":[[1]],"matrices":[]}\xff')
+    code = main(["validate", "--input", str(path)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert report["status"] == "invalid"
+    assert report["error"]["locus"] == str(path)
 
 
 DEEP_JSON = "[" * 100_000 + "]" * 100_000
