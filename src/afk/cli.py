@@ -217,7 +217,12 @@ def _render_text(report: dict) -> str:
 
 def _read_input(path: str) -> str:
     if path == "-":
-        return sys.stdin.read()
+        try:  # strict UTF-8, as for a file: a lone surrogate does not encode back
+            text = sys.stdin.read()
+            text.encode("utf-8")
+        except UnicodeError as exc:
+            raise ParseError(path, str(exc)) from None
+        return text
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
@@ -331,7 +336,7 @@ def _dispatch(args) -> int:
     flags["budget"] = budget
     problems = None
     if args.command != "validate" and not diagram.validation.ok:
-        flags, problems = {"budget": budget}, _problems(diagram.validation)
+        problems = _problems(diagram.validation)
     else:
         try:
             status, result, levels_used = COMMANDS[args.command](args, diagram, budget)

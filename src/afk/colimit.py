@@ -25,10 +25,16 @@ budget gets no number at all: a finite unrolling neither bounds nor
 certifies the limit.
 
 `profile_systems` holds the rule for every degree: an even degree vanishes,
-and an odd one is the colimit of its truncated system.  `colimit_dimension`
+and an odd one is the colimit of its truncated system.  All the odd
+degrees' systems come from one tail unroll (see `truncation`).  The colimit
 is a pure function of the system, so degrees whose systems are equal (their
 summand masks agree on every level) share one result, and a whole profile
-has few distinct systems.
+has few distinct systems.  The stable power is a pure function of the cycle
+composite, so distinct systems whose composites are equal share one
+`stable_power`; this is sound because P = C^j depends on C alone, and the
+rest of the sweep uses each system's own maps.  Both memos live for one
+call and are keyed by value, so a hit can only return what the computation
+would.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from typing import Iterable, Optional
 
 from .diagram import DEFAULT_BUDGET, BratteliDiagram
 from .linalg import IntMatrix, multiply, rank, stable_power
-from .truncation import TruncatedSystem, build_system
+from .truncation import TruncatedSystem, build_systems
 
 
 @dataclass(frozen=True)
@@ -69,6 +75,11 @@ def _composites_to(sys: TruncatedSystem, target: int, seed: IntMatrix) -> list[I
 
 
 def colimit_dimension(sys: TruncatedSystem) -> ColimitResult:
+    return _colimit(sys, {})
+
+
+def _colimit(sys: TruncatedSystem, powers: dict[IntMatrix, IntMatrix]) -> ColimitResult:
+    """`colimit_dimension`, reading and filling `powers` (cycle composite -> stable power)."""
     if sys.budget_exceeded:
         return ColimitResult(
             dimension=None,
@@ -84,7 +95,9 @@ def colimit_dimension(sys: TruncatedSystem) -> ColimitResult:
         cycle = IntMatrix.identity(sys.dims[target - 1])
         for k in range(target - 1, target - 1 + sys.period):
             cycle = multiply(sys.maps[k], cycle)
-        seed = stable_power(cycle)
+        seed = powers.get(cycle)
+        if seed is None:
+            seed = powers[cycle] = stable_power(cycle)
     images = _composites_to(sys, target, seed)
     ranks = [(k, rank(img)) for k, img in enumerate(images, start=1)]
     dim = ranks[-1][1]  # the target's own image: im P, or the whole last level
@@ -111,19 +124,24 @@ def profile_systems(
 ) -> list[tuple[int, Optional[TruncatedSystem], ColimitResult]]:
     """(m, degree-m system, its colimit) for each m; even degrees have no system.
 
-    Equal systems share one result (see the module docstring); the memo
-    lives for this call only.
+    The odd degrees' systems come from one tail unroll (`build_systems`).
+    Equal systems share one result and equal cycle composites one stable
+    power (see the module docstring); both memos live for this call only.
     """
-    memo: dict[TruncatedSystem, ColimitResult] = {}
+    degrees = tuple(degrees)
+    odd = [m for m in degrees if m % 2]
+    systems = dict(zip(odd, build_systems(d, odd, budget)))
+    results: dict[TruncatedSystem, ColimitResult] = {}
+    powers: dict[IntMatrix, IntMatrix] = {}
     rows = []
     for m in degrees:
         if m % 2 == 0:
             rows.append((m, None, _EVEN_DEGREE))
             continue
-        system = build_system(d, m, budget)
-        res = memo.get(system)
+        system = systems[m]
+        res = results.get(system)
         if res is None:
-            res = memo[system] = colimit_dimension(system)
+            res = results[system] = _colimit(system, powers)
         rows.append((m, system, res))
     return rows
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import mul
-from typing import Callable, Hashable, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .linalg import IntMatrix, matvec
 
@@ -61,6 +61,11 @@ class AffineTail:
             raise ShapeMismatch("tail slack entries must be non-negative")
         if any(e < 0 for e in self.matrix.entries):
             raise ShapeMismatch("tail matrix entries must be non-negative")
+
+    @cached_property
+    def matrix_rows(self) -> tuple[tuple[int, ...], ...]:
+        """The rows of `matrix`, sliced once for every later `tail_step`."""
+        return tuple(self.matrix.row(i) for i in range(self.matrix.rows))
 
 
 @dataclass(frozen=True)
@@ -204,8 +209,7 @@ def ensure_valid(d: BratteliDiagram) -> None:
 
 def tail_step(tail: AffineTail, q: Sequence[int]) -> tuple[int, ...]:
     """The tail level after q: q' = phi.q + slack."""
-    tm = tail.matrix
-    return tuple(sum(map(mul, tm.row(i), q)) + tail.slack[i] for i in range(tm.rows))
+    return tuple(sum(map(mul, row, q)) + s for row, s in zip(tail.matrix_rows, tail.slack))
 
 
 def materialize(
@@ -231,30 +235,49 @@ def materialize(
     return profiles, matrices
 
 
+def first_repeat(keys: Iterable[Hashable], first_level: int) -> Optional[tuple[int, int]]:
+    """(start, period) of the first key equal to an earlier one, or None.
+
+    `keys` are the keys of consecutive levels from `first_level` on; the
+    first key that was seen before, at level L, was first seen at `start`,
+    and period = L - start.  `keys` is read no further than that.
+    """
+    seen: dict[Hashable, int] = {}
+    for level, state in enumerate(keys, start=first_level):
+        if state in seen:
+            return seen[state], level - seen[state]
+        seen[state] = level
+    return None
+
+
 def unroll_to_repeat(
     d: BratteliDiagram, key: Callable[[tuple[int, ...]], Hashable], budget: int
-) -> Optional[tuple[list[tuple[int, ...]], list[IntMatrix], int, int]]:
+) -> Optional[tuple[list[tuple[int, ...]], list[IntMatrix], Optional[tuple[int, int]]]]:
     """Unroll the tail up to the first level whose key(profile) was seen before.
 
     The scan starts at the last prefix level and never passes level `budget`.
-    At the first level L whose key equals that of an earlier level `start`,
-    returns (profiles of levels 1..L, the L-1 matrices joining them, start,
-    L - start).  Returns None when the diagram has no tail or no key repeats
-    by level `budget`.
+    Returns (profiles, matrices, cycle): at the first level L whose key equals
+    that of an earlier level `start`, the profiles of levels 1..L, the L-1
+    matrices joining them and cycle = (start, L - start).  When no key repeats
+    by level `budget`, cycle is None and the profiles run to level
+    max(budget, prefix length), so a coarser key can still be scanned on
+    them.  Returns None when the diagram has no tail.
 
     Stopping there is sound whenever key(q) determines key(q') for the next
     level q' (the analyses use clamped sizes and the bounded coordinates):
     the keys then evolve on their own, so their first repeat repeats forever.
     """
-    if d.tail is None:
+    tail = d.tail
+    if tail is None:
         return None
     profiles, matrices = list(d.prefix_levels), list(d.prefix_matrices)
-    seen: dict[Hashable, int] = {}
-    for level in range(d.prefix_len, budget + 1):
-        state = key(profiles[-1])
-        if state in seen:
-            return profiles, matrices, seen[state], level - seen[state]
-        seen[state] = level
-        profiles.append(tail_step(d.tail, profiles[-1]))
-        matrices.append(d.tail.matrix)
-    return None
+
+    def keys():
+        for level in range(d.prefix_len, budget + 1):
+            if level > d.prefix_len:
+                profiles.append(tail_step(tail, profiles[-1]))
+                matrices.append(tail.matrix)
+            yield key(profiles[-1])
+
+    cycle = first_repeat(keys(), d.prefix_len)
+    return profiles, matrices, cycle

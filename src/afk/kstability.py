@@ -164,10 +164,10 @@ def tail_orbit(d: BratteliDiagram, budget: int = DEFAULT_BUDGET) -> Union[TailOr
     if d.tail is None:
         return INCONCLUSIVE
     bounded, _ = coordinate_classes(d.tail.matrix, d.tail.slack)
-    found = unroll_to_repeat(d, lambda q: tuple(q[i] for i in bounded), budget)
-    if found is None:
+    profiles, matrices, cycle = unroll_to_repeat(d, lambda q: tuple(q[i] for i in bounded), budget)
+    if cycle is None:
         return INCONCLUSIVE
-    profiles, matrices, start, period = found
+    start, period = cycle
     return TailOrbit(
         profiles=tuple(profiles),
         matrices=tuple(matrices),
@@ -186,24 +186,23 @@ def _phase_graph_cycle(
     cannot recur, so no infinite chain threads them.
     """
     period = orbit.period
-    verts = set()
-    for phase in range(period):
-        profile = orbit.profiles[orbit.start + phase - 1]
-        for i in orbit.bounded:
-            if profile[i] == k:
-                verts.add((phase, i))
+    # coords[phase]: the bounded coordinates of size k at that phase, ascending
+    coords = [
+        [i for i in orbit.bounded if orbit.profiles[orbit.start + phase - 1][i] == k]
+        for phase in range(period)
+    ]
+    verts = [(phase, i) for phase in range(period) for i in coords[phase]]
     if not verts:
         return None
+    # an edge only joins consecutive phases, so successors come from the next one
     adjacency = {
-        v: sorted(
-            ((v[0] + 1) % period, j)
-            for (p, j) in verts
-            if p == (v[0] + 1) % period and tm.at(j, v[1]) >= 1
-        )
-        for v in verts
+        (phase, i): [
+            ((phase + 1) % period, j) for j in coords[(phase + 1) % period] if tm.at(j, i) >= 1
+        ]
+        for phase, i in verts
     }
     color: dict[tuple[int, int], int] = {}
-    for root in sorted(verts):
+    for root in verts:
         if color.get(root):
             continue
         stack = [(root, iter(adjacency[root]))]
@@ -398,10 +397,10 @@ def _raise_stage(
         if min(profiles[-1]) <= s:
             raise InfiniteChainError(_identity_completion_witness(d))
     else:
-        found = unroll_to_repeat(d, lambda q: tuple(min(x, s + 1) for x in q), budget)
-        if found is None:
+        profiles, _, cycle = unroll_to_repeat(d, lambda q: tuple(min(x, s + 1) for x in q), budget)
+        if cycle is None:
             return INCONCLUSIVE
-        profiles, _, start, period = found
+        start, period = cycle
         if any(min(profiles[lvl - 1]) <= s for lvl in range(start, start + period)):
             chain = find_infinite_k_chain(d, budget)
             if isinstance(chain, KChainWitness):

@@ -14,14 +14,27 @@ masks and truncated matrices cycle from there on, which is what the colimit
 engine needs; the system ends at the repeat level.  A diagram without a tail
 is read as the finite-dimensional algebra of its last level: the system is
 all of its given levels.
+
+Many degrees are cut from one unroll, clamped at the largest cap H.  For
+h <= H, min(q_a, H) = min(q_b, H) implies min(q_a, h) = min(q_b, h), so the
+level where min(q, H) first repeats is a repeat of min(q, h) as well, and
+min(q, h) first repeats no later.  Each smaller degree's first repeat is
+therefore a rescan of the stored profiles, from the last prefix level on,
+and its system is a prefix of the unroll.  When min(q, H) never repeats
+within the budget, the unroll keeps every level it scanned, and a smaller
+degree may still repeat within them.  Because the rescan reads the same
+levels, from the same start, as an unroll with its own cap would, each
+degree's system is exactly the one it gets alone.  Within one call a
+truncated map is sliced once per (matrix, kept rows, kept columns): equal
+triples give equal submatrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .diagram import DEFAULT_BUDGET, BratteliDiagram, ensure_valid, unroll_to_repeat
+from .diagram import DEFAULT_BUDGET, BratteliDiagram, ensure_valid, first_repeat, unroll_to_repeat
 from .linalg import IntMatrix
 
 
@@ -74,25 +87,64 @@ class TruncatedSystem:
         return len(self.dims)
 
 
+def build_systems(
+    diagram: BratteliDiagram, degrees: Iterable[int], budget: int = DEFAULT_BUDGET
+) -> list[TruncatedSystem]:
+    """The truncated system of each odd degree, in order, cut from one tail unroll.
+
+    A single degree takes the same path: its own cap is the largest one.
+    """
+    degrees = tuple(degrees)
+    for m in degrees:
+        if m % 2 == 0:
+            raise EvenDegree(f"degree {m} is even; F_even vanishes, build the system for odd m")
+        if m < 1:
+            raise ValueError(f"degree must be >= 1, got {m}")
+    if not degrees:
+        return []
+    ensure_valid(diagram)
+    top = (max(degrees) + 1) // 2
+    found = unroll_to_repeat(diagram, lambda q: tuple(min(x, top) for x in q), budget)
+    profiles, matrices, cycle = found or ((), (), None)
+    first = diagram.prefix_len
+    # keyed by id: every matrix stays alive in `matrices` or the diagram meanwhile
+    submatrices: dict[tuple[int, tuple[int, ...], tuple[int, ...]], IntMatrix] = {}
+    by_clamp: dict[int, TruncatedSystem] = {}
+    for m in degrees:
+        h = (m + 1) // 2
+        if h in by_clamp:
+            continue
+        if h == top:
+            repeat = cycle
+        else:  # min(q, top) repeating forces min(q, h) to repeat: rescan what is stored
+            repeat = first_repeat(
+                (tuple(min(x, h) for x in q) for q in profiles[first - 1 :]), first
+            )
+        exceeded = found is not None and repeat is None
+        if repeat is not None:
+            end = repeat[0] + repeat[1]
+            levels, joins = profiles[:end], matrices[: end - 1]
+        else:  # no tail, or one whose clamped sizes never repeated: the prefix
+            levels, joins = diagram.prefix_levels, diagram.prefix_matrices
+        kept = [tuple(j for j, p in enumerate(q) if p >= h) for q in levels]  # d(m, p) = 1 iff p >= h
+        maps = []
+        for k, phi in enumerate(joins):
+            cut = (id(phi), kept[k + 1], kept[k])
+            sub = submatrices.get(cut)
+            if sub is None:
+                sub = submatrices[cut] = phi.submatrix(kept[k + 1], kept[k])
+            maps.append(sub)
+        cycle_start, period = repeat or (None, None)
+        by_clamp[h] = TruncatedSystem(
+            dims=tuple(map(len, kept)),
+            maps=tuple(maps),
+            cycle_start=cycle_start,
+            period=period,
+            budget_exceeded=exceeded,
+        )
+    return [by_clamp[(m + 1) // 2] for m in degrees]
+
+
 def build_system(diagram: BratteliDiagram, m: int, budget: int = DEFAULT_BUDGET) -> TruncatedSystem:
     """The degree-m truncated system, up to the first repeat of the clamped sizes."""
-    if m % 2 == 0:
-        raise EvenDegree(f"degree {m} is even; F_even vanishes, build the system for odd m")
-    ensure_valid(diagram)
-    h = (m + 1) // 2
-    found = unroll_to_repeat(diagram, lambda q: tuple(min(x, h) for x in q), budget)
-    profiles, matrices, cycle_start, period = found or (
-        diagram.prefix_levels, diagram.prefix_matrices, None, None
-    )
-    kept = tuple(kept_indices(p, m) for p in profiles)
-    dims = tuple(len(k) for k in kept)
-    maps = tuple(
-        matrices[k].submatrix(kept[k + 1], kept[k]) for k in range(len(matrices))
-    )
-    return TruncatedSystem(
-        dims=dims,
-        maps=maps,
-        cycle_start=cycle_start,
-        period=period,
-        budget_exceeded=diagram.tail is not None and found is None,
-    )
+    return build_systems(diagram, (m,), budget)[0]

@@ -1,7 +1,7 @@
 import random
 
 import afk.diagram
-from afk.colimit import fm_dimension, fm_profile, k0_rational_dimension
+from afk.colimit import fm_dimension, fm_profile, k0_rational_dimension, profile_systems
 from afk.diagram import AffineTail, BratteliDiagram
 from afk.io import parse, to_diagram
 from afk.linalg import IntMatrix, multiply, rank
@@ -209,6 +209,50 @@ def test_fm_profile_equals_fm_dimension_field_for_field():
         assert profile == [(m, fm_dimension(d, m, budget)) for m in range(1, 40)]
         exhausted += any(res.budget_exceeded for _, res in profile)
     assert exhausted >= 3
+
+
+def test_fm_profile_mixes_exact_and_budget_exhausted_degrees():
+    # sizes 1, 2, ..., 10: min(q, h) repeats by level 10 for h <= 9 (m <= 17) only
+    d = to_diagram(parse('{"levels":[[1]],"matrices":[],"tail":{"matrix":[[1]],"slack":[1]}}'))
+    profile = fm_profile(d, 39, 10)
+    assert profile == [(m, fm_dimension(d, m, 10)) for m in range(1, 40)]
+    odd = {m: res for m, res in profile if m % 2}
+    assert all(res.exact and res.dimension == 1 for m, res in odd.items() if m <= 17)
+    assert all(res.budget_exceeded and res.dimension is None for m, res in odd.items() if m >= 19)
+
+
+# functional-graph tails: some degrees' cycle composites have equal sizes but
+# different stable powers, so the profile may share a power only by value
+SAME_SIZE_COMPOSITES = (
+    '{"levels":[[5,4,5,5,2]],"matrices":[],"tail":{"matrix":[[0,0,0,0,1],[0,0,1,0,0],[1,0,0,0,0],[0,0,1,0,0],[0,0,0,1,0]],"slack":[0,0,0,0,0]}}',
+    '{"levels":[[1,2,6,6,5]],"matrices":[],"tail":{"matrix":[[0,0,1,0,0],[1,0,0,0,0],[1,0,0,0,0],[0,0,0,1,0],[0,1,0,0,0]],"slack":[0,0,0,0,0]}}',
+    '{"levels":[[4,2,2,6,3]],"matrices":[],"tail":{"matrix":[[1,0,0,0,1],[0,0,0,1,0],[1,0,0,0,0],[0,1,0,0,0],[0,0,0,1,1]],"slack":[0,0,0,0,0]}}',
+    '{"levels":[[1,5,3,4,6]],"matrices":[],"tail":{"matrix":[[1,0,0,0,0],[0,0,0,0,1],[0,1,0,0,0],[0,0,0,0,1],[0,0,1,0,0]],"slack":[0,0,0,0,0]}}',
+)
+
+
+def test_fm_profile_shares_a_stable_power_only_between_equal_composites():
+    for text in SAME_SIZE_COMPOSITES:
+        d = to_diagram(parse(text))
+        assert fm_profile(d, 13) == [(m, fm_dimension(d, m)) for m in range(1, 14)]
+
+
+def test_fm_profile_unrolls_the_tail_once(monkeypatch):
+    rng = random.Random(1717)
+    cases = [two_column(), doubling(), stationary_identity(3)]
+    cases += [stationary_tail_of_width(rng, w) for w in (3, 4, 5, 6) for _ in range(3)]
+    several = 0
+    for d in cases:
+        d.validation  # validation steps the tail once; count only the unroll
+        steps = []
+        step = afk.diagram.tail_step
+        monkeypatch.setattr(afk.diagram, "tail_step", lambda t, q: steps.append(q) or step(t, q))
+        fm_profile(d, 39)
+        monkeypatch.setattr(afk.diagram, "tail_step", step)
+        held = {s.levels for _, s, _ in profile_systems(d, range(1, 40, 2))}
+        assert len(steps) <= max(held) - d.prefix_len
+        several += len(held) > 1
+    assert several >= 3  # one unroll per degree would step more than the largest system
 
 
 def test_fm_profile_validates_the_diagram_once(monkeypatch):

@@ -186,17 +186,13 @@ def test_unroll_to_repeat_matches_a_scan_over_materialize():
             for budget in range(1, 41):
                 profiles, _ = materialize(d, budget)
                 for key in keys:
-                    found = unroll_to_repeat(d, key, budget)
+                    got_profiles, got_matrices, cycle = unroll_to_repeat(d, key, budget)
                     expected = _first_repeat(profiles, key, d.prefix_len)
-                    if expected is None:
-                        assert found is None
-                        continue
-                    got_profiles, got_matrices, start, period = found
-                    assert (start, period) == expected
-                    assert len(got_profiles) == start + period
-                    assert got_profiles == profiles[: len(got_profiles)]
-                    assert got_matrices == materialize(d, len(got_profiles))[1]
-                    cases += 1
+                    assert cycle == expected
+                    # a repeat ends the unroll; without one it keeps every level it scanned
+                    end = sum(cycle) if cycle else max(budget, d.prefix_len)
+                    assert (got_profiles, got_matrices) == materialize(d, end)
+                    cases += cycle is not None
     assert cases >= 1000
     assert unroll_to_repeat(worked_example(), tuple, 64) is None  # no tail, nothing to unroll
 

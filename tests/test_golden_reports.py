@@ -60,6 +60,9 @@ def inputs() -> dict[str, str]:
     }
     out = {name: serialize(from_diagram(d)) for name, d in named.items()}
     out["nilpotent"] = NILPOTENT
+    # refused input: an edge overflows; and a name not valid UTF-8, as stdin decodes it
+    out["invalid_overflow"] = '{"levels":[[2],[1]],"matrices":[[[1]]]}'
+    out["name_0xff"] = '{"levels":[[1]],"matrices":[],"metadata":{"name":"\udcff"}}'
     rng = random.Random(4423)
     for i in range(40):
         out[f"random_{i:02d}"] = serialize(random_document(rng))

@@ -1,10 +1,16 @@
+import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import afk
 from afk.cli import main
 from afk.io import (
     ParseError,
@@ -331,6 +337,55 @@ def test_cli_non_utf8_input_file_exits_one(tmp_path, capsys):
     assert code == 1
     assert report["status"] == "invalid"
     assert report["error"]["locus"] == str(path)
+
+
+NAME_0XFF = b'{"levels":[[1]],"matrices":[],"metadata":{"name":"\xff"}}'
+
+
+def test_cli_non_utf8_stdin_bytes_exit_one():
+    # a real byte stream: whatever the locale's error handler, 0xff is refused
+    src = Path(afk.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    for extra in ({}, {"LC_ALL": "C", "PYTHONUTF8": "1"}):
+        proc = subprocess.run(
+            [sys.executable, "-m", "afk.cli", "validate", "--input", "-"],
+            input=NAME_0XFF, capture_output=True, env={**env, **extra}, timeout=60,
+        )
+        report = json.loads(proc.stdout)
+        assert proc.returncode == 1, extra
+        assert report["status"] == "invalid"
+        assert report["error"]["locus"] == "-"
+
+
+def test_cli_non_utf8_stdin_text_exits_one(monkeypatch, capsys):
+    # a text stream already decoded with surrogateescape, as io.StringIO can hold
+    text = NAME_0XFF.decode("utf-8", "surrogateescape")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code = main(["validate", "--input", "-"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert report["error"]["locus"] == "-"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(NAME_0XFF.decode("latin-1")))
+    assert main(["validate", "--input", "-"]) == 0  # the same name as valid text
+
+
+@pytest.mark.parametrize(
+    "argv, doc, flags",
+    [
+        (["fm", "--m", "3"], '{"levels":[[2],[1]],"matrices":[[[1]]]}', {"m": 3, "budget": 64}),
+        (["export-dot", "--budget", "4"], '{"levels":[[2],[1]],"matrices":[[[1]]]}', {"degree": None, "budget": 4}),
+        (["telescope", "--min-dim", "2"], '{"levels":[[1,1],[1]],"matrices":[[[1,0]]]}', {"min_dim": 2, "budget": 64}),
+    ],
+    ids=["invalid-fm", "invalid-export-dot", "non-injective-telescope"],
+)
+def test_cli_refusal_report_carries_the_command_flags(monkeypatch, capsys, argv, doc, flags):
+    monkeypatch.delenv("AFK_BUDGET", raising=False)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+    code = main([*argv, "--input", "-"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert report["status"] == "invalid" and report["result"]["problems"]
+    assert report["flags"] == flags
 
 
 DEEP_JSON = "[" * 100_000 + "]" * 100_000

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -251,3 +252,35 @@ def test_telescope_preserves_fm_profile_random():
             assert a == b
         done += 1
     assert done >= 40
+
+
+def _permutation_tail(cycles):
+    """Zero-slack tail permuting sizes 1..L around each cycle of length L: one prefix level."""
+    sizes, rows, offset = [], [], 0
+    width = sum(cycles)
+    for length in cycles:
+        for i in range(length):
+            sizes.append(i + 1)
+            row = [0] * width
+            row[offset + (i - 1) % length] = 1  # summand i takes the size of summand i-1
+            rows.append(row)
+        offset += length
+    return BratteliDiagram(
+        prefix_levels=(tuple(sizes),),
+        prefix_matrices=(),
+        tail=AffineTail(matrix=IntMatrix.from_rows(rows), slack=(0,) * width),
+    )
+
+
+def test_permutation_tail_phase_graph_is_linear_in_the_period():
+    # sizes repeat after lcm(3, 4, 5, 7) = 420 levels: past the default budget
+    d = _permutation_tail((3, 4, 5, 7))
+    assert classify(d, 64).status == "inconclusive-at-budget"
+    start = time.perf_counter()
+    verdict = classify(d, 1000)
+    spent = time.perf_counter() - start
+    assert verdict.status == "not-k-stable"
+    w = verdict.witness
+    assert (w.k, w.start_level, w.cycle_period) == (1, 1, 420)
+    assert replay_witness(d, w, 1000) == []
+    assert spent < 1.0

@@ -2,10 +2,24 @@ import random
 
 import pytest
 
-from afk.diagram import AffineTail, BratteliDiagram
+from afk.diagram import AffineTail, BratteliDiagram, materialize
 from afk.linalg import IntMatrix, multiply
-from afk.truncation import EvenDegree, build_system, d, kept_indices, truncate_map
-from cases import stationary_identity, two_column, worked_example
+from afk.truncation import (
+    EvenDegree,
+    TruncatedSystem,
+    build_system,
+    build_systems,
+    d,
+    kept_indices,
+    truncate_map,
+)
+from cases import doubling, stationary_identity, two_column, worked_example
+from generators import (
+    random_growing_tail_diagram,
+    random_pinned_tail_diagram,
+    random_prefix,
+    random_stationary_tail_diagram,
+)
 
 
 def test_d_examples():
@@ -145,3 +159,55 @@ def test_build_system_budget_exceeded_flag():
     sys = build_system(dg, 9, budget=3)
     assert sys.budget_exceeded
     assert sys.cycle_start is None
+
+
+def _reference_system(dg, m, budget):
+    """The degree-m system from its definition: min(q, h) scanned over `materialize`."""
+    h = (m + 1) // 2
+    profiles, matrices, cycle = dg.prefix_levels, dg.prefix_matrices, None
+    if dg.tail is not None:
+        levels, joins = materialize(dg, max(budget, dg.prefix_len))
+        seen = {}
+        for level in range(dg.prefix_len, budget + 1):
+            key = tuple(min(x, h) for x in levels[level - 1])
+            if key in seen:
+                cycle = (seen[key], level - seen[key])
+                profiles, matrices = levels[:level], joins[: level - 1]
+                break
+            seen[key] = level
+    return TruncatedSystem(
+        dims=tuple(len(kept_indices(q, m)) for q in profiles),
+        maps=tuple(
+            truncate_map(phi, profiles[k], profiles[k + 1], m) for k, phi in enumerate(matrices)
+        ),
+        cycle_start=cycle and cycle[0],
+        period=cycle and cycle[1],
+        budget_exceeded=dg.tail is not None and cycle is None,
+    )
+
+
+def test_build_systems_from_one_unroll_match_each_degree_alone():
+    # every degree is cut from the unroll clamped at the largest one
+    rng = random.Random(6106)
+    makers = (
+        random_growing_tail_diagram,
+        random_pinned_tail_diagram,
+        random_stationary_tail_diagram,
+        lambda r: BratteliDiagram(*map(tuple, random_prefix(r))),
+    )
+    cases = [(make(rng), budget) for make in makers for _ in range(6) for budget in (1, 2, 3, 5, 9, 40)]
+    cases += [(dg, budget) for dg in (two_column(), doubling(), worked_example()) for budget in (1, 4, 64)]
+    seen = set()
+    for dg, budget in cases:
+        for degrees in (range(1, 40, 2), (9, 3, 3, 21), (5,)):
+            got = build_systems(dg, degrees, budget)
+            assert got == [_reference_system(dg, m, budget) for m in degrees]
+            seen.update((s.cycle_start is not None, s.budget_exceeded) for s in got)
+    assert seen == {(True, False), (False, True), (False, False)}  # cycles, exhausted, no tail
+
+
+def test_build_systems_rejects_even_and_negative_degrees():
+    with pytest.raises(EvenDegree):
+        build_systems(two_column(), (1, 3, 4))
+    with pytest.raises(ValueError):
+        build_systems(two_column(), (3, -1))
