@@ -9,6 +9,12 @@ malformed flag) also exits 1.  Exit 3 marks an internal invariant violation.
 
 Reports are deterministic: identical input and flags produce byte-identical
 output, so the timing block counts levels instead of wall-clock time.
+
+`COMMANDS` is the one command table: each name maps to its run function,
+its help text and its own flags, and both the parser and the dispatch read
+it.  A call that names a command builds only that command's subparser;
+help, version, a missing or unknown command build every one, so their text
+is unchanged.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Any, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from . import __version__
 from .colimit import ColimitResult, profile_systems
@@ -25,6 +31,7 @@ from .diagram import DEFAULT_BUDGET
 from .io import (
     ParseError,
     document_to_json,
+    dot_levels,
     export_dot,
     from_diagram,
     input_digest,
@@ -57,27 +64,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--input", required=True, help="path to a diagram JSON file, or - for stdin")
-    shared.add_argument("--budget", type=int, default=None, help=f"max levels to materialize (default {DEFAULT_BUDGET}; AFK_BUDGET overrides)")
-    shared.add_argument("--format", choices=("json", "text"), default="json", help="report format")
+def _build_parser(names) -> argparse.ArgumentParser:
+    """The `afk` parser with one subparser for each command in `names`.
 
+    Its usage line always lists every command, so a parser built for one
+    command rejects a stray argument with the same message as the full one.
+    """
     parser = _Parser(prog="afk", description="Nonstable K-theory of AF-algebras from Bratteli diagrams, in exact arithmetic.")
     parser.add_argument("--version", action="version", version=f"afk {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("validate", parents=[shared], help="check the diagram's structural constraints")
-    p_fm = sub.add_parser("fm", parents=[shared], help="dimension of one homotopy degree")
-    p_fm.add_argument("--m", type=int, required=True, help="degree (even degrees vanish)")
-    p_prof = sub.add_parser("fm-profile", parents=[shared], help="dimensions for degrees 1..max-m")
-    p_prof.add_argument("--max-m", type=int, required=True, dest="max_m")
-    sub.add_parser("k0q", parents=[shared], help="rank of rational K0 (untruncated colimit)")
-    sub.add_parser("kstable", parents=[shared], help="decide K-stability")
-    p_tel = sub.add_parser("telescope", parents=[shared], help="re-present with min summand size >= min-dim")
-    p_tel.add_argument("--min-dim", type=int, required=True, dest="min_dim")
-    p_dot = sub.add_parser("export-dot", parents=[shared], help="render the diagram as DOT")
-    p_dot.add_argument("--degree", type=int, default=None, help="label nodes with degree-m survival instead of sizes")
+    # the full parser keeps argparse's default metavar: its errors name the argument "command"
+    metavar = None if len(names) == len(COMMANDS) else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        command = COMMANDS[name]
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--input", required=True, help="path to a diagram JSON file, or - for stdin")
+        p.add_argument("--budget", type=int, default=None, help=f"max levels to materialize (default {DEFAULT_BUDGET}; AFK_BUDGET overrides)")
+        p.add_argument("--format", choices=("json", "text"), default="json", help="report format")
+        for flag, options in command.flags:
+            p.add_argument(flag, **options)
     return parser
 
 
@@ -145,9 +150,14 @@ def _report(command: str, digest: str, flags: dict, status: str, result: dict, l
     }
 
 
+def _write_json(report: dict) -> None:
+    sys.stdout.write(json.dumps(report, sort_keys=True, indent=2))
+    sys.stdout.write("\n")  # apart, so a large report is not copied to append it
+
+
 def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
-        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        _write_json(report)
     else:
         sys.stdout.write(_render_text(report))
 
@@ -313,17 +323,31 @@ def _telescope(args, diagram, budget):
 
 
 def _export_dot(args, diagram, budget):
-    return "ok", {"dot": export_dot(diagram, degree=args.degree, budget=budget)}, budget
+    return "ok", {"dot": export_dot(diagram, degree=args.degree, budget=budget)}, dot_levels(diagram, budget)
+
+
+class Command(NamedTuple):
+    run: Callable  # (args, diagram, budget) -> (status, result, levels materialized)
+    help: str
+    flags: tuple = ()  # the command's own flags: (name, add_argument options)
 
 
 COMMANDS = {
-    "validate": _validate,
-    "fm": _fm,
-    "fm-profile": _fm_profile,
-    "k0q": _k0q,
-    "kstable": _kstable,
-    "telescope": _telescope,
-    "export-dot": _export_dot,
+    "validate": Command(_validate, "check the diagram's structural constraints"),
+    "fm": Command(_fm, "dimension of one homotopy degree", (
+        ("--m", {"type": int, "required": True, "help": "degree (even degrees vanish)"}),
+    )),
+    "fm-profile": Command(_fm_profile, "dimensions for degrees 1..max-m", (
+        ("--max-m", {"type": int, "required": True, "dest": "max_m"}),
+    )),
+    "k0q": Command(_k0q, "rank of rational K0 (untruncated colimit)"),
+    "kstable": Command(_kstable, "decide K-stability"),
+    "telescope": Command(_telescope, "re-present with min summand size >= min-dim", (
+        ("--min-dim", {"type": int, "required": True, "dest": "min_dim"}),
+    )),
+    "export-dot": Command(_export_dot, "render the diagram as DOT", (
+        ("--degree", {"type": int, "default": None, "help": "label nodes with degree-m survival instead of sizes"}),
+    )),
 }
 
 
@@ -339,7 +363,7 @@ def _dispatch(args) -> int:
         problems = _problems(diagram.validation)
     else:
         try:
-            status, result, levels_used = COMMANDS[args.command](args, diagram, budget)
+            status, result, levels_used = COMMANDS[args.command].run(args, diagram, budget)
         except InjectivityRequired as exc:
             problems = [{"kind": "injectivity-required", "message": str(exc)}]
     if problems is not None:  # the command refused the input
@@ -349,8 +373,11 @@ def _dispatch(args) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # help, version and a missing or unknown command need every command's parser
+    names = argv[:1] if argv and argv[0] in COMMANDS else COMMANDS
+    args = _build_parser(names).parse_args(argv)
     try:
         return _dispatch(args)
     except ParseError as exc:
@@ -361,7 +388,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             "error": {"locus": exc.locus, "message": exc.reason},
         }
         if args.format == "json":
-            sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+            _write_json(report)
         else:
             sys.stdout.write(f"afk {__version__} — {args.command}\nstatus: invalid\nerror at {exc.locus}: {exc.reason}\n")
         return EXIT_INVALID
@@ -374,7 +401,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             "status": "error",
             "error": {"type": type(exc).__name__, "message": str(exc)},
         }
-        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        _write_json(report)
         return EXIT_INTERNAL
 
 

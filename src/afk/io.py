@@ -84,6 +84,8 @@ def parse(text: str) -> DiagramDocument:
         raise ParseError(f"line {exc.lineno} column {exc.colno}", exc.msg) from None
     except RecursionError:
         raise ParseError("$", "nesting is too deep") from None
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        raise ParseError("$", str(exc).split(";")[0]) from None
     if not isinstance(raw, dict):
         raise ParseError("$", "expected a JSON object")
     unknown = set(raw) - {"levels", "matrices", "tail", "metadata"}
@@ -192,19 +194,29 @@ def from_diagram(d: BratteliDiagram, metadata: Optional[dict] = None) -> Diagram
     )
 
 
+def dot_levels(d: BratteliDiagram, budget: int) -> int:
+    """Levels `export_dot` draws: the prefix, continued by a tail to `budget` levels."""
+    return d.prefix_len if d.tail is None else max(budget, d.prefix_len)
+
+
 def export_dot(d: BratteliDiagram, degree: Optional[int] = None, budget: int = DEFAULT_BUDGET) -> str:
     """Render the diagram (or its degree-m shadow) as deterministic DOT text.
 
     One node per (level, summand), labeled with the summand size, or with the
     0/1 survival indicator when a degree is given; edges carry multiplicities.
+    A size too long for `str` (the interpreter's int-to-str digit limit) is
+    refused with a ParseError at `--budget` naming its level: only the levels
+    a tail adds beyond the parsed prefix can grow that long.
     """
-    levels = d.prefix_len if d.tail is None else max(budget, d.prefix_len)
-    profiles, matrices = materialize(d, levels)
+    profiles, matrices = materialize(d, dot_levels(d, budget))
     parts = ["digraph bratteli {\n  rankdir=TB;\n  node [shape=circle];\n"]
     for lvl, profile in enumerate(profiles, start=1):
         labels = profile if degree is None else [degree_indicator(degree, p) for p in profile]
         names = [f'"L{lvl}S{i}"' for i in range(1, len(profile) + 1)]
-        parts.append("".join(f"  {n} [label=\"{x}\"];\n" for n, x in zip(names, labels)))
+        try:
+            parts.append("".join(f"  {n} [label=\"{x}\"];\n" for n, x in zip(names, labels)))
+        except ValueError:
+            raise ParseError("--budget", f"level {lvl} has a summand size too long to print; draw fewer levels") from None
         parts.append(f"  {{ rank=same; {'; '.join(names)}; }}\n")
     # a tail repeats one matrix object: its edge lines are built once, with
     # the source and target level numbers left as fields {0} and {1}

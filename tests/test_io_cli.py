@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import afk
+from afk import cli
 from afk.cli import main
 from afk.io import (
     ParseError,
@@ -127,6 +129,33 @@ def test_export_dot_budget_bounds_tail():
     assert '"L5S1"' in dot and '"L6S1"' not in dot
 
 
+# `str` and `int` refuse integers of more than 4300 digits by default
+needs_digit_limit = pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300, reason="needs the default int-to-str digit limit"
+)
+LONG_LITERAL_JSON = '{"levels":[[' + "9" * 4400 + ']],"matrices":[]}'
+# sizes 20^(L-1): level 3307 is the first with more than 4300 digits
+TWENTY_FOLD_JSON = '{"levels":[[1]],"matrices":[],"tail":{"matrix":[[20]],"slack":[0]}}'
+
+
+@needs_digit_limit
+def test_parse_refuses_an_integer_literal_past_the_digit_limit():
+    with pytest.raises(ParseError) as exc:
+        parse(LONG_LITERAL_JSON)
+    assert exc.value.locus == "$"
+
+
+@needs_digit_limit
+def test_export_dot_refuses_a_size_past_the_digit_limit():
+    d = to_diagram(parse(TWENTY_FOLD_JSON))
+    with pytest.raises(ParseError) as exc:
+        export_dot(d, budget=4000)
+    assert exc.value.locus == "--budget"
+    assert "level 3307 " in exc.value.reason
+    assert export_dot(d, budget=3306).count("rank=same") == 3306
+    assert export_dot(d, degree=3, budget=4000).count("rank=same") == 4000  # 0/1 labels
+
+
 # --- CLI ----------------------------------------------------------------------
 
 
@@ -217,6 +246,15 @@ def test_cli_levels_materialized_counts_the_levels_held(tmp_path, capsys):
     assert levels(counting, "k0q") == 2
     assert levels(counting, "fm-profile", "--max-m", "9") == 6
     assert levels(counting, "fm-profile", "--max-m", "9", "--budget", "4") == 4
+
+
+def test_cli_export_dot_counts_the_levels_drawn(tmp_path, capsys):
+    def levels(doc, *argv):
+        return json.loads(run_cli(tmp_path, capsys, doc, "export-dot", *argv)[1])["timing"]["levels_materialized"]
+
+    assert levels(WORKED_JSON) == levels(WORKED_JSON, "--budget", "1") == 2  # the prefix alone
+    assert levels(TWO_COLUMN_JSON, "--budget", "7") == 7  # the tail continues it
+    assert levels(TWO_COLUMN_JSON, "--budget", "2") == 3  # never fewer than the prefix
 
 
 def test_cli_k0q(tmp_path, capsys):
@@ -329,6 +367,69 @@ def test_cli_usage_errors_exit_one(capsys, argv):
     assert "usage:" in capsys.readouterr().err
 
 
+def test_cli_stray_argument_usage_lists_every_command(capsys):
+    # only the fm parser is built, yet the usage line is the full parser's
+    with pytest.raises(SystemExit) as exc:
+        main(["fm", "--m", "3", "--input", "-", "--bogus"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "{" + ",".join(cli.COMMANDS) + "}" in err
+    assert err.endswith("afk: error: unrecognized arguments: --bogus\n")
+
+
+def test_cli_builds_only_the_invoked_command_parser(monkeypatch, capsys):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(TWO_COLUMN_JSON))
+    assert main(["fm", "--m", "3", "--input", "-"]) == 0
+    assert built == ["fm"]
+
+
+# runs `afk` as a process would (argv from sys.argv) beside the all-commands parser
+PARSER_CHILD = """
+import contextlib, io, json, sys
+from afk import cli
+out = []
+for argv in json.loads(sys.argv[1]):
+    got = []
+    for call in (cli.main, lambda: cli._build_parser(cli.COMMANDS).parse_args(argv)):
+        sys.argv = ["afk", *argv]
+        buf, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
+            try:
+                call()
+                code = None
+            except SystemExit as exc:
+                code = exc.code
+        got.append([code, buf.getvalue(), err.getvalue()])
+    out.append(got)
+print(json.dumps(out))
+"""
+
+
+def test_cli_help_and_version_match_the_all_commands_parser():
+    argvs = [["--help"], ["--version"], *([name, "--help"] for name in cli.COMMANDS)]
+    src = Path(afk.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", PARSER_CHILD, json.dumps(argvs)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src), "COLUMNS": "80"}, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for argv, (got, want) in zip(argvs, json.loads(proc.stdout)):
+        assert got == want, argv
+        assert got[0] == 0 and got[1], argv
+    help_text = json.loads(proc.stdout)[0][0][1]
+    listed = help_text.split("positional arguments:\n")[1].split("\n\n")[0].splitlines()
+    assert listed[0].strip() == "{" + ",".join(cli.COMMANDS) + "}"
+    assert [line.split()[0] for line in listed[1:]] == list(cli.COMMANDS)
+
+
 def test_cli_non_utf8_input_file_exits_one(tmp_path, capsys):
     path = tmp_path / "diagram.json"
     path.write_bytes(b'{"levels":[[1]],"matrices":[]}\xff')
@@ -402,8 +503,10 @@ DEEP_JSON = "[" * 100_000 + "]" * 100_000
         (["export-dot", "--degree", "0"], WORKED_JSON, "--degree"),
         (["export-dot", "--degree", "-3"], WORKED_JSON, "--degree"),
         (["validate"], DEEP_JSON, "$"),
+        pytest.param(["validate"], LONG_LITERAL_JSON, "$", marks=needs_digit_limit),
+        pytest.param(["export-dot", "--budget", "4000"], TWENTY_FOLD_JSON, "--budget", marks=needs_digit_limit),
     ],
-    ids=["m-1", "m0", "max-m0", "min-dim0", "min-dim-4", "degree0", "degree-3", "deep-document"],
+    ids=["m-1", "m0", "max-m0", "min-dim0", "min-dim-4", "degree0", "degree-3", "deep-document", "long-literal", "long-size"],
 )
 def test_cli_rejects_out_of_range_input_with_locus(tmp_path, capsys, argv, doc, locus):
     for fmt in ("json", "text"):

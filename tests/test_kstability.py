@@ -3,10 +3,12 @@ import time
 
 import pytest
 
-from afk.colimit import fm_profile, k0_rational_dimension
+from afk.colimit import fm_profile, k0_rational_dimension, profile_systems
 from afk.diagram import AffineTail, BratteliDiagram, validate
+from afk.io import to_diagram
 from afk.kstability import (
     INCONCLUSIVE,
+    K_STABLE,
     InfiniteChainError,
     InjectivityRequired,
     KChainWitness,
@@ -14,11 +16,17 @@ from afk.kstability import (
     coordinate_classes,
     find_infinite_k_chain,
     replay_witness,
+    tail_orbit,
     telescope,
 )
 from afk.linalg import IntMatrix
 from cases import constant_column, single_level, two_column, worked_example
-from generators import random_growing_tail_diagram, random_pinned_tail_diagram
+from generators import (
+    random_document,
+    random_growing_tail_diagram,
+    random_pinned_tail_diagram,
+    random_stationary_tail_diagram,
+)
 
 
 # --- coordinate growth classification -------------------------------------
@@ -284,3 +292,47 @@ def test_permutation_tail_phase_graph_is_linear_in_the_period():
     assert (w.k, w.start_level, w.cycle_period) == (1, 1, 420)
     assert replay_witness(d, w, 1000) == []
     assert spent < 1.0
+
+
+# --- the theorem: K-stable iff F_{2B+1} = F_1 ------------------------------
+
+THEOREM_BUDGET = 4096
+
+
+def _bounded_size(d):
+    """B: the largest bounded-coordinate size in the tail orbit's window, or the largest last-level size."""
+    if d.tail is None:
+        return max(d.prefix_levels[-1])
+    orbit = tail_orbit(d, THEOREM_BUDGET)
+    assert orbit is not INCONCLUSIVE
+    window = orbit.profiles[orbit.start - 1:]
+    return max((q[i] for q in window for i in orbit.bounded), default=0)
+
+
+def test_classify_agrees_with_the_rational_k_stability_comparison():
+    # F_m embeds in F_1 = rank K0 (degree m keeps a coordinate subsystem), so F_m
+    # does not grow with m; from m = 2B+1 on only the divergent coordinates
+    # survive, and the algebra is K-stable iff nothing was lost by then
+    rng = random.Random(2)
+    families = {
+        "growing": lambda: random_growing_tail_diagram(rng),
+        "pinned": lambda: random_pinned_tail_diagram(rng),
+        "stationary": lambda: random_stationary_tail_diagram(rng),
+        "document": lambda: to_diagram(random_document(rng)),
+    }
+    verdicts = set()
+    for family, draw in families.items():
+        for _ in range(300):
+            d = draw()
+            if not (d.validation.ok and d.injective):
+                continue  # classify refuses it
+            verdict = classify(d, THEOREM_BUDGET)
+            b = _bounded_size(d)
+            rows = profile_systems(d, range(1, 2 * b + 4, 2), THEOREM_BUDGET)
+            assert all(res.exact for _, _, res in rows)
+            f = [res.dimension for _, _, res in rows]  # F_1, F_3, ..., F_{2B+3}
+            assert all(later <= earlier for earlier, later in zip(f, f[1:])), (family, f)
+            assert f[b + 1] == f[b], (family, f)
+            assert (verdict.status == K_STABLE) == (f[b] == f[0]), (family, verdict.status, b, f)
+            verdicts.add(verdict.status)
+    assert verdicts == {"k-stable", "not-k-stable"}
