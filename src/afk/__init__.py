@@ -1,78 +1,78 @@
-"""Exact nonstable K-theory computations for AF-algebras given by Bratteli diagrams."""
+"""Exact nonstable K-theory computations for AF-algebras given by Bratteli diagrams.
 
-from .colimit import ColimitResult, colimit_dimension, fm_dimension, fm_profile, k0_rational_dimension
-from .diagram import (
-    AffineTail,
-    BratteliDiagram,
-    DiagramError,
-    EmptyLevel,
-    LevelOutOfRange,
-    ShapeMismatch,
-    SizeOverflowAtEdge,
-    ValidationReport,
-    ensure_valid,
-    materialize,
-    validate,
-)
-from .io import DiagramDocument, ParseError, export_dot, from_diagram, input_digest, parse, serialize, to_diagram
-from .kstability import (
-    INCONCLUSIVE,
-    InfiniteChainError,
-    InjectivityRequired,
-    KChainWitness,
-    KStabilityVerdict,
-    classify,
-    find_infinite_k_chain,
-    replay_witness,
-    telescope,
-)
-from .linalg import DimensionMismatch, IntMatrix, NotSquare, multiply, rank
-from .truncation import EvenDegree, TruncatedSystem, build_system, d, truncate_map
+The exported names are resolved on first use (PEP 562): `_EXPORTS` maps each
+name to the module that defines it, and that module is imported only when
+the name is first read.  So `import afk` loads no engine module, and a
+command-line call loads only the modules its command runs.
+
+The modules a command loads on demand (`truncation`, `colimit`, `kstability`)
+call the functions of other afk modules through their module instead of
+binding them by name.  A wrapper set on a module attribute (as
+`bench/tracer.py` sets them) is then met once per call and gone once
+removed, even when the on-demand module was first imported while it was set.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AffineTail",
-    "BratteliDiagram",
-    "ColimitResult",
-    "DiagramDocument",
-    "DiagramError",
-    "DimensionMismatch",
-    "EmptyLevel",
-    "EvenDegree",
-    "INCONCLUSIVE",
-    "InfiniteChainError",
-    "InjectivityRequired",
-    "IntMatrix",
-    "KChainWitness",
-    "KStabilityVerdict",
-    "LevelOutOfRange",
-    "NotSquare",
-    "ParseError",
-    "ShapeMismatch",
-    "SizeOverflowAtEdge",
-    "TruncatedSystem",
-    "ValidationReport",
-    "build_system",
-    "classify",
-    "colimit_dimension",
-    "d",
-    "ensure_valid",
-    "export_dot",
-    "find_infinite_k_chain",
-    "fm_dimension",
-    "fm_profile",
-    "from_diagram",
-    "input_digest",
-    "k0_rational_dimension",
-    "materialize",
-    "multiply",
-    "parse",
-    "rank",
-    "replay_witness",
-    "serialize",
-    "telescope",
-    "to_diagram",
-    "truncate_map",
-    "validate",
-]
+_EXPORTS = {
+    "AffineTail": "diagram",
+    "BratteliDiagram": "diagram",
+    "ColimitResult": "colimit",
+    "DiagramDocument": "io",
+    "DiagramError": "diagram",
+    "DimensionMismatch": "linalg",
+    "EmptyLevel": "diagram",
+    "EvenDegree": "truncation",
+    "INCONCLUSIVE": "kstability",
+    "InfiniteChainError": "kstability",
+    "InjectivityRequired": "diagram",
+    "IntMatrix": "linalg",
+    "KChainWitness": "kstability",
+    "KStabilityVerdict": "kstability",
+    "LevelOutOfRange": "diagram",
+    "NotSquare": "linalg",
+    "ParseError": "io",
+    "ShapeMismatch": "diagram",
+    "SizeOverflowAtEdge": "diagram",
+    "TruncatedSystem": "truncation",
+    "ValidationReport": "diagram",
+    "build_system": "truncation",
+    "classify": "kstability",
+    "colimit_dimension": "colimit",
+    "d": "truncation",
+    "ensure_valid": "diagram",
+    "export_dot": "io",
+    "find_infinite_k_chain": "kstability",
+    "fm_dimension": "colimit",
+    "fm_profile": "colimit",
+    "from_diagram": "io",
+    "input_digest": "io",
+    "k0_rational_dimension": "colimit",
+    "materialize": "diagram",
+    "multiply": "linalg",
+    "parse": "io",
+    "rank": "linalg",
+    "replay_witness": "kstability",
+    "serialize": "io",
+    "telescope": "kstability",
+    "to_diagram": "io",
+    "truncate_map": "truncation",
+    "validate": "diagram",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later reads skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

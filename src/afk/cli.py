@@ -14,7 +14,9 @@ output, so the timing block counts levels instead of wall-clock time.
 its help text and its own flags, and both the parser and the dispatch read
 it.  A call that names a command builds only that command's subparser;
 help, version, a missing or unknown command build every one, so their text
-is unchanged.
+is unchanged.  A command imports its engine (`colimit` for fm, fm-profile
+and k0q, `kstability` for kstable and telescope) when it runs, so a cold
+call loads only the modules its command needs.
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ import sys
 from typing import Any, Callable, NamedTuple, Optional
 
 from . import __version__
-from .colimit import ColimitResult, profile_systems
-from .diagram import DEFAULT_BUDGET
+from .diagram import DEFAULT_BUDGET, InjectivityRequired
 from .io import (
     ParseError,
     document_to_json,
@@ -37,15 +38,6 @@ from .io import (
     input_digest,
     parse,
     to_diagram,
-)
-from .kstability import (
-    INCONCLUSIVE,
-    INCONCLUSIVE_AT_BUDGET,
-    InfiniteChainError,
-    InjectivityRequired,
-    KChainWitness,
-    classify,
-    telescope,
 )
 
 EXIT_OK = 0
@@ -110,7 +102,7 @@ def _check_degree_flags(args) -> None:
             raise ParseError("--" + dest.replace("_", "-"), f"must be at least 1, got {value}")
 
 
-def _witness_payload(w: KChainWitness) -> dict:
+def _witness_payload(w) -> dict:
     return {
         "k": w.k,
         "start_level": w.start_level,
@@ -120,7 +112,7 @@ def _witness_payload(w: KChainWitness) -> dict:
     }
 
 
-def _colimit_payload(res: ColimitResult) -> dict:
+def _colimit_payload(res) -> dict:
     out = {
         "dimension": res.dimension,
         "exact": res.exact,
@@ -262,6 +254,8 @@ def _validate(args, diagram, budget):
 
 
 def _fm(args, diagram, budget):
+    from .colimit import profile_systems
+
     [(m, system, res)] = profile_systems(diagram, (args.m,), budget)
     result = _colimit_payload(res)
     result["m"] = m
@@ -276,6 +270,8 @@ def _fm(args, diagram, budget):
 
 
 def _fm_profile(args, diagram, budget):
+    from .colimit import profile_systems
+
     rows = profile_systems(diagram, range(1, args.max_m + 1), budget)
     profile = [
         {
@@ -293,11 +289,15 @@ def _fm_profile(args, diagram, budget):
 
 
 def _k0q(args, diagram, budget):
+    from .colimit import profile_systems
+
     [(_, system, res)] = profile_systems(diagram, (1,), budget)
     return ("ok" if res.exact else "inconclusive"), _colimit_payload(res), _levels_used(system, budget)
 
 
 def _kstable(args, diagram, budget):
+    from .kstability import INCONCLUSIVE_AT_BUDGET, classify
+
     verdict = classify(diagram, budget)
     result: dict[str, Any] = {"verdict": verdict.status}
     if verdict.witness is not None:
@@ -308,18 +308,22 @@ def _kstable(args, diagram, budget):
 
 
 def _telescope(args, diagram, budget):
+    from .kstability import INCONCLUSIVE, InfiniteChainError, telescope
+
     try:
         out = telescope(diagram, args.min_dim, budget)
     except InfiniteChainError as exc:
         return "ok", {"outcome": "infinite-chain", "witness": _witness_payload(exc.witness)}, budget
     if out is INCONCLUSIVE:
         return "inconclusive", {"outcome": "inconclusive"}, budget
-    result = {
-        "outcome": "telescoped",
-        "min_dim": args.min_dim,
-        "diagram": document_to_json(from_diagram(out)),
-    }
-    return "ok", result, budget
+    document = document_to_json(from_diagram(out))
+    try:  # only the first level can come from the tail; the rest is the input's, which printed
+        "".join(map(str, document["levels"][0]))
+    except ValueError:
+        raise ParseError(
+            "--min-dim", "the telescoped first level has a summand size too long to print; ask for a smaller --min-dim"
+        ) from None
+    return "ok", {"outcome": "telescoped", "min_dim": args.min_dim, "diagram": document}, budget
 
 
 def _export_dot(args, diagram, budget):

@@ -39,16 +39,17 @@ would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
+# loaded on demand: other modules' functions are called through their module (see afk/__init__.py)
+from . import linalg as _linalg
+from . import truncation as _truncation
 from .diagram import DEFAULT_BUDGET, BratteliDiagram
-from .linalg import IntMatrix, multiply, rank, stable_power
-from .truncation import TruncatedSystem, build_systems
+from .linalg import IntMatrix
+from .truncation import TruncatedSystem
 
 
-@dataclass(frozen=True)
-class ColimitResult:
+class ColimitResult(NamedTuple):
     """Outcome of a colimit computation.
 
     `exact` marks a certified dimension; otherwise `budget_exceeded` is set,
@@ -69,7 +70,7 @@ def _composites_to(sys: TruncatedSystem, target: int, seed: IntMatrix) -> list[I
     """seed · composite(k -> target) for k = 1..target, built in one backward sweep."""
     out = [seed]
     for k in range(target - 1, 0, -1):
-        out.append(multiply(out[-1], sys.maps[k - 1]))
+        out.append(_linalg.multiply(out[-1], sys.maps[k - 1]))
     out.reverse()
     return out
 
@@ -94,12 +95,12 @@ def _colimit(sys: TruncatedSystem, powers: dict[IntMatrix, IntMatrix]) -> Colimi
         target = sys.cycle_start
         cycle = IntMatrix.identity(sys.dims[target - 1])
         for k in range(target - 1, target - 1 + sys.period):
-            cycle = multiply(sys.maps[k], cycle)
+            cycle = _linalg.multiply(sys.maps[k], cycle)
         seed = powers.get(cycle)
         if seed is None:
-            seed = powers[cycle] = stable_power(cycle)
+            seed = powers[cycle] = _linalg.stable_power(cycle)
     images = _composites_to(sys, target, seed)
-    ranks = [(k, rank(img)) for k, img in enumerate(images, start=1)]
+    ranks = [(k, _linalg.rank(img)) for k, img in enumerate(images, start=1)]
     dim = ranks[-1][1]  # the target's own image: im P, or the whole last level
     stabilized = next(k for k, r in ranks if r == dim)
     return ColimitResult(
@@ -130,7 +131,7 @@ def profile_systems(
     """
     degrees = tuple(degrees)
     odd = [m for m in degrees if m % 2]
-    systems = dict(zip(odd, build_systems(d, odd, budget)))
+    systems = dict(zip(odd, _truncation.build_systems(d, odd, budget)))
     results: dict[TruncatedSystem, ColimitResult] = {}
     powers: dict[IntMatrix, IntMatrix] = {}
     rows = []

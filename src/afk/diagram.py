@@ -5,14 +5,17 @@ summand sizes) joined by integer multiplicity matrices, optionally followed
 by an affine-periodic tail: the same square matrix applied forever, with
 level sizes evolving by q' = phi.q + slack.  Levels and summands are 1-based
 everywhere a human sees them.
+
+Records here and in the other modules are `typing.NamedTuple`s: immutable,
+iterable, and equal to any tuple with the same values.  Nothing compares a
+record with a tuple of another kind, so that equality never shows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import mul
-from typing import Callable, Hashable, Iterable, Optional, Sequence
+from typing import Callable, Hashable, Iterable, NamedTuple, Optional, Sequence
 
 from .linalg import IntMatrix, matvec
 
@@ -43,24 +46,33 @@ class LevelOutOfRange(DiagramError):
     pass
 
 
-@dataclass(frozen=True)
-class AffineTail:
-    """Repeats `matrix` forever; sizes follow q' = matrix.q + slack."""
+class InjectivityRequired(ValueError):
+    """An analysis refuses diagrams with a zero column somewhere."""
 
+
+class _AffineTailFields(NamedTuple):
     matrix: IntMatrix
     slack: tuple[int, ...]
 
-    def __post_init__(self):
-        if not self.matrix.is_square():
-            raise ShapeMismatch(f"tail matrix must be square, got {self.matrix.shape}")
-        if len(self.slack) != self.matrix.rows:
+
+class AffineTail(_AffineTailFields):
+    """Repeats `matrix` forever; sizes follow q' = matrix.q + slack.
+
+    It keeps an instance dict (no `__slots__`) for the cached `matrix_rows`.
+    """
+
+    def __new__(cls, matrix: IntMatrix, slack: tuple[int, ...]):
+        if not matrix.is_square():
+            raise ShapeMismatch(f"tail matrix must be square, got {matrix.shape}")
+        if len(slack) != matrix.rows:
             raise ShapeMismatch(
-                f"tail slack has length {len(self.slack)}, matrix is {self.matrix.rows}x{self.matrix.rows}"
+                f"tail slack has length {len(slack)}, matrix is {matrix.rows}x{matrix.rows}"
             )
-        if any(s < 0 for s in self.slack):
+        if any(s < 0 for s in slack):
             raise ShapeMismatch("tail slack entries must be non-negative")
-        if any(e < 0 for e in self.matrix.entries):
+        if any(e < 0 for e in matrix.entries):
             raise ShapeMismatch("tail matrix entries must be non-negative")
+        return tuple.__new__(cls, (matrix, slack))
 
     @cached_property
     def matrix_rows(self) -> tuple[tuple[int, ...], ...]:
@@ -68,58 +80,62 @@ class AffineTail:
         return tuple(self.matrix.row(i) for i in range(self.matrix.rows))
 
 
-@dataclass(frozen=True)
-class ValidationProblem:
+class ValidationProblem(NamedTuple):
     kind: str
     level: Optional[int]
     summand: Optional[int]
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     injective: bool
     edge_unital: tuple[bool, ...]
-    problems: tuple[ValidationProblem, ...] = field(default_factory=tuple)
+    problems: tuple[ValidationProblem, ...] = ()
 
 
-@dataclass(frozen=True)
-class BratteliDiagram:
-    """Prefix levels + matrices, with an optional affine tail after the prefix."""
-
+class _BratteliDiagramFields(NamedTuple):
     prefix_levels: tuple[tuple[int, ...], ...]
     prefix_matrices: tuple[IntMatrix, ...]
     tail: Optional[AffineTail] = None
 
-    def __post_init__(self):
-        if not self.prefix_levels:
+
+class BratteliDiagram(_BratteliDiagramFields):
+    """Prefix levels + matrices, with an optional affine tail after the prefix.
+
+    A NamedTuple that keeps an instance dict (no `__slots__`) for the cached
+    `validation`; it compares like the tuple of its three fields.
+    """
+
+    def __new__(cls, prefix_levels, prefix_matrices, tail=None):
+        if not prefix_levels:
             raise EmptyLevel("a diagram needs at least one level")
-        for idx, lvl in enumerate(self.prefix_levels, start=1):
+        for idx, lvl in enumerate(prefix_levels, start=1):
             if len(lvl) == 0:
                 raise EmptyLevel(f"level {idx} has no summands")
             if any(p < 1 for p in lvl):
                 raise EmptyLevel(f"level {idx} has a non-positive summand size")
-        if len(self.prefix_matrices) != len(self.prefix_levels) - 1:
+        if len(prefix_matrices) != len(prefix_levels) - 1:
             raise ShapeMismatch(
-                f"{len(self.prefix_levels)} levels need {len(self.prefix_levels) - 1} "
-                f"matrices, got {len(self.prefix_matrices)}"
+                f"{len(prefix_levels)} levels need {len(prefix_levels) - 1} "
+                f"matrices, got {len(prefix_matrices)}"
             )
-        for k, m in enumerate(self.prefix_matrices, start=1):
-            want = (len(self.prefix_levels[k]), len(self.prefix_levels[k - 1]))
+        for k, m in enumerate(prefix_matrices, start=1):
+            want = (len(prefix_levels[k]), len(prefix_levels[k - 1]))
             if m.shape != want:
                 raise ShapeMismatch(f"matrix {k} has shape {m.shape}, expected {want}")
             if any(e < 0 for e in m.entries):
                 raise ShapeMismatch(f"matrix {k} has a negative multiplicity")
-        if self.tail is not None and self.tail.matrix.rows != len(self.prefix_levels[-1]):
+        if tail is not None and tail.matrix.rows != len(prefix_levels[-1]):
             raise ShapeMismatch(
-                f"tail matrix is {self.tail.matrix.shape} but the last prefix level has "
-                f"{len(self.prefix_levels[-1])} summands"
+                f"tail matrix is {tail.matrix.shape} but the last prefix level has "
+                f"{len(prefix_levels[-1])} summands"
             )
+        return tuple.__new__(cls, (prefix_levels, prefix_matrices, tail))
 
     @cached_property
     def validation(self) -> ValidationReport:
-        """`validate(self)`, computed once: a frozen diagram's report cannot change."""
+        """`validate(self)`, computed once: an immutable diagram's report cannot change."""
         return validate(self)
 
     @property

@@ -15,12 +15,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from .diagram import DEFAULT_BUDGET, AffineTail, BratteliDiagram, DiagramError, materialize
 from .linalg import IntMatrix
-from .truncation import d as degree_indicator
 
 
 class ParseError(ValueError):
@@ -32,14 +30,12 @@ class ParseError(ValueError):
         self.reason = message
 
 
-@dataclass(frozen=True)
-class TailDocument:
+class TailDocument(NamedTuple):
     matrix: tuple[tuple[int, ...], ...]
     slack: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class DiagramDocument:
+class DiagramDocument(NamedTuple):
     levels: tuple[tuple[int, ...], ...]
     matrices: tuple[tuple[tuple[int, ...], ...], ...]
     tail: Optional[TailDocument] = None
@@ -208,6 +204,9 @@ def export_dot(d: BratteliDiagram, degree: Optional[int] = None, budget: int = D
     refused with a ParseError at `--budget` naming its level: only the levels
     a tail adds beyond the parsed prefix can grow that long.
     """
+    if degree is not None:  # only a degree's labels need the survival rule
+        from .truncation import d as degree_indicator
+
     profiles, matrices = materialize(d, dot_levels(d, budget))
     parts = ["digraph bratteli {\n  rankdir=TB;\n  node [shape=circle];\n"]
     for lvl, profile in enumerate(profiles, start=1):

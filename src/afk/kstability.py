@@ -22,15 +22,12 @@ detection in a finite phase graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
-from .diagram import DEFAULT_BUDGET, BratteliDiagram, ensure_valid, materialize, unroll_to_repeat
+# loaded on demand: other modules' functions are called through their module (see afk/__init__.py)
+from . import diagram as _diagram
+from .diagram import DEFAULT_BUDGET, BratteliDiagram, InjectivityRequired
 from .linalg import IntMatrix
-
-
-class InjectivityRequired(ValueError):
-    """Classification refuses diagrams with a zero column somewhere."""
 
 
 class InfiniteChainError(Exception):
@@ -58,8 +55,7 @@ INCONCLUSIVE_AT_BUDGET = "inconclusive-at-budget"
 M_MAX = 8
 
 
-@dataclass(frozen=True)
-class KChainWitness:
+class KChainWitness(NamedTuple):
     """A replayable description of an infinite constant-size chain.
 
     The chain occupies one summand per level from `start_level` on: first the
@@ -82,8 +78,7 @@ class KChainWitness:
         return self.cycle_summands[(offset - len(self.node_path)) % self.cycle_period]
 
 
-@dataclass(frozen=True)
-class KStabilityVerdict:
+class KStabilityVerdict(NamedTuple):
     status: str
     witness: Optional[KChainWitness] = None
     certificate: Optional[tuple[tuple[int, tuple[int, ...]], ...]] = None
@@ -145,8 +140,7 @@ def coordinate_classes(tm: IntMatrix, slack: Sequence[int]) -> tuple[tuple[int, 
     return bounded, tuple(sorted(divergent))
 
 
-@dataclass(frozen=True)
-class TailOrbit:
+class TailOrbit(NamedTuple):
     """Certified eventual periodicity of the bounded tail coordinates.
 
     `profiles` and `matrices` run up to level start + period, where the
@@ -164,7 +158,7 @@ def tail_orbit(d: BratteliDiagram, budget: int = DEFAULT_BUDGET) -> Union[TailOr
     if d.tail is None:
         return INCONCLUSIVE
     bounded, _ = coordinate_classes(d.tail.matrix, d.tail.slack)
-    profiles, matrices, cycle = unroll_to_repeat(d, lambda q: tuple(q[i] for i in bounded), budget)
+    profiles, matrices, cycle = _diagram.unroll_to_repeat(d, lambda q: tuple(q[i] for i in bounded), budget)
     if cycle is None:
         return INCONCLUSIVE
     start, period = cycle
@@ -281,7 +275,7 @@ def find_infinite_k_chain(
     exclude chains starting beyond it.  With a tail, the phase-graph analysis
     is complete, so None is a genuine certificate of absence.
     """
-    ensure_valid(d)
+    _diagram.ensure_valid(d)
     orbit = tail_orbit(d, budget)
     if orbit is INCONCLUSIVE:
         return INCONCLUSIVE
@@ -310,7 +304,7 @@ def replay_witness(d: BratteliDiagram, w: KChainWitness, budget: int = DEFAULT_B
         levels = d.prefix_len
     else:
         levels = budget
-    profiles, matrices = materialize(d, levels)
+    profiles, matrices = _diagram.materialize(d, levels)
     violations = []
     if w.start_level > levels:
         return [f"start level {w.start_level} beyond the {levels} materialized levels"]
@@ -397,7 +391,7 @@ def _raise_stage(
         if min(profiles[-1]) <= s:
             raise InfiniteChainError(_identity_completion_witness(d))
     else:
-        profiles, _, cycle = unroll_to_repeat(d, lambda q: tuple(min(x, s + 1) for x in q), budget)
+        profiles, _, cycle = _diagram.unroll_to_repeat(d, lambda q: tuple(min(x, s + 1) for x in q), budget)
         if cycle is None:
             return INCONCLUSIVE
         start, period = cycle
@@ -413,25 +407,38 @@ def _raise_stage(
 
 
 def _telescope(
-    d: BratteliDiagram, m: int, budget: int
-) -> Union[tuple[BratteliDiagram, tuple[int, ...]], _Inconclusive]:
-    current = d
-    schedule = []
-    dropped = 0
-    for s in range(1, m):
+    d: BratteliDiagram, m: int, budget: int, max_cut: Optional[int] = None
+) -> Union[tuple[BratteliDiagram, dict[int, int]], _Inconclusive]:
+    """Run the raising stages s = 1..m-1; (diagram, cuts) or INCONCLUSIVE.
+
+    A valid tail has no zero rows, so no level holds a summand smaller than
+    the smallest prefix summand, and a stage s below it cuts nothing.  Such
+    stages are jumped over at no cost per stage, however many there are.
+    Every stage that runs drops at least one level (the one holding a
+    summand <= s).  `cuts` maps each stage that ran to its cut: the first
+    level kept, numbered in `d`.  A skipped stage keeps the cut before it.
+    With `max_cut`, a cut past that level returns INCONCLUSIVE, so at most
+    `max_cut` stages run.
+    """
+    current, cut, cuts = d, 1, {}
+    s = 1
+    while True:
+        s = max(s, min(map(min, current.prefix_levels)))  # skip the stages that cut nothing
+        if s >= m:
+            return current, cuts
         try:
             out = _raise_stage(current, s, budget)
         except InfiniteChainError as exc:
             w = exc.witness
-            raise InfiniteChainError(
-                replace(w, start_level=w.start_level + dropped)
-            ) from None
+            raise InfiniteChainError(w._replace(start_level=w.start_level + cut - 1)) from None
         if out is INCONCLUSIVE:
             return INCONCLUSIVE
-        current, cut = out
-        dropped += cut - 1
-        schedule.append(dropped + 1)
-    return current, tuple(schedule)
+        current, step = out
+        cut += step - 1
+        if max_cut is not None and cut > max_cut:
+            return INCONCLUSIVE
+        cuts[s] = cut
+        s += 1
 
 
 def telescope(
@@ -441,12 +448,14 @@ def telescope(
 
     Raises InfiniteChainError (with its witness) when a persistent small
     summand makes that impossible, and InjectivityRequired when some
-    connecting map has a zero column.
+    connecting map has a zero column.  A cut past level `budget` and past
+    the given prefix is INCONCLUSIVE, so the work is bounded by the budget
+    and the input, not by m.  A tail-less diagram never cuts past its prefix.
     """
-    ensure_valid(d)
+    _diagram.ensure_valid(d)
     if not d.injective:
         raise InjectivityRequired("telescoping assumes injective connecting maps")
-    out = _telescope(d, m, budget)
+    out = _telescope(d, m, budget, max_cut=max(budget, d.prefix_len))
     if out is INCONCLUSIVE:
         return INCONCLUSIVE
     return out[0]
@@ -459,7 +468,7 @@ def classify(d: BratteliDiagram, budget: int = DEFAULT_BUDGET) -> KStabilityVerd
     own nonzero finite-dimensional representation: never K-stable, and the
     witness records the identity-completion chain through a smallest summand.
     """
-    ensure_valid(d)
+    _diagram.ensure_valid(d)
     if not d.injective:
         raise InjectivityRequired("classification requires injective connecting maps")
     if d.tail is None:
@@ -476,7 +485,10 @@ def classify(d: BratteliDiagram, budget: int = DEFAULT_BUDGET) -> KStabilityVerd
         return KStabilityVerdict(NOT_K_STABLE, witness=exc.witness)
     if out is INCONCLUSIVE:
         return KStabilityVerdict(INCONCLUSIVE_AT_BUDGET)
-    schedule = out[1]
+    cuts, cut, schedule = out[1], 1, ()
+    for s in range(1, M_MAX):
+        cut = cuts.get(s, cut)  # a skipped stage keeps the cut before it
+        schedule += (cut,)
     return KStabilityVerdict(
         K_STABLE, certificate=tuple((m, schedule[: m - 1]) for m in range(1, M_MAX + 1))
     )

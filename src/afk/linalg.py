@@ -15,9 +15,8 @@ rank(C^(j+t) · X) = rank(C^j · X) for every t and every X.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
 class DimensionMismatch(ValueError):
@@ -28,22 +27,30 @@ class NotSquare(ValueError):
     """A square matrix was required."""
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """An immutable integer matrix stored row-major."""
-
+class _IntMatrixFields(NamedTuple):
     rows: int
     cols: int
     entries: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise DimensionMismatch(f"negative dimensions {self.rows}x{self.cols}")
-        if len(self.entries) != self.rows * self.cols:
+
+class IntMatrix(_IntMatrixFields):
+    """An immutable integer matrix stored row-major.
+
+    A NamedTuple, so it hashes and compares by value like a tuple of its
+    fields: it even equals the plain tuple (rows, cols, entries).  Matrices
+    are only ever compared with matrices.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, rows: int, cols: int, entries: tuple[int, ...]):
+        if rows < 0 or cols < 0:
+            raise DimensionMismatch(f"negative dimensions {rows}x{cols}")
+        if len(entries) != rows * cols:
             raise DimensionMismatch(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
-                f"entries, got {len(self.entries)}"
+                f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
             )
+        return tuple.__new__(cls, (rows, cols, entries))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":

@@ -31,10 +31,11 @@ triples give equal submatrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .diagram import DEFAULT_BUDGET, BratteliDiagram, ensure_valid, first_repeat, unroll_to_repeat
+# loaded on demand: other modules' functions are called through their module (see afk/__init__.py)
+from . import diagram as _diagram
+from .diagram import DEFAULT_BUDGET, BratteliDiagram
 from .linalg import IntMatrix
 
 
@@ -65,15 +66,16 @@ def truncate_map(
     return phi.submatrix(kept_indices(dst, m), kept_indices(src, m))
 
 
-@dataclass(frozen=True)
-class TruncatedSystem:
+class TruncatedSystem(NamedTuple):
     """The degree-m chain of vector spaces extracted from a diagram.
 
     With a tail, `cycle_start` / `period` (1-based level, length) certify
     that the clamped sizes repeat from `cycle_start` on, and the system ends
     at level cycle_start + period; `budget_exceeded` is set instead when no
     repeat showed within the level budget, and the system then holds only
-    the prefix.  Without a tail the system is every given level.
+    the prefix.  Without a tail the system is every given level.  As a
+    NamedTuple it equals any tuple with the same values; the memo in
+    `colimit.profile_systems` only ever compares systems with each other.
     """
 
     dims: tuple[int, ...]
@@ -102,9 +104,9 @@ def build_systems(
             raise ValueError(f"degree must be >= 1, got {m}")
     if not degrees:
         return []
-    ensure_valid(diagram)
+    _diagram.ensure_valid(diagram)
     top = (max(degrees) + 1) // 2
-    found = unroll_to_repeat(diagram, lambda q: tuple(min(x, top) for x in q), budget)
+    found = _diagram.unroll_to_repeat(diagram, lambda q: tuple(min(x, top) for x in q), budget)
     profiles, matrices, cycle = found or ((), (), None)
     first = diagram.prefix_len
     # keyed by id: every matrix stays alive in `matrices` or the diagram meanwhile
@@ -117,7 +119,7 @@ def build_systems(
         if h == top:
             repeat = cycle
         else:  # min(q, top) repeating forces min(q, h) to repeat: rescan what is stored
-            repeat = first_repeat(
+            repeat = _diagram.first_repeat(
                 (tuple(min(x, h) for x in q) for q in profiles[first - 1 :]), first
             )
         exceeded = found is not None and repeat is None

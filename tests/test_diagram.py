@@ -12,14 +12,15 @@ from afk.diagram import (
     LevelOutOfRange,
     ShapeMismatch,
     SizeOverflowAtEdge,
+    ValidationProblem,
     ensure_valid,
     materialize,
     unroll_to_repeat,
     validate,
 )
-from afk.io import export_dot
-from afk.kstability import classify, coordinate_classes, find_infinite_k_chain, telescope
-from afk.linalg import IntMatrix, multiply
+from afk.io import export_dot, from_diagram
+from afk.kstability import KChainWitness, classify, coordinate_classes, find_infinite_k_chain, tail_orbit, telescope
+from afk.linalg import DimensionMismatch, IntMatrix, multiply
 from afk.truncation import TruncatedSystem, build_system
 from cases import constant_column, single_level, two_column, worked_example
 from generators import random_growing_tail_diagram, random_pinned_tail_diagram, random_stationary_tail_diagram
@@ -115,6 +116,42 @@ def test_construction_rejects_bad_shapes():
         AffineTail(matrix=IntMatrix.from_rows([[1, 0]]), slack=(0,))
     with pytest.raises(ShapeMismatch):
         AffineTail(matrix=IntMatrix.identity(2), slack=(0,))
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: IntMatrix(2, 2, (1, 2, 3)), DimensionMismatch),
+    (lambda: IntMatrix(-1, 0, ()), DimensionMismatch),
+    (lambda: IntMatrix.from_rows([[1, 2], [3]]), DimensionMismatch),
+    (lambda: AffineTail(IntMatrix.identity(1), (-1,)), ShapeMismatch),
+    (lambda: AffineTail(IntMatrix.from_rows([[-1]]), (0,)), ShapeMismatch),
+    (lambda: BratteliDiagram((), ()), EmptyLevel),
+    (lambda: BratteliDiagram(((1,), (2,)), ()), ShapeMismatch),
+    (lambda: BratteliDiagram(((1,), (2,)), (IntMatrix.from_rows([[-1]]),)), ShapeMismatch),
+    (lambda: BratteliDiagram(((1,),), (), AffineTail(IntMatrix.identity(2), (0, 0))), ShapeMismatch),
+])
+def test_records_with_invariants_reject_bad_shapes(build, error):
+    with pytest.raises(error):
+        build()
+
+
+def test_records_are_immutable_tuples():
+    d = two_column()
+    verdict = classify(d)
+    records = [
+        (d.tail.matrix, "rows"), (d.tail, "slack"), (d, "tail"), (d.validation, "ok"),
+        (ValidationProblem("k", None, 1, "m"), "kind"), (verdict, "status"),
+        (KChainWitness(1, 1, (), 1, (1,)), "k"), (fm_profile(d, 1)[0][1], "dimension"),
+        (build_system(d, 3), "dims"), (tail_orbit(d), "period"),
+        (from_diagram(d), "levels"), (from_diagram(d).tail, "slack"),
+    ]
+    for record, name in records:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        assert tuple(record) == tuple(getattr(record, f) for f in record._fields)
+    # a NamedTuple compares like the tuple of its fields
+    assert IntMatrix(1, 1, (5,)) == (1, 1, (5,))
+    assert not hasattr(IntMatrix(1, 1, (5,)), "__dict__")
+    assert d.validation is d.validation
 
 
 def test_tail_zero_row_reported():

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -340,7 +341,7 @@ def test_cli_text_format(tmp_path, capsys):
 
 def test_cli_internal_error_exit_three(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(
-        "afk.cli.profile_systems", lambda *a, **k: (_ for _ in ()).throw(RuntimeError("boom"))
+        "afk.colimit.profile_systems", lambda *a, **k: (_ for _ in ()).throw(RuntimeError("boom"))
     )
     code, out = run_cli(tmp_path, capsys, TWO_COLUMN_JSON, "fm", "--m", "3")
     report = json.loads(out)
@@ -519,6 +520,38 @@ def test_cli_rejects_out_of_range_input_with_locus(tmp_path, capsys, argv, doc, 
         else:
             assert f"error at {locus}: " in out
 
+
+
+SEVEN_THOUSAND_FOLD_JSON = '{"levels":[[1]],"matrices":[],"tail":{"matrix":[[7000]],"slack":[0]}}'
+
+
+@pytest.mark.parametrize(
+    "min_dim, code",
+    [
+        ("1" + "0" * 4298, 0),  # 7000^1118, the first size past it, has 4299 digits
+        pytest.param("9" * 4299, 1, marks=needs_digit_limit),  # 7000^1119 has 4303
+    ],
+    ids=["printable", "too-long"],
+)
+def test_cli_telescope_to_a_huge_min_dim_is_bounded_and_never_internal(tmp_path, capsys, min_dim, code):
+    start = time.perf_counter()
+    got, out = run_cli(tmp_path, capsys, SEVEN_THOUSAND_FOLD_JSON, "telescope", "--min-dim", min_dim, "--budget", "2000")
+    assert time.perf_counter() - start < 1
+    report = json.loads(out)
+    assert got == code
+    if code == 0:
+        assert report["result"]["diagram"]["levels"] == [[7000**1118]]
+    else:
+        assert report["error"]["locus"] == "--min-dim"
+
+
+def test_cli_telescope_past_the_budget_is_inconclusive(tmp_path, capsys):
+    linear = '{"levels":[[1]],"matrices":[],"tail":{"matrix":[[1]],"slack":[1]}}'
+    start = time.perf_counter()
+    code, out = run_cli(tmp_path, capsys, linear, "telescope", "--min-dim", "100000")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert json.loads(out)["result"] == {"outcome": "inconclusive"}
 
 
 OVERFLOW_JSON = '{"levels":[[2],[1]],"matrices":[[[1]]]}'

@@ -153,6 +153,42 @@ def test_telescope_preserves_fm_profile_two_column():
     assert [(m, r.dimension, r.exact) for m, r in fm_profile(scoped, 9)] == base
 
 
+SEVEN_THOUSAND_FOLD = BratteliDiagram(
+    prefix_levels=((1,),), prefix_matrices=(), tail=AffineTail(IntMatrix.from_rows([[7000]]), (0,))
+)
+# sizes 1, 2, 3, ...: every stage cuts exactly one level
+LINEAR = BratteliDiagram(
+    prefix_levels=((1,),), prefix_matrices=(), tail=AffineTail(IntMatrix.from_rows([[1]]), (1,))
+)
+
+
+def test_telescope_jumps_over_stages_below_the_smallest_summand():
+    start = time.perf_counter()
+    out = telescope(SEVEN_THOUSAND_FOLD, 10**100)
+    assert time.perf_counter() - start < 1
+    assert out.prefix_levels == ((7000**27,),)  # the first size >= 10^100
+    # the skipped stages keep the cut before them in the K-stable certificate
+    verdict = classify(SEVEN_THOUSAND_FOLD)
+    assert verdict.status == K_STABLE
+    assert verdict.certificate == tuple((m, (2,) * (m - 1)) for m in range(1, 9))
+
+
+def test_telescope_is_inconclusive_once_the_cut_passes_the_budget():
+    assert telescope(LINEAR, 64, budget=64).prefix_levels == ((64,),)
+    assert telescope(LINEAR, 65, budget=64) is INCONCLUSIVE
+    start = time.perf_counter()
+    assert telescope(LINEAR, 100000) is INCONCLUSIVE
+    assert time.perf_counter() - start < 1
+
+
+def test_telescope_of_a_tail_less_diagram_does_not_depend_on_the_budget():
+    d = BratteliDiagram(
+        prefix_levels=((1,), (2,), (3,)), prefix_matrices=(IntMatrix.identity(1), IntMatrix.identity(1))
+    )
+    for budget in (1, 64):
+        assert telescope(d, 3, budget=budget).prefix_levels == ((3,),)
+
+
 # --- classification --------------------------------------------------------
 
 

@@ -1,7 +1,10 @@
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import afk
 
@@ -33,3 +36,70 @@ def test_the_package_imports_only_the_standard_library():
     assert loaded - {"afk"} <= set(sys.stdlib_module_names)
     submodules = {name for name in proc.stdout.split() if name.startswith("afk.")}
     assert {"afk.cli", "afk.colimit", "afk.kstability", "afk.truncation"} <= submodules
+
+
+def test_star_import_and_dir_list_every_exported_name():
+    namespace = {}
+    exec("from afk import *", namespace)
+    assert set(afk.__all__) <= set(namespace)
+    assert set(afk.__all__) | {"__version__"} <= set(dir(afk))
+
+
+def test_each_export_is_defined_in_the_module_its_table_entry_names():
+    for name, module in afk._EXPORTS.items():
+        home = importlib.import_module(f"afk.{module}")
+        value = getattr(home, name)
+        # classes and functions know their module; the INCONCLUSIVE sentinel's class does
+        defined_in = value.__module__ if hasattr(value, "__qualname__") else type(value).__module__
+        assert defined_in == home.__name__, name
+        assert getattr(afk, name) is value, name
+
+
+def test_an_unknown_package_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError):
+        afk.no_such_name
+
+
+# the engine modules a cold call of each command must not load
+STARTUP_ARGV = {
+    "validate": ([], {"afk.colimit", "afk.truncation", "afk.kstability"}),
+    "fm": (["--m", "3"], {"afk.kstability"}),
+    "fm-profile": (["--max-m", "5"], {"afk.kstability"}),
+    "k0q": ([], {"afk.kstability"}),
+    "kstable": ([], {"afk.colimit"}),
+    "telescope": (["--min-dim", "3"], {"afk.colimit"}),
+    "export-dot": ([], {"afk.colimit", "afk.truncation", "afk.kstability"}),
+}
+
+STARTUP_SCRIPT = """
+import io, sys
+from afk import cli
+stdout, sys.stdout = sys.stdout, io.StringIO()
+code = cli.main(sys.argv[1:] + ["--input", "-"])
+sys.stdout = stdout
+print(code)
+print(" ".join(sorted(sys.modules)))
+"""
+
+TAIL_DOCUMENT = '{"levels":[[1,1],[2,2]],"matrices":[[[1,0],[1,1]]],"tail":{"matrix":[[1,0],[1,1]],"slack":[1,0]}}'
+
+
+def test_a_cold_command_loads_only_its_own_engine_modules():
+    src = str(Path(afk.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    children = {
+        command: subprocess.Popen(
+            [sys.executable, "-c", STARTUP_SCRIPT, command, *flags],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        for command, (flags, _) in STARTUP_ARGV.items()
+    }
+    for command, child in children.items():
+        out, err = child.communicate(TAIL_DOCUMENT, timeout=60)
+        assert child.returncode == 0, err
+        code, modules = out.splitlines()
+        loaded = set(modules.split())
+        assert code == "0", command
+        assert "afk.cli" in loaded
+        assert "dataclasses" not in loaded, command
+        assert not loaded & STARTUP_ARGV[command][1], (command, loaded & STARTUP_ARGV[command][1])
