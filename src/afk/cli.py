@@ -12,9 +12,10 @@ output, so the timing block counts levels instead of wall-clock time.
 
 `COMMANDS` is the one command table: each name maps to its run function,
 its help text and its own flags, and both the parser and the dispatch read
-it.  A call that names a command builds only that command's subparser;
-help, version, a missing or unknown command build every one, so their text
-is unchanged.  A command imports its engine (`colimit` for fm, fm-profile
+it.  A well-formed call that names a command builds one parser, that
+command's own; help, version, a missing or unknown command and a usage
+error build the `afk` parser with every command's subparser, so their text
+is argparse's own.  A command imports its engine (`colimit` for fm, fm-profile
 and k0q, `kstability` for kstable and telescope) when it runs, so a cold
 call loads only the modules its command needs.
 """
@@ -56,41 +57,84 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
 
 
-def _build_parser(names) -> argparse.ArgumentParser:
-    """The `afk` parser with one subparser for each command in `names`.
+class _UsageError(Exception):
+    """A usage error met by a command's own parser; the `afk` parser reports it."""
 
-    Its usage line always lists every command, so a parser built for one
-    command rejects a stray argument with the same message as the full one.
+
+class _CommandParser(argparse.ArgumentParser):
+    """One command's parser, as the `afk` parser's subparser for it would be built.
+
+    It prints no error of its own: `main` hands such an argv to the `afk`
+    parser, whose text (its usage line or the subparser's) it must keep.
+    """
+
+    def error(self, message):
+        raise _UsageError
+
+
+def _add_arguments(parser: argparse.ArgumentParser, command: Command) -> None:
+    """The flags every command shares, then the command's own."""
+    parser.add_argument("--input", required=True, help="path to a diagram JSON file, or - for stdin")
+    parser.add_argument("--budget", type=int, default=None, help=f"max levels to materialize (default {DEFAULT_BUDGET}; AFK_BUDGET overrides)")
+    parser.add_argument("--format", choices=("json", "text"), default="json", help="report format")
+    for flag, options in command.flags:
+        parser.add_argument(flag, **options)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The `afk` parser, with one subparser for every command.
+
+    `main` builds it only for help, version, a missing or unknown command
+    and a usage error, so their text is argparse's own.
     """
     parser = _Parser(prog="afk", description="Nonstable K-theory of AF-algebras from Bratteli diagrams, in exact arithmetic.")
     parser.add_argument("--version", action="version", version=f"afk {__version__}")
-    # the full parser keeps argparse's default metavar: its errors name the argument "command"
-    metavar = None if len(names) == len(COMMANDS) else "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        command = COMMANDS[name]
-        p = sub.add_parser(name, help=command.help)
-        p.add_argument("--input", required=True, help="path to a diagram JSON file, or - for stdin")
-        p.add_argument("--budget", type=int, default=None, help=f"max levels to materialize (default {DEFAULT_BUDGET}; AFK_BUDGET overrides)")
-        p.add_argument("--format", choices=("json", "text"), default="json", help="report format")
-        for flag, options in command.flags:
-            p.add_argument(flag, **options)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=command.help), command)
     return parser
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """The parsed flags of a well-formed call that names a command, from its parser alone.
+
+    The `afk` parser hands everything after the command's name to that
+    command's subparser, so the command's own parser, built alike, sees the
+    same arguments and accepts exactly the same calls.  (The one argument the
+    `afk` parser itself refuses first, an ambiguous `--=...`, is ambiguous to
+    every command's parser too.)  Anything else (help,
+    version, no or an unknown command, a usage error, an argument the command
+    does not know) goes to the `afk` parser, which prints argparse's text and
+    exits.
+    """
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is not None:
+        parser = _CommandParser(prog=f"afk {argv[0]}")
+        _add_arguments(parser, command)
+        try:
+            args, extras = parser.parse_known_args(argv[1:])
+        except _UsageError:
+            extras = True
+        if not extras:
+            args.command = argv[0]
+            return args
+    return _build_parser().parse_args(argv)
+
+
 def _resolve_budget(args) -> int:
-    budget = args.budget
+    """The flag, else AFK_BUDGET, else the default; a bad value names where it came from."""
+    budget, locus = args.budget, "--budget"
     if budget is None:
         env = os.environ.get("AFK_BUDGET")
-        if env is not None:
-            try:
-                budget = int(env)
-            except ValueError:
-                raise ParseError("AFK_BUDGET", f"not an integer: {env!r}") from None
-        else:
-            budget = DEFAULT_BUDGET
+        if env is None:
+            return DEFAULT_BUDGET
+        locus = "AFK_BUDGET"
+        try:
+            budget = int(env)
+        except ValueError:
+            raise ParseError(locus, f"not an integer: {env!r}") from None
     if budget < 1:
-        raise ParseError("--budget", f"must be at least 1, got {budget}")
+        raise ParseError(locus, f"must be at least 1, got {budget}")
     return budget
 
 
@@ -379,9 +423,7 @@ def _dispatch(args) -> int:
 def main(argv: Optional[list[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # help, version and a missing or unknown command need every command's parser
-    names = argv[:1] if argv and argv[0] in COMMANDS else COMMANDS
-    args = _build_parser(names).parse_args(argv)
+    args = _parse_args(argv)
     try:
         return _dispatch(args)
     except ParseError as exc:

@@ -157,6 +157,24 @@ def test_export_dot_refuses_a_size_past_the_digit_limit():
     assert export_dot(d, degree=3, budget=4000).count("rank=same") == 4000  # 0/1 labels
 
 
+@needs_digit_limit
+def test_cli_export_dot_refuses_at_the_first_long_size_without_unrolling_the_budget(tmp_path, capsys, monkeypatch):
+    step, steps = afk.diagram.tail_step, []
+
+    def counting(tail, q):
+        steps.append(None)
+        if len(steps) > 4000:
+            raise AssertionError("export-dot unrolled past the level it refuses")
+        return step(tail, q)
+
+    monkeypatch.setattr(afk.diagram, "tail_step", counting)
+    code, out = run_cli(tmp_path, capsys, TWENTY_FOLD_JSON, "export-dot", "--budget", "200000")
+    report = json.loads(out)
+    assert code == 1
+    assert report["error"]["locus"] == "--budget"
+    assert "level 3307 " in report["error"]["message"]
+
+
 # --- CLI ----------------------------------------------------------------------
 
 
@@ -323,6 +341,17 @@ def test_cli_budget_env_and_flag(tmp_path, capsys, monkeypatch):
     assert code == 0  # flag wins over the environment
 
 
+@pytest.mark.parametrize("env", ["0", "-5", "x"])
+def test_cli_bad_budget_env_is_blamed_on_the_environment(tmp_path, capsys, monkeypatch, env):
+    monkeypatch.setenv("AFK_BUDGET", env)
+    code, out = run_cli(tmp_path, capsys, TWO_COLUMN_JSON, "fm", "--m", "3")
+    assert code == 1
+    assert json.loads(out)["error"]["locus"] == "AFK_BUDGET"
+    code, out = run_cli(tmp_path, capsys, TWO_COLUMN_JSON, "fm", "--m", "3", "--budget", "0")
+    assert code == 1
+    assert json.loads(out)["error"]["locus"] == "--budget"  # the flag wins, and is blamed
+
+
 def test_cli_stdin_input(capsys, monkeypatch):
     import io as _io
 
@@ -369,7 +398,7 @@ def test_cli_usage_errors_exit_one(capsys, argv):
 
 
 def test_cli_stray_argument_usage_lists_every_command(capsys):
-    # only the fm parser is built, yet the usage line is the full parser's
+    # the fm parser leaves --bogus unrecognised, so the afk parser reports it in its own words
     with pytest.raises(SystemExit) as exc:
         main(["fm", "--m", "3", "--input", "-", "--bogus"])
     assert exc.value.code == 1
@@ -378,18 +407,24 @@ def test_cli_stray_argument_usage_lists_every_command(capsys):
     assert err.endswith("afk: error: unrecognized arguments: --bogus\n")
 
 
-def test_cli_builds_only_the_invoked_command_parser(monkeypatch, capsys):
-    built = []
-    add_parser = argparse._SubParsersAction.add_parser
+def test_cli_builds_one_parser_for_a_well_formed_call(monkeypatch, capsys):
+    parsers, subparsers = [], []
+    parser_init = argparse.ArgumentParser.__init__
+    subparsers_init = argparse._SubParsersAction.__init__
 
-    def counting(self, name, **kwargs):
-        built.append(name)
-        return add_parser(self, name, **kwargs)
+    def counting_parser(self, *args, **kwargs):
+        parsers.append(kwargs.get("prog"))
+        parser_init(self, *args, **kwargs)
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    def counting_subparsers(self, *args, **kwargs):
+        subparsers.append(self)
+        subparsers_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_parser)
+    monkeypatch.setattr(argparse._SubParsersAction, "__init__", counting_subparsers)
     monkeypatch.setattr(sys, "stdin", io.StringIO(TWO_COLUMN_JSON))
     assert main(["fm", "--m", "3", "--input", "-"]) == 0
-    assert built == ["fm"]
+    assert parsers == ["afk fm"] and subparsers == []
 
 
 # runs `afk` as a process would (argv from sys.argv) beside the all-commands parser
@@ -399,7 +434,7 @@ from afk import cli
 out = []
 for argv in json.loads(sys.argv[1]):
     got = []
-    for call in (cli.main, lambda: cli._build_parser(cli.COMMANDS).parse_args(argv)):
+    for call in (cli.main, lambda: cli._build_parser().parse_args(argv)):
         sys.argv = ["afk", *argv]
         buf, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
@@ -414,21 +449,48 @@ print(json.dumps(out))
 """
 
 
-def test_cli_help_and_version_match_the_all_commands_parser():
-    argvs = [["--help"], ["--version"], *([name, "--help"] for name in cli.COMMANDS)]
+def run_parser_child(argvs):
+    """[cli.main's, the full parser's] (exit code, stdout, stderr) for each argv, in a child process."""
     src = Path(afk.__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, "-c", PARSER_CHILD, json.dumps(argvs)],
+        [sys.executable, "-c", PARSER_CHILD, json.dumps(argvs)], stdin=subprocess.DEVNULL,
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src), "COLUMNS": "80"}, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    for argv, (got, want) in zip(argvs, json.loads(proc.stdout)):
+    return json.loads(proc.stdout)
+
+
+def test_cli_help_and_version_match_the_all_commands_parser():
+    argvs = [
+        ["--help"], ["--version"], *([name, "--help"] for name in cli.COMMANDS),
+        ["fm", "--bogus", "-h"], ["telescope", "--min-dim", "3", "-h"],
+    ]
+    got_all = run_parser_child(argvs)
+    for argv, (got, want) in zip(argvs, got_all):
         assert got == want, argv
         assert got[0] == 0 and got[1], argv
-    help_text = json.loads(proc.stdout)[0][0][1]
+    help_text = got_all[0][0][1]
     listed = help_text.split("positional arguments:\n")[1].split("\n\n")[0].splitlines()
     assert listed[0].strip() == "{" + ",".join(cli.COMMANDS) + "}"
     assert [line.split()[0] for line in listed[1:]] == list(cli.COMMANDS)
+
+
+def test_cli_usage_errors_match_the_all_commands_parser():
+    argvs = [
+        ["fm", "--m", "3", "--input", "-", "--bogus"],
+        ["fm", "--version"],
+        ["kstable", "--input", "-", "extra"],
+        ["validate", "--input", "-", "--", "x"],
+        ["fm", "--m", "x", "--input", "-"],
+        ["fm", "--input", "-"],
+        ["fm", "--m", "x", "--bogus"],
+        ["fm", "--=x", "--m", "3", "--input", "-"],  # ambiguous to the afk parser, before fm's sees it
+        ["bogus"],
+        [],
+    ]
+    for argv, (got, want) in zip(argvs, run_parser_child(argvs)):
+        assert got == want, argv
+        assert got[0] == 1 and not got[1] and "usage: afk" in got[2], argv
 
 
 def test_cli_non_utf8_input_file_exits_one(tmp_path, capsys):
