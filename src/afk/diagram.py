@@ -14,8 +14,9 @@ record with a tuple of another kind, so that equality never shows.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import repeat
 from operator import mul
-from typing import Callable, Hashable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .linalg import IntMatrix, matvec
 
@@ -230,11 +231,13 @@ def tail_step(tail: AffineTail, q: Sequence[int]) -> tuple[int, ...]:
 
 def materialize(
     d: BratteliDiagram, levels: int
-) -> tuple[list[tuple[int, ...]], list[IntMatrix]]:
-    """First `levels` level profiles and the matrices connecting them.
+) -> tuple[Iterator[tuple[int, ...]], Iterator[IntMatrix]]:
+    """First `levels` level profiles and the matrices connecting them, both lazy.
 
-    Tail levels are unrolled through q' = phi.q + slack.  Requesting more
-    levels than a tail-less diagram has raises LevelOutOfRange.
+    Tail levels are unrolled through q' = phi.q + slack only as the profiles
+    are read, so a caller that reads them in order holds one level at a
+    time.  Requesting more levels than a tail-less diagram has raises
+    LevelOutOfRange at once.
     """
     if levels < 1:
         raise LevelOutOfRange("need at least one level")
@@ -242,13 +245,21 @@ def materialize(
         raise LevelOutOfRange(
             f"diagram has {d.prefix_len} levels and no tail; {levels} requested"
         )
-    profiles = list(d.prefix_levels[:levels])
-    matrices = list(d.prefix_matrices[: max(0, levels - 1)])
-    while len(profiles) < levels:
-        assert d.tail is not None
-        profiles.append(tail_step(d.tail, profiles[-1]))
-        matrices.append(d.tail.matrix)
-    return profiles, matrices
+    return _profiles(d, levels), _matrices(d, levels)
+
+
+def _profiles(d: BratteliDiagram, levels: int) -> Iterator[tuple[int, ...]]:
+    yield from d.prefix_levels[:levels]
+    q = d.prefix_levels[-1]
+    for _ in range(levels - d.prefix_len):
+        q = tail_step(d.tail, q)
+        yield q
+
+
+def _matrices(d: BratteliDiagram, levels: int) -> Iterator[IntMatrix]:
+    yield from d.prefix_matrices[: levels - 1]
+    if levels > d.prefix_len:
+        yield from repeat(d.tail.matrix, levels - d.prefix_len)
 
 
 def first_repeat(keys: Iterable[Hashable], first_level: int) -> Optional[tuple[int, int]]:

@@ -17,8 +17,7 @@ import hashlib
 import json
 from typing import Any, NamedTuple, Optional
 
-from . import diagram as _diagram
-from .diagram import DEFAULT_BUDGET, AffineTail, BratteliDiagram, DiagramError
+from .diagram import DEFAULT_BUDGET, AffineTail, BratteliDiagram, DiagramError, materialize
 from .linalg import IntMatrix
 
 
@@ -208,13 +207,11 @@ def export_dot(d: BratteliDiagram, degree: Optional[int] = None, budget: int = D
     if degree is not None:  # only a degree's labels need the survival rule
         from .truncation import d as degree_indicator
 
-    levels = dot_levels(d, budget)
+    profiles, matrices = materialize(d, dot_levels(d, budget))
     parts = ["digraph bratteli {\n  rankdir=TB;\n  node [shape=circle];\n"]
-    # each tail level is stepped from the one before and dropped once drawn, so
-    # a size too long to print is met without unrolling the levels after it
-    profile = d.prefix_levels[0]
-    for lvl in range(1, levels + 1):
-        profile = d.prefix_levels[lvl - 1] if lvl <= d.prefix_len else _diagram.tail_step(d.tail, profile)
+    # each level is drawn as it is stepped, so a size too long to print is met
+    # without unrolling the levels after it
+    for lvl, profile in enumerate(profiles, start=1):
         labels = profile if degree is None else [degree_indicator(degree, p) for p in profile]
         names = [f'"L{lvl}S{i}"' for i in range(1, len(profile) + 1)]
         try:
@@ -222,9 +219,6 @@ def export_dot(d: BratteliDiagram, degree: Optional[int] = None, budget: int = D
         except ValueError:
             raise ParseError("--budget", f"level {lvl} has a summand size too long to print; draw fewer levels") from None
         parts.append(f"  {{ rank=same; {'; '.join(names)}; }}\n")
-    matrices = list(d.prefix_matrices)
-    if d.tail is not None:
-        matrices += [d.tail.matrix] * (levels - d.prefix_len)
     # a tail repeats one matrix object: its edge lines are built once, with
     # the source and target level numbers left as fields {0} and {1}
     templates: dict[int, str] = {}

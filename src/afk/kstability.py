@@ -304,7 +304,7 @@ def replay_witness(d: BratteliDiagram, w: KChainWitness, budget: int = DEFAULT_B
         levels = d.prefix_len
     else:
         levels = budget
-    profiles, matrices = _diagram.materialize(d, levels)
+    profiles, matrices = map(list, _diagram.materialize(d, levels))
     violations = []
     if w.start_level > levels:
         return [f"start level {w.start_level} beyond the {levels} materialized levels"]

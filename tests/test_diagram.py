@@ -166,7 +166,7 @@ def test_tail_zero_row_reported():
 
 
 def test_materialize_two_column():
-    profiles, matrices = materialize(two_column(), 4)
+    profiles, matrices = map(list, materialize(two_column(), 4))
     assert profiles == [(1, 1), (2, 2), (3, 4), (4, 7)]
     phi = IntMatrix.from_rows([[1, 0], [1, 1]])
     assert matrices == [phi, phi, phi]
@@ -174,7 +174,7 @@ def test_materialize_two_column():
 
 def test_materialize_prefix_only_identity():
     d = worked_example()
-    profiles, matrices = materialize(d, 2)
+    profiles, matrices = map(list, materialize(d, 2))
     assert profiles == [(1, 2, 3), (1, 3, 5, 8)]
     assert matrices == list(d.prefix_matrices)
     with pytest.raises(LevelOutOfRange):
@@ -194,8 +194,8 @@ def test_materialize_doubling_tail():
 def test_materialize_prefix_property():
     d = two_column()
     for k in range(1, 8):
-        a, ma = materialize(d, k)
-        b, mb = materialize(d, k + 1)
+        a, ma = map(list, materialize(d, k))
+        b, mb = map(list, materialize(d, k + 1))
         assert b[:k] == a
         assert mb[: k - 1] == ma
 
@@ -221,14 +221,14 @@ def test_unroll_to_repeat_matches_a_scan_over_materialize():
             keys = [lambda q, c=c: tuple(min(x, c) for x in q) for c in range(1, 7)]
             keys.append(lambda q: tuple(q[i] for i in bounded))
             for budget in range(1, 41):
-                profiles, _ = materialize(d, budget)
+                profiles = list(materialize(d, budget)[0])
                 for key in keys:
                     got_profiles, got_matrices, cycle = unroll_to_repeat(d, key, budget)
                     expected = _first_repeat(profiles, key, d.prefix_len)
                     assert cycle == expected
                     # a repeat ends the unroll; without one it keeps every level it scanned
                     end = sum(cycle) if cycle else max(budget, d.prefix_len)
-                    assert (got_profiles, got_matrices) == materialize(d, end)
+                    assert (got_profiles, got_matrices) == tuple(map(list, materialize(d, end)))
                     cases += cycle is not None
     assert cases >= 1000
     assert unroll_to_repeat(worked_example(), tuple, 64) is None  # no tail, nothing to unroll

@@ -166,7 +166,7 @@ def _reference_system(dg, m, budget):
     h = (m + 1) // 2
     profiles, matrices, cycle = dg.prefix_levels, dg.prefix_matrices, None
     if dg.tail is not None:
-        levels, joins = materialize(dg, max(budget, dg.prefix_len))
+        levels, joins = map(list, materialize(dg, max(budget, dg.prefix_len)))
         seen = {}
         for level in range(dg.prefix_len, budget + 1):
             key = tuple(min(x, h) for x in levels[level - 1])
