@@ -5,7 +5,9 @@ non-initial node has the previous node as its only predecessor) certifies a
 finite-dimensional quotient, hence failure of K-stability.  Conversely, a
 diagram whose tail provably carries no infinite chain can be telescoped, for
 every target m, into a presentation whose summands all have size >= m, which
-certifies K-stability.
+certifies K-stability.  Telescoping is one walk and one cut: the walk unrolls
+until no summand is < m, or until one provably stays < m forever, and the cut
+drops every level up to the last one holding a summand < m.
 
 Tail analysis is exact.  Coordinates of an affine tail split into
 
@@ -51,7 +53,7 @@ NOT_K_STABLE = "not-k-stable"
 K_STABLE = "k-stable"
 INCONCLUSIVE_AT_BUDGET = "inconclusive-at-budget"
 
-# a K-stable verdict certifies the telescoping stages for degrees 1..M_MAX
+# a K-stable verdict certifies the telescoping cuts for targets m = 1..M_MAX
 M_MAX = 8
 
 
@@ -276,22 +278,23 @@ def find_infinite_k_chain(
     is complete, so None is a genuine certificate of absence.
     """
     _diagram.ensure_valid(d)
+    return _chain_in_tail(d, budget)
+
+
+def _chain_in_tail(d: BratteliDiagram, budget: int) -> Union[KChainWitness, None, _Inconclusive]:
+    """`find_infinite_k_chain` on a diagram known valid, such as a cut of a valid one."""
     orbit = tail_orbit(d, budget)
     if orbit is INCONCLUSIVE:
         return INCONCLUSIVE
     tm = d.tail.matrix
     window = range(orbit.start, orbit.start + orbit.period)
-    candidates = sorted(
-        {orbit.profiles[lvl - 1][i] for lvl in window for i in orbit.bounded}
-    )
+    candidates = sorted({orbit.profiles[lvl - 1][i] for lvl in window for i in orbit.bounded})
     witnesses = []
     for k in candidates:
         cycle = _phase_graph_cycle(orbit, tm, k)
         if cycle is not None:
             witnesses.append(_witness_from_cycle(orbit, k, cycle))
-    if witnesses:
-        return min(witnesses, key=lambda w: (w.k, w.start_level))
-    return None
+    return min(witnesses, key=lambda w: (w.k, w.start_level), default=None)
 
 
 def replay_witness(d: BratteliDiagram, w: KChainWitness, budget: int = DEFAULT_BUDGET) -> list[str]:
@@ -335,24 +338,12 @@ def replay_witness(d: BratteliDiagram, w: KChainWitness, budget: int = DEFAULT_B
     return violations
 
 
-def _drop_before(
-    d: BratteliDiagram,
-    profiles: Sequence[tuple[int, ...]],
-    cut: int,
-) -> BratteliDiagram:
+def _drop_before(d: BratteliDiagram, profiles: Sequence[tuple[int, ...]], cut: int) -> BratteliDiagram:
     if cut == 1:
         return d
     if cut <= d.prefix_len:
-        return BratteliDiagram(
-            prefix_levels=d.prefix_levels[cut - 1 :],
-            prefix_matrices=d.prefix_matrices[cut - 1 :],
-            tail=d.tail,
-        )
-    return BratteliDiagram(
-        prefix_levels=(tuple(profiles[cut - 1]),),
-        prefix_matrices=(),
-        tail=d.tail,
-    )
+        return BratteliDiagram(d.prefix_levels[cut - 1 :], d.prefix_matrices[cut - 1 :], d.tail)
+    return BratteliDiagram((profiles[cut - 1],), (), d.tail)
 
 
 def _identity_completion_witness(d: BratteliDiagram) -> KChainWitness:
@@ -372,73 +363,50 @@ def _identity_completion_witness(d: BratteliDiagram) -> KChainWitness:
     )
 
 
-def _raise_stage(
-    d: BratteliDiagram, s: int, budget: int
-) -> Union[tuple[BratteliDiagram, int], _Inconclusive]:
-    """Return an equal-colimit diagram whose every level has min size > s.
+def _walk(
+    d: BratteliDiagram, m: int, budget: int
+) -> tuple[list[tuple[int, ...]], Union[int, None, _Inconclusive]]:
+    """Unroll until the smallest summand k reaches m or provably stays below it.
 
-    The certificate clamps every size at s+1: the clamped vector evolves
-    autonomously, so an exact repeat freezes it forever.  Entering stage s
-    all sizes are already >= s, so a clamped value <= s persisting in the
-    window is a summand of size exactly s that has, level after level, a
-    same-size sole predecessor (rows are never zero), and the pigeonhole
-    closes that walk into a cycle: an infinite chain.  Otherwise the small
-    summands die out at some finite level and dropping everything before it
-    (which never changes the limit) is the whole telescoping step.
+    Returns (profiles, k): k is None when the last profile has no summand
+    < m, the smallest summand when it stays < m forever, and INCONCLUSIVE
+    when neither shows by level max(budget, prefix length).
+
+    A valid tail has no zero rows, so each summand of a tail level is at
+    least the smallest summand of the level before: from the last prefix
+    level on, k never drops.  Once no summand is < m, none ever is again, so
+    one cut (dropping levels never changes the limit) before the first level
+    kept does what raising the minimum past 1, 2, ..., m-1 in turn would.
+    While k stays put, the sizes clamped at k+1 evolve on their own, so
+    their first repeat repeats forever and a summand of size k persists.
+    Rows are never zero, so it has, level after level, a same-size sole
+    predecessor, and the pigeonhole closes that walk into a cycle: an
+    infinite k-chain.  A tail-less diagram is its last level forever, so
+    a small summand there persists at once.
     """
-    if d.tail is None:
-        profiles, start = d.prefix_levels, d.prefix_len
-        if min(profiles[-1]) <= s:
-            raise InfiniteChainError(_identity_completion_witness(d))
-    else:
-        profiles, _, cycle = _diagram.unroll_to_repeat(d, lambda q: tuple(min(x, s + 1) for x in q), budget)
-        if cycle is None:
-            return INCONCLUSIVE
-        start, period = cycle
-        if any(min(profiles[lvl - 1]) <= s for lvl in range(start, start + period)):
-            chain = find_infinite_k_chain(d, budget)
-            if isinstance(chain, KChainWitness):
-                raise InfiniteChainError(chain)
-            return INCONCLUSIVE
-    cut = start
-    while cut > 1 and min(profiles[cut - 2]) > s:
-        cut -= 1
-    return _drop_before(d, profiles, cut), cut
+    profiles = list(d.prefix_levels)
+    last = d.prefix_len if d.tail is None else max(budget, d.prefix_len)
+
+    def keys():
+        for level in range(d.prefix_len, last + 1):
+            if level > d.prefix_len:
+                profiles.append(_diagram.tail_step(d.tail, profiles[-1]))
+            k = min(profiles[-1])
+            if k >= m:
+                return
+            # min(clamped) is k, so equal keys have equal k
+            yield tuple(min(x, k + 1) for x in profiles[-1])
+
+    repeat = _diagram.first_repeat(keys(), d.prefix_len)
+    k = min(profiles[-1])
+    if k >= m:
+        return profiles, None
+    return profiles, k if repeat is not None or d.tail is None else INCONCLUSIVE
 
 
-def _telescope(
-    d: BratteliDiagram, m: int, budget: int, max_cut: Optional[int] = None
-) -> Union[tuple[BratteliDiagram, dict[int, int]], _Inconclusive]:
-    """Run the raising stages s = 1..m-1; (diagram, cuts) or INCONCLUSIVE.
-
-    A valid tail has no zero rows, so no level holds a summand smaller than
-    the smallest prefix summand, and a stage s below it cuts nothing.  Such
-    stages are jumped over at no cost per stage, however many there are.
-    Every stage that runs drops at least one level (the one holding a
-    summand <= s).  `cuts` maps each stage that ran to its cut: the first
-    level kept, numbered in `d`.  A skipped stage keeps the cut before it.
-    With `max_cut`, a cut past that level returns INCONCLUSIVE, so at most
-    `max_cut` stages run.
-    """
-    current, cut, cuts = d, 1, {}
-    s = 1
-    while True:
-        s = max(s, min(map(min, current.prefix_levels)))  # skip the stages that cut nothing
-        if s >= m:
-            return current, cuts
-        try:
-            out = _raise_stage(current, s, budget)
-        except InfiniteChainError as exc:
-            w = exc.witness
-            raise InfiniteChainError(w._replace(start_level=w.start_level + cut - 1)) from None
-        if out is INCONCLUSIVE:
-            return INCONCLUSIVE
-        current, step = out
-        cut += step - 1
-        if max_cut is not None and cut > max_cut:
-            return INCONCLUSIVE
-        cuts[s] = cut
-        s += 1
+def _cut(profiles: Sequence[tuple[int, ...]], m: int) -> int:
+    """1 + the last level that holds a summand < m: the first level kept."""
+    return next((lvl + 1 for lvl in range(len(profiles), 0, -1) if min(profiles[lvl - 1]) < m), 1)
 
 
 def telescope(
@@ -448,17 +416,25 @@ def telescope(
 
     Raises InfiniteChainError (with its witness) when a persistent small
     summand makes that impossible, and InjectivityRequired when some
-    connecting map has a zero column.  A cut past level `budget` and past
-    the given prefix is INCONCLUSIVE, so the work is bounded by the budget
-    and the input, not by m.  A tail-less diagram never cuts past its prefix.
+    connecting map has a zero column.  No unroll passes level `budget` or
+    the given prefix, whichever is later, so the work is bounded by the
+    budget and the input, not by m.
     """
     _diagram.ensure_valid(d)
     if not d.injective:
         raise InjectivityRequired("telescoping assumes injective connecting maps")
-    out = _telescope(d, m, budget, max_cut=max(budget, d.prefix_len))
-    if out is INCONCLUSIVE:
+    profiles, k = _walk(d, m, budget)
+    if k is None:
+        return _drop_before(d, profiles, _cut(profiles, m))
+    if k is INCONCLUSIVE:
         return INCONCLUSIVE
-    return out[0]
+    # k persists: the chain lives in the diagram cut below k, on the levels left of the budget
+    cut = _cut(profiles, k)
+    below = _drop_before(d, profiles, cut)
+    chain = _identity_completion_witness(below) if d.tail is None else _chain_in_tail(below, budget - cut + 1)
+    if isinstance(chain, KChainWitness):
+        raise InfiniteChainError(chain._replace(start_level=chain.start_level + cut - 1))
+    return INCONCLUSIVE
 
 
 def classify(d: BratteliDiagram, budget: int = DEFAULT_BUDGET) -> KStabilityVerdict:
@@ -478,17 +454,11 @@ def classify(d: BratteliDiagram, budget: int = DEFAULT_BUDGET) -> KStabilityVerd
         return KStabilityVerdict(INCONCLUSIVE_AT_BUDGET)
     if isinstance(found, KChainWitness):
         return KStabilityVerdict(NOT_K_STABLE, witness=found)
-    # the stages for m are the first m-1 stages for M_MAX: telescope once
-    try:
-        out = _telescope(d, M_MAX, budget)
-    except InfiniteChainError as exc:
-        return KStabilityVerdict(NOT_K_STABLE, witness=exc.witness)
-    if out is INCONCLUSIVE:
+    # no chain, so no summand < M_MAX persists: one walk certifies every m <= M_MAX
+    profiles, k = _walk(d, M_MAX, budget)
+    if k is not None:
         return KStabilityVerdict(INCONCLUSIVE_AT_BUDGET)
-    cuts, cut, schedule = out[1], 1, ()
-    for s in range(1, M_MAX):
-        cut = cuts.get(s, cut)  # a skipped stage keeps the cut before it
-        schedule += (cut,)
+    schedule = tuple(_cut(profiles, s + 1) for s in range(1, M_MAX))
     return KStabilityVerdict(
         K_STABLE, certificate=tuple((m, schedule[: m - 1]) for m in range(1, M_MAX + 1))
     )

@@ -613,6 +613,13 @@ def test_cli_telescope_past_the_budget_is_inconclusive(tmp_path, capsys):
     assert json.loads(out)["result"] == {"outcome": "inconclusive"}
 
 
+def test_cli_kstable_certifies_no_cut_past_the_budget(tmp_path, capsys):
+    linear = '{"levels":[[1]],"matrices":[],"tail":{"matrix":[[1]],"slack":[1]}}'
+    code, out = run_cli(tmp_path, capsys, linear, "kstable", "--budget", "4")
+    assert code == 2
+    assert json.loads(out)["result"] == {"verdict": "inconclusive-at-budget"}
+
+
 OVERFLOW_JSON = '{"levels":[[2],[1]],"matrices":[[[1]]]}'
 NON_INJECTIVE_JSON = '{"levels":[[1],[1,1]],"matrices":[[[1],[1]]],"tail":{"matrix":[[1,0],[1,0]],"slack":[0,0]}}'
 

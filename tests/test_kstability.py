@@ -3,11 +3,13 @@ import time
 
 import pytest
 
+from afk import diagram
 from afk.colimit import fm_profile, k0_rational_dimension, profile_systems
-from afk.diagram import AffineTail, BratteliDiagram, validate
+from afk.diagram import AffineTail, BratteliDiagram, materialize, validate
 from afk.io import to_diagram
 from afk.kstability import (
     INCONCLUSIVE,
+    INCONCLUSIVE_AT_BUDGET,
     K_STABLE,
     InfiniteChainError,
     InjectivityRequired,
@@ -156,7 +158,7 @@ def test_telescope_preserves_fm_profile_two_column():
 SEVEN_THOUSAND_FOLD = BratteliDiagram(
     prefix_levels=((1,),), prefix_matrices=(), tail=AffineTail(IntMatrix.from_rows([[7000]]), (0,))
 )
-# sizes 1, 2, 3, ...: every stage cuts exactly one level
+# sizes 1, 2, 3, ...: the cut for target m is level m
 LINEAR = BratteliDiagram(
     prefix_levels=((1,),), prefix_matrices=(), tail=AffineTail(IntMatrix.from_rows([[1]]), (1,))
 )
@@ -167,7 +169,7 @@ def test_telescope_jumps_over_stages_below_the_smallest_summand():
     out = telescope(SEVEN_THOUSAND_FOLD, 10**100)
     assert time.perf_counter() - start < 1
     assert out.prefix_levels == ((7000**27,),)  # the first size >= 10^100
-    # the skipped stages keep the cut before them in the K-stable certificate
+    # level 1 is the only one with a summand < 8, so every target keeps level 2 on
     verdict = classify(SEVEN_THOUSAND_FOLD)
     assert verdict.status == K_STABLE
     assert verdict.certificate == tuple((m, (2,) * (m - 1)) for m in range(1, 9))
@@ -187,6 +189,80 @@ def test_telescope_of_a_tail_less_diagram_does_not_depend_on_the_budget():
     )
     for budget in (1, 64):
         assert telescope(d, 3, budget=budget).prefix_levels == ((3,),)
+
+
+# summand 1 stays at size 2 forever; summand 2 starts at 1 and grows
+PINNED_AT_TWO = BratteliDiagram(
+    prefix_levels=((2, 1),), prefix_matrices=(), tail=AffineTail(IntMatrix.from_rows([[1, 0], [1, 1]]), (0, 1))
+)
+FAMILIES = (random_growing_tail_diagram, random_pinned_tail_diagram, random_stationary_tail_diagram)
+
+
+def _count_tail_steps(monkeypatch):
+    steps = []
+    step = diagram.tail_step
+
+    def counted(tail, q):
+        steps.append(q)
+        return step(tail, q)
+
+    monkeypatch.setattr(diagram, "tail_step", counted)
+    return steps
+
+
+def _answer(d, m, budget):
+    try:
+        return telescope(d, m, budget)
+    except InfiniteChainError as exc:
+        return exc.witness
+
+
+def test_a_persistent_small_summand_stops_the_walk_at_its_repeat(monkeypatch):
+    steps = _count_tail_steps(monkeypatch)
+    with pytest.raises(InfiniteChainError) as exc:
+        telescope(PINNED_AT_TWO, 10**6, budget=100000)
+    assert len(steps) <= 10
+    assert exc.value.witness.k == 2
+    assert replay_witness(PINNED_AT_TWO, exc.value.witness) == []
+
+
+def test_kstable_and_telescope_never_unroll_past_the_budget(monkeypatch):
+    assert classify(LINEAR, 4).status == INCONCLUSIVE_AT_BUDGET  # its cut for m = 8 is level 8
+    assert classify(LINEAR, 8).certificate[-1] == (8, (2, 3, 4, 5, 6, 7, 8))
+    rng = random.Random(407)
+    draws = [LINEAR, PINNED_AT_TWO, two_column(), constant_column()]
+    draws += [family(rng) for family in FAMILIES for _ in range(30)]
+    # validation steps the tail once; its report is cached on the diagram before counting
+    draws = [d for d in draws if d.validation.ok and d.injective]
+    steps = _count_tail_steps(monkeypatch)
+    for d in draws:
+        for budget in (1, 2, 3, 4, 8, 16):
+            # one orbit plus one walk, or one walk plus one chain search
+            allowed = 2 * max(budget - d.prefix_len, 0)
+            steps.clear()
+            classify(d, budget)
+            assert len(steps) <= allowed, (d, budget)
+            for m in (2, 3, 5, 9):
+                steps.clear()
+                _answer(d, m, budget)
+                assert len(steps) <= allowed, (d, m, budget)
+
+
+def test_an_answer_at_a_small_budget_is_the_answer_at_a_large_one():
+    rng = random.Random(408)
+    for family in FAMILIES:
+        for _ in range(40):
+            d = family(rng)
+            if not (d.validation.ok and d.injective):
+                continue
+            verdict = classify(d, 1024)
+            answers = {m: _answer(d, m, 1024) for m in (2, 3, 5, 9)}
+            for budget in (1, 2, 3, 4, 8):
+                small = classify(d, budget)
+                assert small.status == INCONCLUSIVE_AT_BUDGET or small == verdict, (d, budget)
+                for m, answer in answers.items():
+                    got = _answer(d, m, budget)
+                    assert got is INCONCLUSIVE or got == answer, (d, m, budget)
 
 
 # --- classification --------------------------------------------------------
@@ -279,6 +355,13 @@ def test_random_pinned_diagrams_yield_sound_witnesses():
     assert found >= 60
 
 
+def _assert_minimal_cut(d, cut, m):
+    """Level cut - 1 of d holds a summand < m, and none does over 40 levels from the cut on."""
+    profiles = list(materialize(d, cut + 39)[0])
+    assert cut == 1 or min(profiles[cut - 2]) < m
+    assert all(min(q) >= m for q in profiles[cut - 1 :])
+
+
 def test_telescope_preserves_fm_profile_random():
     rng = random.Random(406)
     done = 0
@@ -288,8 +371,15 @@ def test_telescope_preserves_fm_profile_random():
             continue
         m_target = rng.choice([2, 3, 4])
         out = telescope(d, m_target, budget=96)
+        verdict = classify(d, budget=96)
+        for m, cuts in verdict.certificate[1:]:
+            _assert_minimal_cut(d, cuts[-1], m)
         if out is INCONCLUSIVE:
             continue
+        profiles = list(materialize(d, 96)[0])
+        cut = profiles.index(out.prefix_levels[0], d.prefix_len - out.prefix_len) + 1
+        assert out.tail == d.tail
+        _assert_minimal_cut(d, cut, m_target)
         for m in (1, 3, 5):
             a = [r.dimension for _, r in fm_profile(d, m, budget=96)]
             b = [r.dimension for _, r in fm_profile(out, m, budget=96)]
