@@ -36,13 +36,11 @@ _EXPORTS = {
     "SizeOverflowAtEdge": "diagram",
     "TruncatedSystem": "truncation",
     "ValidationReport": "diagram",
-    "build_system": "truncation",
     "classify": "kstability",
     "colimit_dimension": "colimit",
     "d": "truncation",
     "ensure_valid": "diagram",
     "export_dot": "io",
-    "find_infinite_k_chain": "kstability",
     "fm_dimension": "colimit",
     "fm_profile": "colimit",
     "from_diagram": "io",
@@ -56,7 +54,6 @@ _EXPORTS = {
     "serialize": "io",
     "telescope": "kstability",
     "to_diagram": "io",
-    "truncate_map": "truncation",
     "validate": "diagram",
 }
 

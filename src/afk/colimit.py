@@ -128,8 +128,11 @@ def profile_systems(
     The odd degrees' systems come from one tail unroll (`build_systems`).
     Equal systems share one result and equal cycle composites one stable
     power (see the module docstring); both memos live for this call only.
+    Every degree must be at least 1, the even ones included.
     """
     degrees = tuple(degrees)
+    if any(m < 1 for m in degrees):
+        raise ValueError(f"degree must be >= 1, got {min(degrees)}")
     odd = [m for m in degrees if m % 2]
     systems = dict(zip(odd, _truncation.build_systems(d, odd, budget)))
     results: dict[TruncatedSystem, ColimitResult] = {}

@@ -14,7 +14,7 @@ record with a tuple of another kind, so that equality never shows.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import repeat
+from itertools import islice
 from operator import mul
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -155,6 +155,10 @@ class BratteliDiagram(_BratteliDiagramFields):
                     return False
         return True
 
+    def matrix_after(self, level: int) -> IntMatrix:
+        """The matrix joining `level` (1-based) to the next: a prefix one, or the tail's past the prefix."""
+        return self.prefix_matrices[level - 1] if level < self.prefix_len else self.tail.matrix
+
 
 def validate(d: BratteliDiagram) -> ValidationReport:
     """Check the size inequality phi.p <= q at every edge; report unitality.
@@ -245,21 +249,16 @@ def materialize(
         raise LevelOutOfRange(
             f"diagram has {d.prefix_len} levels and no tail; {levels} requested"
         )
-    return _profiles(d, levels), _matrices(d, levels)
+    return _profiles(d, levels), map(d.matrix_after, range(1, levels))
 
 
 def _profiles(d: BratteliDiagram, levels: int) -> Iterator[tuple[int, ...]]:
+    """The first `levels` level profiles, lazily: the one loop that steps a tail."""
     yield from d.prefix_levels[:levels]
     q = d.prefix_levels[-1]
     for _ in range(levels - d.prefix_len):
         q = tail_step(d.tail, q)
         yield q
-
-
-def _matrices(d: BratteliDiagram, levels: int) -> Iterator[IntMatrix]:
-    yield from d.prefix_matrices[: levels - 1]
-    if levels > d.prefix_len:
-        yield from repeat(d.tail.matrix, levels - d.prefix_len)
 
 
 def first_repeat(keys: Iterable[Hashable], first_level: int) -> Optional[tuple[int, int]]:
@@ -278,33 +277,32 @@ def first_repeat(keys: Iterable[Hashable], first_level: int) -> Optional[tuple[i
 
 
 def unroll_to_repeat(
-    d: BratteliDiagram, key: Callable[[tuple[int, ...]], Hashable], budget: int
-) -> Optional[tuple[list[tuple[int, ...]], list[IntMatrix], Optional[tuple[int, int]]]]:
+    d: BratteliDiagram, key: Callable[[tuple[int, ...]], Optional[Hashable]], budget: int
+) -> tuple[list[tuple[int, ...]], Optional[tuple[int, int]]]:
     """Unroll the tail up to the first level whose key(profile) was seen before.
 
-    The scan starts at the last prefix level and never passes level `budget`.
-    Returns (profiles, matrices, cycle): at the first level L whose key equals
-    that of an earlier level `start`, the profiles of levels 1..L, the L-1
-    matrices joining them and cycle = (start, L - start).  When no key repeats
-    by level `budget`, cycle is None and the profiles run to level
-    max(budget, prefix length), so a coarser key can still be scanned on
-    them.  Returns None when the diagram has no tail.
+    The scan starts at the last prefix level and never passes level `budget`
+    or, without a tail, the prefix.  Returns (profiles, cycle): at the first
+    level L whose key equals that of an earlier level `start`, the profiles
+    of levels 1..L and cycle = (start, L - start).  A key of None ends the
+    scan at its level with cycle None.  When no key repeats by level
+    `budget`, cycle is None and the profiles run to level max(budget,
+    prefix length), so a coarser key can still be scanned on them.  A
+    diagram without a tail yields its prefix and cycle None.
 
     Stopping there is sound whenever key(q) determines key(q') for the next
     level q' (the analyses use clamped sizes and the bounded coordinates):
     the keys then evolve on their own, so their first repeat repeats forever.
     """
-    tail = d.tail
-    if tail is None:
-        return None
-    profiles, matrices = list(d.prefix_levels), list(d.prefix_matrices)
+    levels = _profiles(d, d.prefix_len if d.tail is None else max(budget, d.prefix_len))
+    profiles = list(islice(levels, d.prefix_len - 1))
 
     def keys():
-        for level in range(d.prefix_len, budget + 1):
-            if level > d.prefix_len:
-                profiles.append(tail_step(tail, profiles[-1]))
-                matrices.append(tail.matrix)
-            yield key(profiles[-1])
+        for q in levels:
+            profiles.append(q)
+            state = key(q)
+            if state is None:
+                return
+            yield state
 
-    cycle = first_repeat(keys(), d.prefix_len)
-    return profiles, matrices, cycle
+    return profiles, first_repeat(keys(), d.prefix_len)

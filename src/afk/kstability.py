@@ -7,7 +7,9 @@ diagram whose tail provably carries no infinite chain can be telescoped, for
 every target m, into a presentation whose summands all have size >= m, which
 certifies K-stability.  Telescoping is one walk and one cut: the walk unrolls
 until no summand is < m, or until one provably stays < m forever, and the cut
-drops every level up to the last one holding a summand < m.
+drops every level up to the last one holding a summand < m.  The walk is
+`diagram.unroll_to_repeat` with a key that is None, ending the scan, once no
+summand is < m; the tail-orbit search uses the same unroll.
 
 Tail analysis is exact.  Coordinates of an affine tail split into
 
@@ -145,12 +147,11 @@ def coordinate_classes(tm: IntMatrix, slack: Sequence[int]) -> tuple[tuple[int, 
 class TailOrbit(NamedTuple):
     """Certified eventual periodicity of the bounded tail coordinates.
 
-    `profiles` and `matrices` run up to level start + period, where the
-    bounded sub-vector first repeats.
+    `profiles` run up to level start + period, where the bounded sub-vector
+    first repeats.
     """
 
     profiles: tuple[tuple[int, ...], ...]
-    matrices: tuple[IntMatrix, ...]
     bounded: tuple[int, ...]
     start: int  # first level of the periodic window (1-based)
     period: int
@@ -160,13 +161,12 @@ def tail_orbit(d: BratteliDiagram, budget: int = DEFAULT_BUDGET) -> Union[TailOr
     if d.tail is None:
         return INCONCLUSIVE
     bounded, _ = coordinate_classes(d.tail.matrix, d.tail.slack)
-    profiles, matrices, cycle = _diagram.unroll_to_repeat(d, lambda q: tuple(q[i] for i in bounded), budget)
+    profiles, cycle = _diagram.unroll_to_repeat(d, lambda q: tuple(q[i] for i in bounded), budget)
     if cycle is None:
         return INCONCLUSIVE
     start, period = cycle
     return TailOrbit(
         profiles=tuple(profiles),
-        matrices=tuple(matrices),
         bounded=bounded,
         start=start,
         period=period,
@@ -223,18 +223,23 @@ def _phase_graph_cycle(
     return None
 
 
-def _extend_backward(
+def _chain_witness(
+    d: BratteliDiagram,
     profiles: Sequence[tuple[int, ...]],
-    matrices: Sequence[IntMatrix],
-    level: int,
-    summand0: int,
     k: int,
-) -> tuple[int, list[int]]:
-    """Walk the sole-predecessor relation down while it stays a k-chain."""
+    level: int,
+    cycle: Sequence[int],
+    kind: str,
+) -> KChainWitness:
+    """The witness whose `cycle` (0-based summands) runs from `level` on.
+
+    Its explicit path walks the sole-predecessor relation down from the
+    cycle's first summand while it stays a k-chain.
+    """
     path: list[int] = []
-    current = summand0
+    current = cycle[0]
     while level > 1:
-        m = matrices[level - 2]
+        m = d.matrix_after(level - 1)
         row = [(j, m.at(current, j)) for j in range(m.cols) if m.at(current, j) > 0]
         if len(row) != 1:
             break
@@ -244,45 +249,37 @@ def _extend_backward(
         current = j
         level -= 1
         path.append(j)
-    path.reverse()
-    return level, path
+    return KChainWitness(
+        k=k,
+        start_level=level,
+        node_path=tuple(j + 1 for j in reversed(path)),
+        cycle_period=len(cycle),
+        cycle_summands=tuple(i + 1 for i in cycle),
+        kind=kind,
+    )
 
 
 def _witness_from_cycle(
-    orbit: TailOrbit, k: int, cycle: list[tuple[int, int]]
+    d: BratteliDiagram, orbit: TailOrbit, k: int, cycle: list[tuple[int, int]]
 ) -> KChainWitness:
     rotation = cycle.index(min(cycle))
     cycle = cycle[rotation:] + cycle[:rotation]
-    anchor_level = orbit.start + cycle[0][0]
-    summands = tuple(i + 1 for _, i in cycle)
-    start_level, path = _extend_backward(
-        orbit.profiles, orbit.matrices, anchor_level, cycle[0][1], k
-    )
-    return KChainWitness(
-        k=k,
-        start_level=start_level,
-        node_path=tuple(j + 1 for j in path),
-        cycle_period=len(cycle),
-        cycle_summands=summands,
-        kind="tail-cycle",
+    return _chain_witness(
+        d, orbit.profiles, k, orbit.start + cycle[0][0], [i for _, i in cycle], "tail-cycle"
     )
 
 
 def find_infinite_k_chain(
     d: BratteliDiagram, budget: int = DEFAULT_BUDGET
 ) -> Union[KChainWitness, None, _Inconclusive]:
-    """Search for an infinite constant-size chain.
+    """Search a valid diagram for an infinite constant-size chain.
 
+    The diagram is not validated here: `classify` and `telescope` validate
+    first, and `telescope` searches a cut of a valid diagram, which is valid.
     Tail-less diagrams are never conclusive here: a finite unrolling cannot
     exclude chains starting beyond it.  With a tail, the phase-graph analysis
     is complete, so None is a genuine certificate of absence.
     """
-    _diagram.ensure_valid(d)
-    return _chain_in_tail(d, budget)
-
-
-def _chain_in_tail(d: BratteliDiagram, budget: int) -> Union[KChainWitness, None, _Inconclusive]:
-    """`find_infinite_k_chain` on a diagram known valid, such as a cut of a valid one."""
     orbit = tail_orbit(d, budget)
     if orbit is INCONCLUSIVE:
         return INCONCLUSIVE
@@ -293,7 +290,7 @@ def _chain_in_tail(d: BratteliDiagram, budget: int) -> Union[KChainWitness, None
     for k in candidates:
         cycle = _phase_graph_cycle(orbit, tm, k)
         if cycle is not None:
-            witnesses.append(_witness_from_cycle(orbit, k, cycle))
+            witnesses.append(_witness_from_cycle(d, orbit, k, cycle))
     return min(witnesses, key=lambda w: (w.k, w.start_level), default=None)
 
 
@@ -307,7 +304,7 @@ def replay_witness(d: BratteliDiagram, w: KChainWitness, budget: int = DEFAULT_B
         levels = d.prefix_len
     else:
         levels = budget
-    profiles, matrices = map(list, _diagram.materialize(d, levels))
+    profiles = list(_diagram.materialize(d, levels)[0])
     violations = []
     if w.start_level > levels:
         return [f"start level {w.start_level} beyond the {levels} materialized levels"]
@@ -323,7 +320,7 @@ def replay_witness(d: BratteliDiagram, w: KChainWitness, budget: int = DEFAULT_B
     for t in range(w.start_level, levels):
         i = w.summand_at(t - w.start_level) - 1
         nxt = w.summand_at(t + 1 - w.start_level) - 1
-        m = matrices[t - 1]
+        m = d.matrix_after(t)
         if m.at(nxt, i) != 1:
             violations.append(
                 f"edge {t}->{t + 1}: multiplicity {m.at(nxt, i)} between chain nodes, expected 1"
@@ -349,18 +346,7 @@ def _drop_before(d: BratteliDiagram, profiles: Sequence[tuple[int, ...]], cut: i
 def _identity_completion_witness(d: BratteliDiagram) -> KChainWitness:
     last = d.prefix_levels[-1]
     k = min(last)
-    idx = last.index(k)
-    start_level, path = _extend_backward(
-        d.prefix_levels, d.prefix_matrices, d.prefix_len, idx, k
-    )
-    return KChainWitness(
-        k=k,
-        start_level=start_level,
-        node_path=tuple(j + 1 for j in path),
-        cycle_period=1,
-        cycle_summands=(idx + 1,),
-        kind="identity-completion",
-    )
+    return _chain_witness(d, d.prefix_levels, k, d.prefix_len, [last.index(k)], "identity-completion")
 
 
 def _walk(
@@ -370,7 +356,9 @@ def _walk(
 
     Returns (profiles, k): k is None when the last profile has no summand
     < m, the smallest summand when it stays < m forever, and INCONCLUSIVE
-    when neither shows by level max(budget, prefix length).
+    when neither shows by level max(budget, prefix length).  The walk is
+    `unroll_to_repeat` with a key that is None once min(q) >= m, which ends
+    the scan there, and otherwise the sizes clamped at min(q) + 1.
 
     A valid tail has no zero rows, so each summand of a tail level is at
     least the smallest summand of the level before: from the last prefix
@@ -384,20 +372,12 @@ def _walk(
     infinite k-chain.  A tail-less diagram is its last level forever, so
     a small summand there persists at once.
     """
-    profiles = list(d.prefix_levels)
-    last = d.prefix_len if d.tail is None else max(budget, d.prefix_len)
+    def key(q):
+        k = min(q)
+        # min(clamped) is k, so equal keys have equal k
+        return None if k >= m else tuple(min(x, k + 1) for x in q)
 
-    def keys():
-        for level in range(d.prefix_len, last + 1):
-            if level > d.prefix_len:
-                profiles.append(_diagram.tail_step(d.tail, profiles[-1]))
-            k = min(profiles[-1])
-            if k >= m:
-                return
-            # min(clamped) is k, so equal keys have equal k
-            yield tuple(min(x, k + 1) for x in profiles[-1])
-
-    repeat = _diagram.first_repeat(keys(), d.prefix_len)
+    profiles, repeat = _diagram.unroll_to_repeat(d, key, budget)
     k = min(profiles[-1])
     if k >= m:
         return profiles, None
@@ -431,7 +411,7 @@ def telescope(
     # k persists: the chain lives in the diagram cut below k, on the levels left of the budget
     cut = _cut(profiles, k)
     below = _drop_before(d, profiles, cut)
-    chain = _identity_completion_witness(below) if d.tail is None else _chain_in_tail(below, budget - cut + 1)
+    chain = find_infinite_k_chain(below, budget - cut + 1) if d.tail else _identity_completion_witness(below)
     if isinstance(chain, KChainWitness):
         raise InfiniteChainError(chain._replace(start_level=chain.start_level + cut - 1))
     return INCONCLUSIVE

@@ -24,14 +24,16 @@ and its system is a prefix of the unroll.  When min(q, H) never repeats
 within the budget, the unroll keeps every level it scanned, and a smaller
 degree may still repeat within them.  Because the rescan reads the same
 levels, from the same start, as an unroll with its own cap would, each
-degree's system is exactly the one it gets alone.  Within one call a
-truncated map is sliced once per (matrix, kept rows, kept columns): equal
-triples give equal submatrices.
+degree's system is exactly the one it gets alone.  A system's map out of
+level k is a submatrix of `BratteliDiagram.matrix_after(k)`, sliced once
+per (matrix, kept rows, kept columns) within one call: equal triples give
+equal submatrices.  `build_systems` is the module's one entry point; a
+single degree is a one-element list of degrees.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional
 
 # loaded on demand: other modules' functions are called through their module (see afk/__init__.py)
 from . import diagram as _diagram
@@ -48,22 +50,6 @@ def d(m: int, p: int) -> int:
     if m < 1:
         raise ValueError(f"degree must be >= 1, got {m}")
     return 1 if (m % 2 == 1 and m <= 2 * p - 1) else 0
-
-
-def kept_indices(profile: Sequence[int], m: int) -> tuple[int, ...]:
-    """0-based indices of the summands surviving in degree m."""
-    return tuple(j for j, p in enumerate(profile) if d(m, p))
-
-
-def truncate_map(
-    phi: IntMatrix, src: Sequence[int], dst: Sequence[int], m: int
-) -> IntMatrix:
-    """Submatrix of phi on surviving rows/columns, order preserved."""
-    if m % 2 == 0:
-        raise EvenDegree(f"degree {m} is even; truncation is defined for odd degrees")
-    if phi.shape != (len(dst), len(src)):
-        raise ValueError(f"matrix {phi.shape} does not join {len(src)} -> {len(dst)} summands")
-    return phi.submatrix(kept_indices(dst, m), kept_indices(src, m))
 
 
 class TruncatedSystem(NamedTuple):
@@ -106,10 +92,9 @@ def build_systems(
         return []
     _diagram.ensure_valid(diagram)
     top = (max(degrees) + 1) // 2
-    found = _diagram.unroll_to_repeat(diagram, lambda q: tuple(min(x, top) for x in q), budget)
-    profiles, matrices, cycle = found or ((), (), None)
+    profiles, cycle = _diagram.unroll_to_repeat(diagram, lambda q: tuple(min(x, top) for x in q), budget)
     first = diagram.prefix_len
-    # keyed by id: every matrix stays alive in `matrices` or the diagram meanwhile
+    # keyed by id: every matrix stays alive in the diagram meanwhile
     submatrices: dict[tuple[int, tuple[int, ...], tuple[int, ...]], IntMatrix] = {}
     by_clamp: dict[int, TruncatedSystem] = {}
     for m in degrees:
@@ -122,15 +107,12 @@ def build_systems(
             repeat = _diagram.first_repeat(
                 (tuple(min(x, h) for x in q) for q in profiles[first - 1 :]), first
             )
-        exceeded = found is not None and repeat is None
-        if repeat is not None:
-            end = repeat[0] + repeat[1]
-            levels, joins = profiles[:end], matrices[: end - 1]
-        else:  # no tail, or one whose clamped sizes never repeated: the prefix
-            levels, joins = diagram.prefix_levels, diagram.prefix_matrices
-        kept = [tuple(j for j, p in enumerate(q) if p >= h) for q in levels]  # d(m, p) = 1 iff p >= h
+        # no tail, or one whose clamped sizes never repeated: the system is the prefix
+        end = sum(repeat) if repeat else first
+        kept = [tuple(j for j, p in enumerate(q) if p >= h) for q in profiles[:end]]  # d(m, p) = 1 iff p >= h
         maps = []
-        for k, phi in enumerate(joins):
+        for k in range(end - 1):
+            phi = diagram.matrix_after(k + 1)
             cut = (id(phi), kept[k + 1], kept[k])
             sub = submatrices.get(cut)
             if sub is None:
@@ -142,11 +124,6 @@ def build_systems(
             maps=tuple(maps),
             cycle_start=cycle_start,
             period=period,
-            budget_exceeded=exceeded,
+            budget_exceeded=diagram.tail is not None and repeat is None,
         )
     return [by_clamp[(m + 1) // 2] for m in degrees]
-
-
-def build_system(diagram: BratteliDiagram, m: int, budget: int = DEFAULT_BUDGET) -> TruncatedSystem:
-    """The degree-m truncated system, up to the first repeat of the clamped sizes."""
-    return build_systems(diagram, (m,), budget)[0]

@@ -10,11 +10,11 @@ import time
 from contextlib import contextmanager
 
 from afk.colimit import fm_dimension, fm_profile, k0_rational_dimension
-from afk.diagram import validate
+from afk.diagram import BratteliDiagram, validate
 from afk.io import parse, serialize
 from afk.kstability import INCONCLUSIVE, classify, find_infinite_k_chain, replay_witness, telescope
 from afk.linalg import matvec, multiply
-from afk.truncation import build_system, truncate_map
+from afk.truncation import build_systems, d as survives
 from cases import constant_column, doubling, single_level, two_column, worked_example
 from generators import (
     random_document,
@@ -44,28 +44,19 @@ def criterion(number, description, limit_seconds):
 def test_criterion_1_worked_example_truncated_maps():
     with criterion(1, "worked-example truncated maps in degrees 1, 3, 5", 1.0):
         d = worked_example()
-        src, dst = (1, 2, 3), (1, 3, 5, 8)
-        phi = d.prefix_matrices[0]
+        assert d.prefix_levels == ((1, 2, 3), (1, 3, 5, 8))
+        m1, m3, m5 = (sys.maps[0] for sys in build_systems(d, (1, 3, 5), budget=2))
 
-        m1 = truncate_map(phi, src, dst, 1)
+        assert m1 == d.prefix_matrices[0]
         assert m1.to_rows() == [[1, 0, 0], [1, 1, 0], [2, 0, 1], [0, 1, 2]]
         a, b, c = 5, 7, 11
         assert matvec(m1, (a, b, c)) == (a, a + b, 2 * a + c, b + 2 * c)
 
-        m3 = truncate_map(phi, src, dst, 3)
         assert m3.to_rows() == [[1, 0], [0, 1], [1, 2]]
         assert matvec(m3, (b, c)) == (b, c, b + 2 * c)
 
-        m5 = truncate_map(phi, src, dst, 5)
         assert m5.to_rows() == [[0], [1], [2]]
         assert matvec(m5, (c,)) == (0, c, 2 * c)
-
-        sys1 = build_system(d, 1, budget=2)
-        assert sys1.maps == (m1,)
-        sys3 = build_system(d, 3, budget=2)
-        assert sys3.maps == (m3,)
-        sys5 = build_system(d, 5, budget=2)
-        assert sys5.maps == (m5,)
 
 
 def test_criterion_2_two_column_profile():
@@ -120,7 +111,7 @@ def test_criterion_6_oracle_equivalence():
             for m in (1, 3):
                 res = fm_dimension(d, m, budget=64)
                 assert res.exact, "stationary tail failed to certify a cycle"
-                sys = build_system(d, m, budget=64)
+                [sys] = build_systems(d, (m,), budget=64)
                 extra = max(3 * width, (sys.period or 1) * (width + 2))
                 got = oracle_truncated_colimit(d, m, sys.cycle_start, sys.cycle_start + extra)
                 assert got == res.dimension, (
@@ -162,10 +153,12 @@ def test_criterion_8a_truncation_functoriality():
         cases = 0
         for _ in range(300):
             src, phi1, mid, phi2, dst = random_valid_triple(rng)
-            for m in (1, 3, 5, 7):
-                lhs = truncate_map(multiply(phi2, phi1), src, dst, m)
-                rhs = multiply(truncate_map(phi2, mid, dst, m), truncate_map(phi1, src, mid, m))
-                assert lhs == rhs
+            d = BratteliDiagram((src, mid, dst), (phi1, phi2))
+            for m, sys in zip((1, 3, 5, 7), build_systems(d, (1, 3, 5, 7))):
+                kept = [tuple(j for j, p in enumerate(q) if survives(m, p)) for q in d.prefix_levels]
+                for k in range(len(sys.maps) - 1):
+                    composite = multiply(d.matrix_after(k + 2), d.matrix_after(k + 1))
+                    assert multiply(sys.maps[k + 1], sys.maps[k]) == composite.submatrix(kept[k + 2], kept[k])
             cases += 1
         assert cases >= 200
 

@@ -1,11 +1,13 @@
 import random
 
+import pytest
+
 import afk.diagram
 from afk.colimit import fm_dimension, fm_profile, k0_rational_dimension, profile_systems
 from afk.diagram import AffineTail, BratteliDiagram
 from afk.io import parse, to_diagram
 from afk.linalg import IntMatrix, multiply, rank
-from afk.truncation import build_system
+from afk.truncation import build_systems
 from cases import doubling, single_level, stationary_identity, two_column, worked_example
 from generators import random_growing_tail_diagram, random_prefix, stationary_tail_of_width
 from oracles import oracle_truncated_colimit
@@ -24,6 +26,15 @@ def test_even_degrees_vanish_without_computation():
     assert res.dimension == 0 and res.exact
     assert res.note is not None
     assert res.per_level_ranks == ()
+
+
+def test_degrees_below_one_are_refused_even_or_odd():
+    # 0 and -2 are even but not degrees: they must not vanish as an exact 0
+    for m in (0, -1, -2):
+        with pytest.raises(ValueError, match="degree must be >= 1"):
+            fm_dimension(two_column(), m)
+    with pytest.raises(ValueError, match="degree must be >= 1"):
+        profile_systems(two_column(), (1, 2, 0))
 
 
 def test_doubling_tail_dimension_one():
@@ -84,7 +95,7 @@ def test_per_level_ranks_nondecreasing():
 
 def test_invertible_cycle_dimension_equals_kept_count():
     res = fm_dimension(two_column(), 11)
-    sys = build_system(two_column(), 11)
+    [sys] = build_systems(two_column(), (11,))
     assert res.dimension == sys.dims[sys.cycle_start - 1]
 
 
@@ -123,7 +134,7 @@ def test_probe_ranks_nonincreasing_in_probe_level():
     for m in (1, 3):
         previous = None
         for budget in range(4, 10):
-            sys = build_system(d, m, budget=budget)
+            [sys] = build_systems(d, (m,), budget=budget)
             comp = IntMatrix.identity(sys.dims[0])
             for mat in sys.maps:
                 comp = multiply(mat, comp)
@@ -142,7 +153,7 @@ def test_exact_dimensions_match_naive_oracle_on_examples():
         (stationary_identity(3), 3),
     ]:
         res = fm_dimension(d, m)
-        sys = build_system(d, m)
+        [sys] = build_systems(d, (m,))
         probe_from = sys.cycle_start
         width = len(d.prefix_levels[-1])
         probe_to = probe_from + (sys.period or 1) * (width + 3)
@@ -169,7 +180,7 @@ def test_random_stationary_tails_match_oracle():
             res = fm_dimension(d, m, budget=64)
             if not res.exact:
                 continue
-            sys = build_system(d, m, budget=64)
+            [sys] = build_systems(d, (m,), budget=64)
             probe_from = sys.cycle_start
             probe_to = probe_from + (sys.period or 1) * (width + 3)
             assert res.dimension == oracle_truncated_colimit(d, m, probe_from, probe_to)

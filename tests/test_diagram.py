@@ -19,9 +19,9 @@ from afk.diagram import (
     validate,
 )
 from afk.io import export_dot, from_diagram
-from afk.kstability import KChainWitness, classify, coordinate_classes, find_infinite_k_chain, tail_orbit, telescope
+from afk.kstability import KChainWitness, classify, coordinate_classes, tail_orbit, telescope
 from afk.linalg import DimensionMismatch, IntMatrix, multiply
-from afk.truncation import TruncatedSystem, build_system
+from afk.truncation import TruncatedSystem, build_systems
 from cases import constant_column, single_level, two_column, worked_example
 from generators import random_growing_tail_diagram, random_pinned_tail_diagram, random_stationary_tail_diagram
 
@@ -77,13 +77,12 @@ def test_validate_is_pure_and_idempotent():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda d: build_system(d, 3),
+        lambda d: build_systems(d, (3,)),
         lambda d: fm_profile(d, 5),
-        lambda d: find_infinite_k_chain(d),
         lambda d: telescope(d, 2),
         lambda d: classify(d),
     ],
-    ids=["build_system", "fm_profile", "find_infinite_k_chain", "telescope", "classify"],
+    ids=["build_systems", "fm_profile", "telescope", "classify"],
 )
 def test_every_entry_point_refuses_an_invalid_diagram(call):
     overflow = BratteliDiagram(
@@ -141,7 +140,7 @@ def test_records_are_immutable_tuples():
         (d.tail.matrix, "rows"), (d.tail, "slack"), (d, "tail"), (d.validation, "ok"),
         (ValidationProblem("k", None, 1, "m"), "kind"), (verdict, "status"),
         (KChainWitness(1, 1, (), 1, (1,)), "k"), (fm_profile(d, 1)[0][1], "dimension"),
-        (build_system(d, 3), "dims"), (tail_orbit(d), "period"),
+        (build_systems(d, (3,))[0], "dims"), (tail_orbit(d), "period"),
         (from_diagram(d), "levels"), (from_diagram(d).tail, "slack"),
     ]
     for record, name in records:
@@ -201,37 +200,47 @@ def test_materialize_prefix_property():
 
 
 def _first_repeat(profiles, key, prefix_len):
-    """(start, period) of the first repeated key from the last prefix level on."""
-    keys = [key(p) for p in profiles[prefix_len - 1 :]]
-    for i, k in enumerate(keys):
-        if k in keys[:i]:
+    """(last level scanned, cycle): the first repeated key from the last prefix level on.
+
+    A key of None ends the scan at its level with no cycle.
+    """
+    keys = []
+    for level in range(prefix_len, len(profiles) + 1):
+        k = key(profiles[level - 1])
+        if k is None:
+            return level, None
+        if k in keys:
             start = keys.index(k) + prefix_len
-            return start, prefix_len + i - start
-    return None
+            return level, (start, level - start)
+        keys.append(k)
+    return len(profiles), None
 
 
 def test_unroll_to_repeat_matches_a_scan_over_materialize():
     rng = random.Random(3021)
     makers = (random_growing_tail_diagram, random_pinned_tail_diagram, random_stationary_tail_diagram)
-    cases = 0
+    cases = stops = 0
     for _ in range(12):
         for make in makers:
             d = make(rng)
             bounded, _ = coordinate_classes(d.tail.matrix, d.tail.slack)
             keys = [lambda q, c=c: tuple(min(x, c) for x in q) for c in range(1, 7)]
             keys.append(lambda q: tuple(q[i] for i in bounded))
+            # a stopping key, like the telescoping walk's: None once min(q) >= c
+            keys += [lambda q, c=c: None if min(q) >= c else tuple(min(x, c) for x in q) for c in (2, 5)]
             for budget in range(1, 41):
-                profiles = list(materialize(d, budget)[0])
+                profiles = list(materialize(d, max(budget, d.prefix_len))[0])
                 for key in keys:
-                    got_profiles, got_matrices, cycle = unroll_to_repeat(d, key, budget)
-                    expected = _first_repeat(profiles, key, d.prefix_len)
+                    got_profiles, cycle = unroll_to_repeat(d, key, budget)
+                    # a repeat or a None key ends the unroll; otherwise it keeps every level it scanned
+                    end, expected = _first_repeat(profiles, key, d.prefix_len)
                     assert cycle == expected
-                    # a repeat ends the unroll; without one it keeps every level it scanned
-                    end = sum(cycle) if cycle else max(budget, d.prefix_len)
-                    assert (got_profiles, got_matrices) == tuple(map(list, materialize(d, end)))
+                    assert got_profiles == profiles[:end]
                     cases += cycle is not None
-    assert cases >= 1000
-    assert unroll_to_repeat(worked_example(), tuple, 64) is None  # no tail, nothing to unroll
+                    stops += cycle is None and end < len(profiles)
+    assert cases >= 1000 and stops >= 100
+    # no tail, nothing to unroll: the prefix, whatever the budget
+    assert unroll_to_repeat(worked_example(), tuple, 64) == (list(worked_example().prefix_levels), None)
 
 
 def test_compose_identity_at_same_level():

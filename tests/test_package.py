@@ -1,5 +1,8 @@
+import contextlib
 import importlib
+import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -53,6 +56,17 @@ def test_each_export_is_defined_in_the_module_its_table_entry_names():
         defined_in = value.__module__ if hasattr(value, "__qualname__") else type(value).__module__
         assert defined_in == home.__name__, name
         assert getattr(afk, name) is value, name
+
+
+def test_the_readme_library_example_runs_on_the_readme_document():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    document = re.search(r"## Input format\n.*?```json\n(.*?)```", readme, re.S).group(1)
+    example = re.search(r"## Library\n.*?```python\n(.*?)```", readme, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(example, {"text": document})
+    # the README's document has Q + Q in every odd degree and is K-stable
+    assert out.getvalue().split("\n") == [f"{m} {2 if m % 2 else 0}" for m in range(1, 10)] + ["k-stable", ""]
 
 
 def test_an_unknown_package_attribute_raises_attribute_error():

@@ -4,22 +4,20 @@ import pytest
 
 from afk.diagram import AffineTail, BratteliDiagram, materialize
 from afk.linalg import IntMatrix, multiply
-from afk.truncation import (
-    EvenDegree,
-    TruncatedSystem,
-    build_system,
-    build_systems,
-    d,
-    kept_indices,
-    truncate_map,
-)
+from afk.truncation import EvenDegree, TruncatedSystem, build_systems, d
 from cases import doubling, stationary_identity, two_column, worked_example
 from generators import (
     random_growing_tail_diagram,
     random_pinned_tail_diagram,
     random_prefix,
     random_stationary_tail_diagram,
+    random_valid_triple,
 )
+
+
+def kept(profile, m):
+    """0-based indices of the summands surviving in degree m."""
+    return tuple(j for j, p in enumerate(profile) if d(m, p))
 
 
 def test_d_examples():
@@ -37,48 +35,43 @@ def test_d_rejects_nonpositive_degree():
 
 def test_truncate_worked_example_m1_full():
     dg = worked_example()
-    phi = dg.prefix_matrices[0]
-    out = truncate_map(phi, (1, 2, 3), (1, 3, 5, 8), 1)
-    assert out == phi
+    out = build_systems(dg, (1,))[0].maps[0]
+    assert out == dg.prefix_matrices[0]
     # (a,b,c) -> (a, a+b, 2a+c, b+2c)
     assert out.to_rows() == [[1, 0, 0], [1, 1, 0], [2, 0, 1], [0, 1, 2]]
 
 
 def test_truncate_worked_example_m3():
-    dg = worked_example()
-    out = truncate_map(dg.prefix_matrices[0], (1, 2, 3), (1, 3, 5, 8), 3)
+    out = build_systems(worked_example(), (3,))[0].maps[0]
     # (b,c) -> (b, c, b+2c)
     assert out.to_rows() == [[1, 0], [0, 1], [1, 2]]
 
 
 def test_truncate_worked_example_m5():
-    dg = worked_example()
-    out = truncate_map(dg.prefix_matrices[0], (1, 2, 3), (1, 3, 5, 8), 5)
+    out = build_systems(worked_example(), (5,))[0].maps[0]
     # c -> (0, c, 2c)
     assert out.to_rows() == [[0], [1], [2]]
 
 
 def test_truncate_rejects_even_degree():
     with pytest.raises(EvenDegree):
-        truncate_map(IntMatrix.identity(2), (2, 2), (2, 2), 4)
+        build_systems(stationary_identity(2), (4,))
 
 
 def test_truncate_all_kept_is_identity_transformation():
+    # degree 1 keeps every summand, so the system's maps are the diagram's matrices
     rng = random.Random(5)
     for _ in range(20):
-        n1, n2 = rng.randint(1, 4), rng.randint(1, 4)
-        phi = IntMatrix.from_rows(
-            [[rng.randint(0, 3) for _ in range(n1)] for _ in range(n2)]
-        )
-        src = tuple(rng.randint(3, 6) for _ in range(n1))
-        dst = tuple(rng.randint(3, 6) for _ in range(n2))
-        assert truncate_map(phi, src, dst, 1) == phi
+        dg = BratteliDiagram(*map(tuple, random_prefix(rng)))
+        sys = build_systems(dg, (1,))[0]
+        assert sys.maps == dg.prefix_matrices
+        assert sys.dims == tuple(map(len, dg.prefix_levels))
 
 
 def test_build_system_two_column_high_degree():
     # sizes 1,2,3,... and 1,2,4,7,...; degree 9 keeps sizes >= 5
     # the clamped sizes min(q, 5) first repeat at level 6, so the system ends there
-    sys = build_system(two_column(), 9, budget=8)
+    [sys] = build_systems(two_column(), (9,), budget=8)
     assert sys.dims == (0, 0, 0, 1, 2, 2)
     assert (sys.cycle_start, sys.period) == (5, 1)
     assert sys.maps[-1] == IntMatrix.from_rows([[1, 0], [1, 1]])
@@ -87,21 +80,21 @@ def test_build_system_two_column_high_degree():
 
 def test_build_system_m1_keeps_everything():
     dg = worked_example()
-    sys = build_system(dg, 1, budget=8)
+    [sys] = build_systems(dg, (1,), budget=8)
     assert sys.dims == (3, 4)
     assert sys.maps == dg.prefix_matrices
     assert sys.cycle_start is None and not sys.budget_exceeded
 
 
 def test_build_system_small_stationary_node():
-    sys = build_system(stationary_identity(2), 5, budget=12)
+    [sys] = build_systems(stationary_identity(2), (5,), budget=12)
     assert all(dim == 0 for dim in sys.dims)
     assert sys.cycle_start is not None
 
 
 def test_build_system_rejects_even():
     with pytest.raises(EvenDegree):
-        build_system(two_column(), 2)
+        build_systems(two_column(), (2,))
 
 
 def test_kept_mask_monotone_in_degree():
@@ -109,27 +102,9 @@ def test_kept_mask_monotone_in_degree():
     for _ in range(100):
         profile = tuple(rng.randint(1, 9) for _ in range(rng.randint(1, 5)))
         for m in (1, 3, 5, 7):
-            higher = set(kept_indices(profile, m + 2))
-            lower = set(kept_indices(profile, m))
+            higher = set(kept(profile, m + 2))
+            lower = set(kept(profile, m))
             assert higher <= lower
-
-
-def _random_valid_triple(rng):
-    n1 = rng.randint(1, 4)
-    src = tuple(rng.randint(1, 5) for _ in range(n1))
-    n2 = rng.randint(1, 4)
-    phi1 = [[rng.randint(0, 2) for _ in range(n1)] for _ in range(n2)]
-    mid = tuple(
-        max(1, sum(phi1[i][j] * src[j] for j in range(n1)) + rng.randint(0, 2))
-        for i in range(n2)
-    )
-    n3 = rng.randint(1, 4)
-    phi2 = [[rng.randint(0, 2) for _ in range(n2)] for _ in range(n3)]
-    dst = tuple(
-        max(1, sum(phi2[i][j] * mid[j] for j in range(n2)) + rng.randint(0, 2))
-        for i in range(n3)
-    )
-    return src, IntMatrix.from_rows(phi1), mid, IntMatrix.from_rows(phi2), dst
 
 
 def test_truncation_functorial_under_composition():
@@ -139,12 +114,15 @@ def test_truncation_functorial_under_composition():
     rng = random.Random(71)
     checked = 0
     for _ in range(400):
-        src, phi1, mid, phi2, dst = _random_valid_triple(rng)
-        for m in (1, 3, 5, 7):
-            lhs = truncate_map(multiply(phi2, phi1), src, dst, m)
-            rhs = multiply(truncate_map(phi2, mid, dst, m), truncate_map(phi1, src, mid, m))
-            assert lhs == rhs
-            checked += 1
+        src, phi1, mid, phi2, dst = random_valid_triple(rng)
+        dg = BratteliDiagram((src, mid, dst), (phi1, phi2))
+        for m, sys in zip((1, 3, 5, 7), build_systems(dg, (1, 3, 5, 7))):
+            profiles = dg.prefix_levels
+            for k in range(len(sys.maps) - 1):
+                composite = multiply(dg.matrix_after(k + 2), dg.matrix_after(k + 1))
+                lhs = composite.submatrix(kept(profiles[k + 2], m), kept(profiles[k], m))
+                assert multiply(sys.maps[k + 1], sys.maps[k]) == lhs
+                checked += 1
     assert checked >= 200
 
 
@@ -156,7 +134,7 @@ def test_build_system_budget_exceeded_flag():
         prefix_matrices=(),
         tail=AffineTail(matrix=IntMatrix.identity(1), slack=(1,)),
     )
-    sys = build_system(dg, 9, budget=3)
+    [sys] = build_systems(dg, (9,), budget=3)
     assert sys.budget_exceeded
     assert sys.cycle_start is None
 
@@ -176,9 +154,9 @@ def _reference_system(dg, m, budget):
                 break
             seen[key] = level
     return TruncatedSystem(
-        dims=tuple(len(kept_indices(q, m)) for q in profiles),
+        dims=tuple(len(kept(q, m)) for q in profiles),
         maps=tuple(
-            truncate_map(phi, profiles[k], profiles[k + 1], m) for k, phi in enumerate(matrices)
+            phi.submatrix(kept(profiles[k + 1], m), kept(profiles[k], m)) for k, phi in enumerate(matrices)
         ),
         cycle_start=cycle and cycle[0],
         period=cycle and cycle[1],
