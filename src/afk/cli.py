@@ -10,22 +10,23 @@ malformed flag) also exits 1.  Exit 3 marks an internal invariant violation.
 Reports are deterministic: identical input and flags produce byte-identical
 output, so the timing block counts levels instead of wall-clock time.
 
-`COMMANDS` is the one command table: each name maps to its run function,
-its help text and its own flags, and both the parser and the dispatch read
-it.  A well-formed call that names a command builds one parser, that
-command's own; help, version, a missing or unknown command and a usage
-error build the `afk` parser with every command's subparser, so their text
-is argparse's own.  A command imports its engine (`colimit` for fm, fm-profile
-and k0q, `kstability` for kstable and telescope) when it runs, so a cold
-call loads only the modules its command needs.
+`COMMANDS` is the one command table: each name maps to its run function, its
+help text and its own flags, and the flag reader, the parser and the
+dispatch all read it.  A well-formed call (exact `--flag value` pairs of the
+named command's flags) is read from the table alone and never imports
+argparse; help, version, a missing or unknown command, a usage error and
+every other spelling build the `afk` parser with every command's subparser,
+so their text is argparse's own.  A command imports its engine (`colimit`
+for fm, fm-profile and k0q, `kstability` for kstable and telescope) when it
+runs, so a cold call loads only the modules its command needs.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple, Optional
 
 from . import __version__
@@ -49,76 +50,75 @@ EXIT_INTERNAL = 3
 EXIT_BY_STATUS = {"ok": EXIT_OK, "invalid": EXIT_INVALID, "inconclusive": EXIT_INCONCLUSIVE}
 
 
-class _Parser(argparse.ArgumentParser):
-    """Exits 1 on a usage error: exit 2 means inconclusive at the budget."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
-
-
-class _UsageError(Exception):
-    """A usage error met by a command's own parser; the `afk` parser reports it."""
+_SHARED_FLAGS = (  # every command's flags before its own: (name, add_argument options)
+    ("--input", {"required": True, "help": "path to a diagram JSON file, or - for stdin"}),
+    ("--budget", {"type": int, "default": None, "help": f"max levels to materialize (default {DEFAULT_BUDGET}; AFK_BUDGET overrides)"}),
+    ("--format", {"choices": ("json", "text"), "default": "json", "help": "report format"}),
+)
 
 
-class _CommandParser(argparse.ArgumentParser):
-    """One command's parser, as the `afk` parser's subparser for it would be built.
+def _read_flags(argv: list[str]) -> Optional[SimpleNamespace]:
+    """The flags of a well-formed call, read from `COMMANDS` alone; None for any other argv.
 
-    It prints no error of its own: `main` hands such an argv to the `afk`
-    parser, whose text (its usage line or the subparser's) it must keep.
+    Well formed: `argv[0]` names a command and the rest is exact `--flag
+    value` pairs of its flags, each flag once and every required one given,
+    no value starting with `-` but a lone `-`, and each value accepted by its
+    flag's type and choices.  The `afk` parser reads such a call to the same
+    namespace (such a value is never an option to it, and each dest is
+    derived as argparse derives it).  Abbreviations, `--flag=value`, repeated
+    flags, negative numbers, help, version and usage errors go to that parser.
     """
-
-    def error(self, message):
-        raise _UsageError
-
-
-def _add_arguments(parser: argparse.ArgumentParser, command: Command) -> None:
-    """The flags every command shares, then the command's own."""
-    parser.add_argument("--input", required=True, help="path to a diagram JSON file, or - for stdin")
-    parser.add_argument("--budget", type=int, default=None, help=f"max levels to materialize (default {DEFAULT_BUDGET}; AFK_BUDGET overrides)")
-    parser.add_argument("--format", choices=("json", "text"), default="json", help="report format")
-    for flag, options in command.flags:
-        parser.add_argument(flag, **options)
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None or len(argv) % 2 == 0:
+        return None
+    given = dict(zip(argv[1::2], argv[2::2]))
+    if len(given) != len(argv) // 2:  # a repeated flag
+        return None
+    args = {"command": argv[0]}
+    for flag, options in _SHARED_FLAGS + command.flags:
+        dest = options.get("dest", flag[2:].replace("-", "_"))
+        value = given.pop(flag, None)
+        if value is None:
+            if options.get("required"):
+                return None
+            args[dest] = options.get("default")
+            continue
+        if value.startswith("-") and value != "-":
+            return None
+        try:
+            value = options.get("type", str)(value)
+        except (TypeError, ValueError):
+            return None
+        if value not in options.get("choices", (value,)):
+            return None
+        args[dest] = value
+    return None if given else SimpleNamespace(**args)  # a flag left over is not the command's
 
 
 def _build_parser() -> argparse.ArgumentParser:
     """The `afk` parser, with one subparser for every command.
 
-    `main` builds it only for help, version, a missing or unknown command
-    and a usage error, so their text is argparse's own.
+    `main` builds it only for an argv `_read_flags` does not read: help,
+    version, a missing or unknown command, a usage error or an unusual
+    spelling, so their text is argparse's own.
     """
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """Exits 1 on a usage error: exit 2 means inconclusive at the budget."""
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
     parser = _Parser(prog="afk", description="Nonstable K-theory of AF-algebras from Bratteli diagrams, in exact arithmetic.")
     parser.add_argument("--version", action="version", version=f"afk {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
-        _add_arguments(sub.add_parser(name, help=command.help), command)
+        subparser = sub.add_parser(name, help=command.help)
+        for flag, options in _SHARED_FLAGS + command.flags:
+            subparser.add_argument(flag, **options)
     return parser
-
-
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """The parsed flags of a well-formed call that names a command, from its parser alone.
-
-    The `afk` parser hands everything after the command's name to that
-    command's subparser, so the command's own parser, built alike, sees the
-    same arguments and accepts exactly the same calls.  (The one argument the
-    `afk` parser itself refuses first, an ambiguous `--=...`, is ambiguous to
-    every command's parser too.)  Anything else (help,
-    version, no or an unknown command, a usage error, an argument the command
-    does not know) goes to the `afk` parser, which prints argparse's text and
-    exits.
-    """
-    command = COMMANDS.get(argv[0]) if argv else None
-    if command is not None:
-        parser = _CommandParser(prog=f"afk {argv[0]}")
-        _add_arguments(parser, command)
-        try:
-            args, extras = parser.parse_known_args(argv[1:])
-        except _UsageError:
-            extras = True
-        if not extras:
-            args.command = argv[0]
-            return args
-    return _build_parser().parse_args(argv)
 
 
 def _resolve_budget(args) -> int:
@@ -423,7 +423,7 @@ def _dispatch(args) -> int:
 def main(argv: Optional[list[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _parse_args(argv)
+    args = _read_flags(argv) or _build_parser().parse_args(argv)
     try:
         return _dispatch(args)
     except ParseError as exc:

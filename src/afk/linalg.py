@@ -65,10 +65,6 @@ class IntMatrix(_IntMatrixFields):
     def identity(cls, n: int) -> "IntMatrix":
         return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
-
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)

@@ -395,7 +395,7 @@ def test_cli_usage_errors_exit_one(capsys, argv):
 
 
 def test_cli_stray_argument_usage_lists_every_command(capsys):
-    # the fm parser leaves --bogus unrecognised, so the afk parser reports it in its own words
+    # the flag reader refuses --bogus, so the afk parser reports it in its own words
     with pytest.raises(SystemExit) as exc:
         main(["fm", "--m", "3", "--input", "-", "--bogus"])
     assert exc.value.code == 1
@@ -404,7 +404,7 @@ def test_cli_stray_argument_usage_lists_every_command(capsys):
     assert err.endswith("afk: error: unrecognized arguments: --bogus\n")
 
 
-def test_cli_builds_one_parser_for_a_well_formed_call(monkeypatch, capsys):
+def test_cli_builds_no_parser_for_a_well_formed_call(monkeypatch, capsys):
     parsers, subparsers = [], []
     parser_init = argparse.ArgumentParser.__init__
     subparsers_init = argparse._SubParsersAction.__init__
@@ -417,11 +417,58 @@ def test_cli_builds_one_parser_for_a_well_formed_call(monkeypatch, capsys):
         subparsers.append(self)
         subparsers_init(self, *args, **kwargs)
 
+    def run(argv):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(TWO_COLUMN_JSON))
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_parser)
     monkeypatch.setattr(argparse._SubParsersAction, "__init__", counting_subparsers)
-    monkeypatch.setattr(sys, "stdin", io.StringIO(TWO_COLUMN_JSON))
-    assert main(["fm", "--m", "3", "--input", "-"]) == 0
-    assert parsers == ["afk fm"] and subparsers == []
+    report = run(["fm", "--m", "3", "--input", "-"])
+    assert parsers == [] and subparsers == []
+    # another spelling of the same call builds the afk parser, which reads the same flags
+    assert run(["fm", "--m=3", "--input=-"]) == report
+    assert parsers == ["afk", *(f"afk {name}" for name in cli.COMMANDS)] and len(subparsers) == 1
+
+
+READER_FLAGS = sorted({flag for c in cli.COMMANDS.values() for flag, _ in cli._SHARED_FLAGS + c.flags})
+READER_TOKENS = READER_FLAGS + ["--bud", "--input=-", "--m=3", "-h", "--help", "--version", "--"]
+READER_VALUES = ["-", "-3", " 4", "1_0", "\u0663", "+5", "", "xml", "text", "--m"]
+REQUIRED_FLAGS = {name: [f for f, o in cli._SHARED_FLAGS + c.flags if o.get("required")] for name, c in cli.COMMANDS.items()}
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    command=st.sampled_from([*cli.COMMANDS, "bogus"]),
+    required_value=st.one_of(st.none(), st.sampled_from(READER_VALUES)),
+    groups=st.lists(
+        st.one_of(
+            st.tuples(st.sampled_from(READER_FLAGS), st.sampled_from(READER_VALUES)),
+            st.tuples(st.sampled_from(READER_TOKENS + READER_VALUES)),  # odd lengths, other spellings
+        ),
+        max_size=3,
+    ),
+)
+def test_the_flag_reader_agrees_with_the_afk_parser(command, required_value, groups):
+    # every required flag with one drawn value first, unless it is None, so that many argvs are well formed
+    required = [] if required_value is None else REQUIRED_FLAGS.get(command, [])
+    argv = [command, *(t for flag in required for t in (flag, required_value)), *(t for g in groups for t in g)]
+    args = cli._read_flags(argv)
+    if args is not None:
+        assert vars(args) == vars(cli._build_parser().parse_args(argv)), argv
+
+
+def test_the_flag_reader_reads_every_benchmark_call():
+    # so the benchmark times the table path, and each call's flags are the parser's
+    parser = cli._build_parser()
+    corpora = sorted((Path(__file__).resolve().parents[1] / "bench" / "corpus").glob("*.seed0.json"))
+    assert len(corpora) == 3
+    for path in corpora:
+        for op in json.loads(path.read_text(encoding="utf-8"))["ops"]:
+            argv = op["argv"] + ["--input", "-"]
+            args = cli._read_flags(argv)
+            assert args is not None, (path.name, argv)
+            assert vars(args) == vars(parser.parse_args(argv)), (path.name, argv)
 
 
 # runs `afk` as a process would (argv from sys.argv) beside the all-commands parser

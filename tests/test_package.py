@@ -85,12 +85,19 @@ STARTUP_ARGV = {
     "export-dot": ([], {"afk.colimit", "afk.truncation", "afk.kstability"}),
 }
 
+# argvs that still need argparse (help and a usage error), with their exit codes
+ARGPARSE_ARGV = {"help": (["--help"], 0), "usage-error": (["fm", "--m", "x"], 1)}
+
 STARTUP_SCRIPT = """
 import io, sys
 from afk import cli
 stdout, sys.stdout = sys.stdout, io.StringIO()
-code = cli.main(sys.argv[1:] + ["--input", "-"])
-sys.stdout = stdout
+stderr, sys.stderr = sys.stderr, io.StringIO()
+try:
+    code = cli.main(sys.argv[1:] + ["--input", "-"])
+except SystemExit as exc:
+    code = exc.code
+sys.stdout, sys.stderr = stdout, stderr
 print(code)
 print(" ".join(sorted(sys.modules)))
 """
@@ -101,19 +108,27 @@ TAIL_DOCUMENT = '{"levels":[[1,1],[2,2]],"matrices":[[[1,0],[1,1]]],"tail":{"mat
 def test_a_cold_command_loads_only_its_own_engine_modules():
     src = str(Path(afk.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
+    argvs = {
+        **{command: ([command, *flags], 0) for command, (flags, _) in STARTUP_ARGV.items()},
+        **ARGPARSE_ARGV,
+    }
     children = {
-        command: subprocess.Popen(
-            [sys.executable, "-c", STARTUP_SCRIPT, command, *flags],
+        name: subprocess.Popen(
+            [sys.executable, "-c", STARTUP_SCRIPT, *argv],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
         )
-        for command, (flags, _) in STARTUP_ARGV.items()
+        for name, (argv, _) in argvs.items()
     }
-    for command, child in children.items():
+    for name, child in children.items():
         out, err = child.communicate(TAIL_DOCUMENT, timeout=60)
         assert child.returncode == 0, err
         code, modules = out.splitlines()
         loaded = set(modules.split())
-        assert code == "0", command
+        assert code == str(argvs[name][1]), name
         assert "afk.cli" in loaded
-        assert "dataclasses" not in loaded, command
-        assert not loaded & STARTUP_ARGV[command][1], (command, loaded & STARTUP_ARGV[command][1])
+        assert "dataclasses" not in loaded, name
+        if name in ARGPARSE_ARGV:  # help and usage errors are argparse's own
+            assert {"argparse", "gettext"} <= loaded, name
+        else:  # a well-formed call is read from the command table
+            assert not loaded & {"argparse", "gettext"}, name
+            assert not loaded & STARTUP_ARGV[name][1], (name, loaded & STARTUP_ARGV[name][1])
