@@ -19,6 +19,12 @@ every other spelling build the `afk` parser with every command's subparser,
 so their text is argparse's own.  A command imports its engine (`colimit`
 for fm, fm-profile and k0q, `kstability` for kstable and telescope) when it
 runs, so a cold call loads only the modules its command needs.
+
+A JSON report is byte for byte `json.dumps(report, sort_keys=True, indent=2)`
+and a newline, for the types a report holds: dicts with str keys, lists,
+tuples, str, int, bool and None; any other type raises TypeError.  `json`
+with an indent never uses its C encoder, so `_json_chunks` writes the text
+itself: pieces appended to one list, joined once.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple, Optional
 
@@ -186,9 +193,44 @@ def _report(command: str, digest: str, flags: dict, status: str, result: dict, l
     }
 
 
+_INT = frozenset((int,))
+
+
+def _json_chunks(value, out: list, pad: str) -> None:
+    """Append `json.dumps(value, sort_keys=True, indent=2)` to `out` in pieces; `pad` is "\n" plus the indent."""
+    kind = type(value)
+    if kind is str:
+        out.append(encode_basestring_ascii(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is bool or value is None:
+        out.append("null" if value is None else "true" if value else "false")
+    elif kind is dict:
+        lead, inner = "{" + pad + "  ", pad + "  "
+        for key, item in sorted(value.items()):
+            out.append(lead + encode_basestring_ascii(key) + ": ")  # a key that is no str raises TypeError
+            _json_chunks(item, out, inner)
+            lead = "," + inner
+        out.append(pad + "}" if value else "{}")
+    elif kind is list or kind is tuple:
+        lead, inner = "[" + pad + "  ", pad + "  "
+        if value and _INT.issuperset(map(type, value)):  # an all-int list in one join
+            out += lead, ("," + inner).join(map(int.__repr__, value)), pad + "]"
+            return
+        for item in value:
+            out.append(lead)
+            _json_chunks(item, out, inner)
+            lead = "," + inner
+        out.append(pad + "]" if value else "[]")
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def _write_json(report: dict) -> None:
-    sys.stdout.write(json.dumps(report, sort_keys=True, indent=2))
-    sys.stdout.write("\n")  # apart, so a large report is not copied to append it
+    out: list = []
+    _json_chunks(report, out, "\n")
+    out.append("\n")
+    sys.stdout.write("".join(out))  # one join: a large string is copied once, not once per level
 
 
 def _emit(report: dict, fmt: str) -> None:

@@ -69,9 +69,9 @@ class AffineTail(_AffineTailFields):
             raise ShapeMismatch(
                 f"tail slack has length {len(slack)}, matrix is {matrix.rows}x{matrix.rows}"
             )
-        if any(s < 0 for s in slack):
+        if min(slack, default=0) < 0:
             raise ShapeMismatch("tail slack entries must be non-negative")
-        if any(e < 0 for e in matrix.entries):
+        if min(matrix.entries, default=0) < 0:
             raise ShapeMismatch("tail matrix entries must be non-negative")
         return tuple.__new__(cls, (matrix, slack))
 
@@ -114,7 +114,7 @@ class BratteliDiagram(_BratteliDiagramFields):
         for idx, lvl in enumerate(prefix_levels, start=1):
             if len(lvl) == 0:
                 raise EmptyLevel(f"level {idx} has no summands")
-            if any(p < 1 for p in lvl):
+            if min(lvl) < 1:
                 raise EmptyLevel(f"level {idx} has a non-positive summand size")
         if len(prefix_matrices) != len(prefix_levels) - 1:
             raise ShapeMismatch(
@@ -125,7 +125,7 @@ class BratteliDiagram(_BratteliDiagramFields):
             want = (len(prefix_levels[k]), len(prefix_levels[k - 1]))
             if m.shape != want:
                 raise ShapeMismatch(f"matrix {k} has shape {m.shape}, expected {want}")
-            if any(e < 0 for e in m.entries):
+            if min(m.entries, default=0) < 0:
                 raise ShapeMismatch(f"matrix {k} has a negative multiplicity")
         if tail is not None and tail.matrix.rows != len(prefix_levels[-1]):
             raise ShapeMismatch(
@@ -146,14 +146,8 @@ class BratteliDiagram(_BratteliDiagramFields):
     @property
     def injective(self) -> bool:
         """True iff no connecting matrix (prefix or tail) has a zero column."""
-        mats = list(self.prefix_matrices)
-        if self.tail is not None:
-            mats.append(self.tail.matrix)
-        for m in mats:
-            for j in range(m.cols):
-                if all(x == 0 for x in m.column(j)):
-                    return False
-        return True
+        mats = self.prefix_matrices if self.tail is None else (*self.prefix_matrices, self.tail.matrix)
+        return all(any(m.entries[j :: m.cols]) for m in mats for j in range(m.cols))
 
     def matrix_after(self, level: int) -> IntMatrix:
         """The matrix joining `level` (1-based) to the next: a prefix one, or the tail's past the prefix."""

@@ -45,16 +45,15 @@ class DiagramDocument(NamedTuple):
 def _expect_int_list(value: Any, locus: str, positive: bool) -> tuple[int, ...]:
     if not isinstance(value, list) or not value:
         raise ParseError(locus, "expected a non-empty list of integers")
-    out = []
+    low = 1 if positive else 0
     for idx, x in enumerate(value):
-        if not isinstance(x, int) or isinstance(x, bool):
+        if type(x) is not int:  # json.loads makes no int subclass but bool
             raise ParseError(f"{locus}[{idx}]", "expected an integer")
-        if positive and x < 1:
-            raise ParseError(f"{locus}[{idx}]", f"expected a positive size, got {x}")
-        if not positive and x < 0:
-            raise ParseError(f"{locus}[{idx}]", f"expected a non-negative integer, got {x}")
-        out.append(x)
-    return tuple(out)
+        if x < low:
+            raise ParseError(
+                f"{locus}[{idx}]", f"expected a positive size, got {x}" if positive else f"expected a non-negative integer, got {x}"
+            )
+    return tuple(value)
 
 
 def _expect_matrix(value: Any, locus: str) -> tuple[tuple[int, ...], ...]:
@@ -128,8 +127,6 @@ def parse(text: str) -> DiagramDocument:
             raise ParseError(
                 "tail.matrix", f"must be {n}x{n} to repeat after the last level, got {len(tmat)}x{len(tmat[0])}"
             )
-        if any(x < 0 for row in tmat for x in row):
-            raise ParseError("tail.matrix", "multiplicities must be non-negative")
         slack = _expect_int_list(t.get("slack", [0] * n), "tail.slack", positive=False)
         if len(slack) != n:
             raise ParseError("tail.slack", f"expected {n} entries, got {len(slack)}")
@@ -155,9 +152,12 @@ def document_to_json(doc: DiagramDocument) -> dict:
     return out
 
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))  # json.dumps builds one per call
+
+
 def serialize(doc: DiagramDocument) -> str:
     """Canonical one-line JSON; parse(serialize(doc)) == doc."""
-    return json.dumps(document_to_json(doc), sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(document_to_json(doc))
 
 
 def input_digest(doc: DiagramDocument) -> str:

@@ -15,6 +15,7 @@ rank(C^(j+t) · X) = rank(C^j · X) for every t and every X.
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -56,10 +57,9 @@ class IntMatrix(_IntMatrixFields):
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
         nrows = len(rows)
         ncols = len(rows[0]) if nrows else 0
-        for r in rows:
-            if len(r) != ncols:
-                raise DimensionMismatch("ragged rows")
-        return cls(nrows, ncols, tuple(int(x) for r in rows for x in r))
+        if len(set(map(len, rows))) > 1:
+            raise DimensionMismatch("ragged rows")
+        return cls(nrows, ncols, tuple(map(int, chain.from_iterable(rows))))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -74,9 +74,6 @@ class IntMatrix(_IntMatrixFields):
 
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]

@@ -78,6 +78,28 @@ def test_parse_errors_carry_locus(text, locus_part):
     assert locus_part in str(exc.value)
 
 
+ONE_LEVEL_TAIL = '{"levels":[[1,1]],"matrices":[],"tail":{"matrix":%s,"slack":%s}}'
+
+
+@pytest.mark.parametrize(
+    "text, locus, reason",
+    [
+        ('{"levels":[[1,true]],"matrices":[]}', "levels[0][1]", "expected an integer"),
+        ('{"levels":[[1.0]],"matrices":[]}', "levels[0][0]", "expected an integer"),
+        ('{"levels":[["1"]],"matrices":[]}', "levels[0][0]", "expected an integer"),
+        ('{"levels":[[[1]]],"matrices":[]}', "levels[0][0]", "expected an integer"),
+        ('{"levels":[[1],[2,0]],"matrices":[[[1],[1]]]}', "levels[1][1]", "expected a positive size, got 0"),
+        ('{"levels":[[1],[2]],"matrices":[[[-1]]]}', "matrices[0][0][0]", "expected a non-negative integer, got -1"),
+        (ONE_LEVEL_TAIL % ("[[1,0],[-2,1]]", "[0,0]"), "tail.matrix[1][0]", "expected a non-negative integer, got -2"),
+        (ONE_LEVEL_TAIL % ("[[1,0],[0,1]]", "[0,-1]"), "tail.slack[1]", "expected a non-negative integer, got -1"),
+    ],
+)
+def test_parse_names_the_bad_entry_and_why(text, locus, reason):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.locus, exc.value.reason) == (locus, reason)
+
+
 def test_roundtrip_on_200_random_documents():
     rng = random.Random(8601)
     for _ in range(220):
@@ -705,3 +727,61 @@ def test_cli_integer_flags_never_exit_three(tmp_path_factory, command, value, bu
     path.write_text(doc, encoding="utf-8")
     argv = [command[0], "--input", str(path), command[1], str(value), "--budget", str(budget), "--format", fmt]
     assert main(argv) != 3
+
+
+# --- the report writer ------------------------------------------------------
+
+
+def written(value):
+    out = []
+    cli._json_chunks(value, out, "\n")
+    return "".join(out)
+
+
+JSON_LEAVES = st.one_of(
+    st.text(st.characters(exclude_categories=())),  # any code point, non-ASCII included
+    st.text(st.characters(categories=["Cc", "Cs"])),  # control characters and lone surrogates
+    st.integers(),
+    st.integers(2**64, 2**200).flatmap(lambda n: st.sampled_from([n, -n])),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers()),  # all-int lists, joined in one call
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(st.text(st.characters(exclude_categories=()), max_size=4), kids, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(JSON_VALUES)
+def test_the_writer_writes_what_json_dumps_writes(value):
+    assert written(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, {"a": [0.0]}, {1, 2}, [frozenset()], {1: "x"}, {"a": {None: 1}}])
+def test_the_writer_refuses_what_a_report_never_holds(value):
+    with pytest.raises(TypeError):
+        written(value)
+
+
+def test_the_writer_matches_json_dumps_on_every_benchmark_report(monkeypatch):
+    reports, ops = [], 0
+    monkeypatch.setattr(cli, "_write_json", reports.append)
+    corpora = sorted((Path(__file__).resolve().parents[1] / "bench" / "corpus").glob("*.seed0.json"))
+    assert len(corpora) == 3
+    for path in corpora:
+        corpus = json.loads(path.read_text(encoding="utf-8"))
+        texts = [json.dumps(doc) for doc in corpus["documents"]]
+        for op in corpus["ops"]:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(texts[op["doc"]]))
+            main(op["argv"] + ["--input", "-"])
+        ops += len(corpus["ops"])
+    assert len(reports) == ops
+    for report in reports:
+        assert written(report) == json.dumps(report, sort_keys=True, indent=2)
