@@ -18,7 +18,6 @@ _EXPORTS = {
     "AffineTail": "diagram",
     "BratteliDiagram": "diagram",
     "ColimitResult": "colimit",
-    "DiagramDocument": "io",
     "DiagramError": "diagram",
     "DimensionMismatch": "linalg",
     "EmptyLevel": "diagram",

@@ -40,7 +40,6 @@ from . import __version__
 from .diagram import DEFAULT_BUDGET, InjectivityRequired
 from .io import (
     ParseError,
-    document_to_json,
     dot_levels,
     export_dot,
     from_diagram,
@@ -402,7 +401,7 @@ def _telescope(args, diagram, budget):
         return "ok", {"outcome": "infinite-chain", "witness": _witness_payload(exc.witness)}, budget
     if out is INCONCLUSIVE:
         return "inconclusive", {"outcome": "inconclusive"}, budget
-    document = document_to_json(from_diagram(out))
+    document = from_diagram(out)
     try:  # only the first level can come from the tail; the rest is the input's, which printed
         "".join(map(str, document["levels"][0]))
     except ValueError:

@@ -9,13 +9,19 @@ The canonical on-disk form is a JSON object
 
 with matrices stored target-major: row i, column j is the multiplicity of
 the edge from source summand j into target summand i.
+
+A document is that JSON object itself, as `parse` checked it, with its
+defaults filled in: `matrices` is `[]` when absent, a tail's `slack` is
+zeros when absent, and a `null` `tail` or `metadata` is dropped.  So every
+spelling of one diagram serializes, and digests, alike.  `to_diagram` builds
+the engine's `BratteliDiagram` from it and `from_diagram` the way back.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, NamedTuple, Optional
+from typing import Any, Optional
 
 from .diagram import DEFAULT_BUDGET, AffineTail, BratteliDiagram, DiagramError, materialize
 from .linalg import IntMatrix
@@ -30,19 +36,7 @@ class ParseError(ValueError):
         self.reason = message
 
 
-class TailDocument(NamedTuple):
-    matrix: tuple[tuple[int, ...], ...]
-    slack: tuple[int, ...]
-
-
-class DiagramDocument(NamedTuple):
-    levels: tuple[tuple[int, ...], ...]
-    matrices: tuple[tuple[tuple[int, ...], ...], ...]
-    tail: Optional[TailDocument] = None
-    metadata: Optional[dict] = None
-
-
-def _expect_int_list(value: Any, locus: str, positive: bool) -> tuple[int, ...]:
+def _expect_int_list(value: Any, locus: str, positive: bool) -> None:
     if not isinstance(value, list) or not value:
         raise ParseError(locus, "expected a non-empty list of integers")
     low = 1 if positive else 0
@@ -53,26 +47,19 @@ def _expect_int_list(value: Any, locus: str, positive: bool) -> tuple[int, ...]:
             raise ParseError(
                 f"{locus}[{idx}]", f"expected a positive size, got {x}" if positive else f"expected a non-negative integer, got {x}"
             )
-    return tuple(value)
 
 
-def _expect_matrix(value: Any, locus: str) -> tuple[tuple[int, ...], ...]:
+def _expect_matrix(value: Any, locus: str) -> None:
     if not isinstance(value, list) or not value:
         raise ParseError(locus, "expected a non-empty list of rows")
-    rows = []
-    width = None
     for i, row in enumerate(value):
-        r = _expect_int_list(row, f"{locus}[{i}]", positive=False)
-        if width is None:
-            width = len(r)
-        elif len(r) != width:
-            raise ParseError(f"{locus}[{i}]", f"row has {len(r)} entries, previous rows have {width}")
-        rows.append(r)
-    return tuple(rows)
+        _expect_int_list(row, f"{locus}[{i}]", positive=False)
+        if len(row) != len(value[0]):
+            raise ParseError(f"{locus}[{i}]", f"row has {len(row)} entries, previous rows have {len(value[0])}")
 
 
-def parse(text: str) -> DiagramDocument:
-    """Parse UTF-8 JSON into a structurally checked document."""
+def parse(text: str) -> dict:
+    """Parse UTF-8 JSON into a structurally checked document, its defaults filled in."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -88,22 +75,18 @@ def parse(text: str) -> DiagramDocument:
         raise ParseError("$", f"unknown fields: {', '.join(sorted(unknown))}")
     if "levels" not in raw:
         raise ParseError("$", "missing required field 'levels'")
-    if not isinstance(raw["levels"], list) or not raw["levels"]:
+    levels = raw["levels"]
+    if not isinstance(levels, list) or not levels:
         raise ParseError("levels", "expected a non-empty list of levels")
-    levels = tuple(
-        _expect_int_list(lvl, f"levels[{i}]", positive=True) for i, lvl in enumerate(raw["levels"])
-    )
-    raw_matrices = raw.get("matrices", [])
-    if not isinstance(raw_matrices, list):
+    for i, lvl in enumerate(levels):
+        _expect_int_list(lvl, f"levels[{i}]", positive=True)
+    matrices = raw.setdefault("matrices", [])
+    if not isinstance(matrices, list):
         raise ParseError("matrices", "expected a list of matrices")
-    if len(raw_matrices) != len(levels) - 1:
-        raise ParseError(
-            "matrices",
-            f"{len(levels)} levels need {len(levels) - 1} matrices, got {len(raw_matrices)}",
-        )
-    matrices = tuple(
-        _expect_matrix(m, f"matrices[{k}]") for k, m in enumerate(raw_matrices)
-    )
+    if len(matrices) != len(levels) - 1:
+        raise ParseError("matrices", f"{len(levels)} levels need {len(levels) - 1} matrices, got {len(matrices)}")
+    for k, m in enumerate(matrices):
+        _expect_matrix(m, f"matrices[{k}]")
     for k, m in enumerate(matrices):
         want = (len(levels[k + 1]), len(levels[k]))
         if (len(m), len(m[0])) != want:
@@ -112,82 +95,70 @@ def parse(text: str) -> DiagramDocument:
                 f"shape {(len(m), len(m[0]))} does not join levels of sizes "
                 f"{len(levels[k])} -> {len(levels[k + 1])} (expected {want})",
             )
-    tail = None
-    if raw.get("tail") is not None:
-        t = raw["tail"]
+    t = raw.get("tail")
+    if t is None:
+        raw.pop("tail", None)
+    else:
         if not isinstance(t, dict):
             raise ParseError("tail", "expected an object with 'matrix' and 'slack'")
         if set(t) - {"matrix", "slack"}:
             raise ParseError("tail", "only 'matrix' and 'slack' are allowed")
         if "matrix" not in t:
             raise ParseError("tail", "missing 'matrix'")
-        tmat = _expect_matrix(t["matrix"], "tail.matrix")
+        tmat = t["matrix"]
+        _expect_matrix(tmat, "tail.matrix")
         n = len(levels[-1])
         if len(tmat) != n or len(tmat[0]) != n:
             raise ParseError(
                 "tail.matrix", f"must be {n}x{n} to repeat after the last level, got {len(tmat)}x{len(tmat[0])}"
             )
-        slack = _expect_int_list(t.get("slack", [0] * n), "tail.slack", positive=False)
+        slack = t.setdefault("slack", [0] * n)
+        _expect_int_list(slack, "tail.slack", positive=False)
         if len(slack) != n:
             raise ParseError("tail.slack", f"expected {n} entries, got {len(slack)}")
-        tail = TailDocument(matrix=tmat, slack=slack)
-    metadata = raw.get("metadata")
-    if metadata is not None and not isinstance(metadata, dict):
+    if raw.get("metadata") is None:
+        raw.pop("metadata", None)
+    elif not isinstance(raw["metadata"], dict):
         raise ParseError("metadata", "expected an object")
-    return DiagramDocument(levels=levels, matrices=matrices, tail=tail, metadata=metadata)
-
-
-def document_to_json(doc: DiagramDocument) -> dict:
-    out: dict[str, Any] = {
-        "levels": [list(lvl) for lvl in doc.levels],
-        "matrices": [[list(row) for row in m] for m in doc.matrices],
-    }
-    if doc.tail is not None:
-        out["tail"] = {
-            "matrix": [list(row) for row in doc.tail.matrix],
-            "slack": list(doc.tail.slack),
-        }
-    if doc.metadata is not None:
-        out["metadata"] = doc.metadata
-    return out
+    return raw
 
 
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))  # json.dumps builds one per call
 
 
-def serialize(doc: DiagramDocument) -> str:
+def serialize(doc: dict) -> str:
     """Canonical one-line JSON; parse(serialize(doc)) == doc."""
-    return _CANONICAL.encode(document_to_json(doc))
+    return _CANONICAL.encode(doc)
 
 
-def input_digest(doc: DiagramDocument) -> str:
+def input_digest(doc: dict) -> str:
     return "sha256:" + hashlib.sha256(serialize(doc).encode("utf-8")).hexdigest()
 
 
-def to_diagram(doc: DiagramDocument) -> BratteliDiagram:
-    """Build the validated-shape diagram object; loci attached to failures."""
+def to_diagram(doc: dict) -> BratteliDiagram:
+    """Build the validated-shape diagram object; loci attached to failures.
+
+    The diagram holds tuples only, so it shares no list with `doc`.
+    """
     try:
-        matrices = tuple(IntMatrix.from_rows(m) for m in doc.matrices)
-        tail = None
-        if doc.tail is not None:
-            tail = AffineTail(matrix=IntMatrix.from_rows(doc.tail.matrix), slack=doc.tail.slack)
-        return BratteliDiagram(prefix_levels=doc.levels, prefix_matrices=matrices, tail=tail)
+        tail = doc.get("tail")
+        if tail is not None:
+            tail = AffineTail(matrix=IntMatrix.from_rows(tail["matrix"]), slack=tuple(tail["slack"]))
+        return BratteliDiagram(
+            prefix_levels=tuple(map(tuple, doc["levels"])),
+            prefix_matrices=tuple(map(IntMatrix.from_rows, doc["matrices"])),
+            tail=tail,
+        )
     except DiagramError as exc:
         raise ParseError("$", str(exc)) from None
 
 
-def from_diagram(d: BratteliDiagram, metadata: Optional[dict] = None) -> DiagramDocument:
-    return DiagramDocument(
-        levels=d.prefix_levels,
-        matrices=tuple(tuple(tuple(m.row(i)) for i in range(m.rows)) for m in d.prefix_matrices),
-        tail=None
-        if d.tail is None
-        else TailDocument(
-            matrix=tuple(tuple(d.tail.matrix.row(i)) for i in range(d.tail.matrix.rows)),
-            slack=d.tail.slack,
-        ),
-        metadata=metadata,
-    )
+def from_diagram(d: BratteliDiagram) -> dict:
+    """The document of `d`, as `parse` returns it: to_diagram(from_diagram(d)) == d."""
+    doc: dict[str, Any] = {"levels": list(map(list, d.prefix_levels)), "matrices": [m.to_rows() for m in d.prefix_matrices]}
+    if d.tail is not None:
+        doc["tail"] = {"matrix": d.tail.matrix.to_rows(), "slack": list(d.tail.slack)}
+    return doc
 
 
 def dot_levels(d: BratteliDiagram, budget: int) -> int:

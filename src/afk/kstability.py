@@ -285,13 +285,12 @@ def find_infinite_k_chain(
         return INCONCLUSIVE
     tm = d.tail.matrix
     window = range(orbit.start, orbit.start + orbit.period)
-    candidates = sorted({orbit.profiles[lvl - 1][i] for lvl in window for i in orbit.bounded})
-    witnesses = []
-    for k in candidates:
+    # each candidate k has at most one witness, so the smallest k with a cycle wins
+    for k in sorted({orbit.profiles[lvl - 1][i] for lvl in window for i in orbit.bounded}):
         cycle = _phase_graph_cycle(orbit, tm, k)
         if cycle is not None:
-            witnesses.append(_witness_from_cycle(d, orbit, k, cycle))
-    return min(witnesses, key=lambda w: (w.k, w.start_level), default=None)
+            return _witness_from_cycle(d, orbit, k, cycle)
+    return None
 
 
 def replay_witness(d: BratteliDiagram, w: KChainWitness, budget: int = DEFAULT_BUDGET) -> list[str]:

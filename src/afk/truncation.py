@@ -84,10 +84,10 @@ def build_systems(
     """
     degrees = tuple(degrees)
     for m in degrees:
-        if m % 2 == 0:
-            raise EvenDegree(f"degree {m} is even; F_even vanishes, build the system for odd m")
         if m < 1:
             raise ValueError(f"degree must be >= 1, got {m}")
+        if m % 2 == 0:
+            raise EvenDegree(f"degree {m} is even; F_even vanishes, build the system for odd m")
     if not degrees:
         return []
     _diagram.ensure_valid(diagram)

@@ -1,7 +1,6 @@
 """Random diagram and document generators shared by the test modules."""
 
 from afk.diagram import AffineTail, BratteliDiagram
-from afk.io import DiagramDocument, TailDocument
 from afk.linalg import IntMatrix
 
 
@@ -103,23 +102,17 @@ def random_stationary_tail_diagram(rng, max_summands=4, max_levels=5, max_entry=
     )
 
 
-def random_document(rng) -> DiagramDocument:
+def random_document(rng) -> dict:
+    """A document as `parse` returns it."""
     levels, matrices = random_prefix(rng, max_levels=4)
-    tail = None
+    doc = {"levels": [list(lvl) for lvl in levels], "matrices": [m.to_rows() for m in matrices]}
     if rng.random() < 0.6:
         n = len(levels[-1])
         rows = _no_zero_rows([[rng.randint(0, 2) for _ in range(n)] for _ in range(n)], rng)
-        tail = TailDocument(
-            matrix=tuple(tuple(r) for r in rows),
-            slack=tuple(rng.randint(0, 2) for _ in range(n)),
-        )
-    metadata = {"name": f"case-{rng.randint(0, 999)}"} if rng.random() < 0.4 else None
-    return DiagramDocument(
-        levels=tuple(levels),
-        matrices=tuple(tuple(tuple(m.row(i)) for i in range(m.rows)) for m in matrices),
-        tail=tail,
-        metadata=metadata,
-    )
+        doc["tail"] = {"matrix": rows, "slack": [rng.randint(0, 2) for _ in range(n)]}
+    if rng.random() < 0.4:
+        doc["metadata"] = {"name": f"case-{rng.randint(0, 999)}"}
+    return doc
 
 
 def stationary_tail_of_width(rng, width, **kwargs):

@@ -33,8 +33,9 @@ def test_degrees_below_one_are_refused_even_or_odd():
     for m in (0, -1, -2):
         with pytest.raises(ValueError, match="degree must be >= 1"):
             fm_dimension(two_column(), m)
-    with pytest.raises(ValueError, match="degree must be >= 1"):
-        profile_systems(two_column(), (1, 2, 0))
+    for build in (lambda: profile_systems(two_column(), (1, 2, 0)), lambda: build_systems(two_column(), (0,))):
+        with pytest.raises(ValueError, match="degree must be >= 1"):
+            build()
 
 
 def test_doubling_tail_dimension_one():

@@ -18,7 +18,7 @@ from afk.diagram import (
     unroll_to_repeat,
     validate,
 )
-from afk.io import export_dot, from_diagram
+from afk.io import export_dot
 from afk.kstability import KChainWitness, classify, coordinate_classes, tail_orbit, telescope
 from afk.linalg import DimensionMismatch, IntMatrix, multiply
 from afk.truncation import TruncatedSystem, build_systems
@@ -141,7 +141,6 @@ def test_records_are_immutable_tuples():
         (ValidationProblem("k", None, 1, "m"), "kind"), (verdict, "status"),
         (KChainWitness(1, 1, (), 1, (1,)), "k"), (fm_profile(d, 1)[0][1], "dimension"),
         (build_systems(d, (3,))[0], "dims"), (tail_orbit(d), "period"),
-        (from_diagram(d), "levels"), (from_diagram(d).tail, "slack"),
     ]
     for record, name in records:
         with pytest.raises(AttributeError):

@@ -17,7 +17,6 @@ from afk import cli
 from afk.cli import main
 from afk.io import (
     ParseError,
-    TailDocument,
     export_dot,
     from_diagram,
     input_digest,
@@ -45,8 +44,8 @@ WORKED_JSON = (
 
 def test_parse_two_column_document():
     doc = parse(TWO_COLUMN_JSON)
-    assert doc.levels == ((1, 1), (2, 2), (3, 4))
-    assert doc.tail == TailDocument(matrix=((1, 0), (1, 1)), slack=(1, 0))
+    assert doc["levels"] == [[1, 1], [2, 2], [3, 4]]
+    assert doc["tail"] == {"matrix": [[1, 0], [1, 1]], "slack": [1, 0]}
     assert to_diagram(doc) == two_column()
 
 
@@ -107,9 +106,23 @@ def test_roundtrip_on_200_random_documents():
         assert parse(serialize(doc)) == doc
 
 
+ONE_LEVEL = '{"levels":[[1,2]],"matrices":[]}'
+SPELLINGS = [  # (text, another spelling of its document): whitespace, key order, or a default written out
+    ('{ "levels": [[1, 1], [2, 2], [3, 4]], "matrices": [[[1,0],[1,1]],[[1,0],[1,1]]], '
+     '"tail": {"matrix": [[1,0],[1,1]], "slack": [1,0]} }', TWO_COLUMN_JSON),
+    ('{"levels":[[1,2]]}', ONE_LEVEL),
+    ('{"levels":[[1,2]],"matrices":[],"tail":null}', ONE_LEVEL),
+    ('{"levels":[[1,2]],"matrices":[],"metadata":null}', ONE_LEVEL),
+    ('{"metadata":null,"tail":null,"levels":[[1,2]]}', ONE_LEVEL),
+    ('{"levels":[[1,2]],"matrices":[],"tail":{"matrix":[[1,0],[0,1]]}}',
+     '{"levels":[[1,2]],"matrices":[],"tail":{"matrix":[[1,0],[0,1]],"slack":[0,0]}}'),
+]
+
+
 def test_digest_ignores_whitespace():
-    spaced = '{ "levels": [[1, 1], [2, 2], [3, 4]], "matrices": [[[1,0],[1,1]],[[1,0],[1,1]]], "tail": {"matrix": [[1,0],[1,1]], "slack": [1,0]} }'
-    assert input_digest(parse(spaced)) == input_digest(parse(TWO_COLUMN_JSON))
+    for text, other in SPELLINGS:
+        assert parse(text) == parse(other) == parse(serialize(parse(text))), text
+        assert input_digest(parse(text)) == input_digest(parse(other)), text
 
 
 def test_from_diagram_roundtrip():
