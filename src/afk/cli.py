@@ -297,8 +297,6 @@ def _render_text(report: dict) -> str:
             lines.append("diagram: " + json.dumps(result["diagram"], sort_keys=True))
     elif cmd == "export-dot":
         return result["dot"]
-    if report.get("error"):
-        lines.append(f"error: {report['error']['message']}")
     return "\n".join(lines) + "\n"
 
 

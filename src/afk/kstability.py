@@ -11,21 +11,38 @@ drops every level up to the last one holding a summand < m.  The walk is
 `diagram.unroll_to_repeat` with a key that is None, ending the scan, once no
 summand is < m; the tail-orbit search uses the same unroll.
 
-Tail analysis is exact.  Coordinates of an affine tail split into
+Tail analysis is exact and rests on one static relation of the tail matrix
+Φ.  Row i copies coordinate j when it is the unit vector e_j and slack_i is
+0: then q'_i = q_j at every tail level.  On a cycle of that relation, a copy
+cycle, the sizes rotate and never grow.  In a valid tail every size is
+positive, and so:
 
-  * divergent ones, whose sizes grow beyond every bound (certified from the
-    support graph of the tail matrix: a cycle pumped by slack, by another
-    cycle upstream, or by a multiplicity >= 2 forces unbounded growth, and
-    everything such a cycle reaches grows with it), and
-  * bounded ones, which evolve autonomously and must therefore repeat.
+  * a same-size sole-predecessor edge is a copy: q'_i = Φ_ij.q_j + (the
+    rest of row i).q + slack_i with Φ_ij >= 1 equals q_j only if Φ_ij = 1
+    and nothing else is added;
+  * a chain that runs forever over finitely many coordinates steps along
+    copies once it is in the tail, and some coordinate recurs on it; that
+    coordinate copies itself through the steps in between, so the chain
+    closes a copy cycle.  Conversely a copy cycle carries a chain forever;
+  * a cycle that is not a copy cycle gains >= 1 per turn, since one of its
+    rows adds a multiplicity >= 2, a second positive term or slack to what
+    it passes on, and so does everything it feeds, as q'_i >= q_j whenever
+    Φ_ij >= 1;
+  * a coordinate fed only by bounded coordinates is bounded: its next size
+    is a fixed affine function of theirs.
 
-An exact repeat of the bounded sub-vector certifies eventual periodicity of
-everything a chain can use, reducing infinite-chain existence to cycle
-detection in a finite phase graph.
+So the bounded coordinates are the copy-cycle ones, closed under the last
+rule, and every other one diverges: walking back through predecessors
+outside that set (a valid tail has no zero row) closes a cycle that is not
+a copy cycle upstream of it.  The bounded coordinates off the copy cycles
+form no cycle, as each joins after all its predecessors, so the bounded
+sub-vector is periodic from at most n levels past the prefix, with a period
+dividing the lcm of the copy-cycle lengths; `tail_orbit` finds that repeat.
 """
 
 from __future__ import annotations
 
+from math import lcm
 from typing import NamedTuple, Optional, Sequence, Union
 
 # loaded on demand: other modules' functions are called through their module (see afk/__init__.py)
@@ -88,60 +105,40 @@ class KStabilityVerdict(NamedTuple):
     certificate: Optional[tuple[tuple[int, tuple[int, ...]], ...]] = None
 
 
-def _support_reach(tm: IntMatrix) -> list[list[bool]]:
-    """reach[u][v]: a path of length >= 1 from coordinate u to v (u feeds v)."""
-    n = tm.rows
-    reach = [[tm.at(v, u) >= 1 for v in range(n)] for u in range(n)]
-    for mid in range(n):
-        for a in range(n):
-            if reach[a][mid]:
-                row_mid = reach[mid]
-                row_a = reach[a]
-                for b in range(n):
-                    if row_mid[b]:
-                        row_a[b] = True
-    return reach
+def _copy_cycles(tm: IntMatrix, slack: Sequence[int]) -> list[tuple[int, ...]]:
+    """The cycles of the copy relation: row i copies j when it is e_j and slack[i] == 0.
+
+    Each cycle is listed in forward copy order (j, then the coordinate that
+    copies j, ...) from its smallest coordinate.
+    """
+    # entries are non-negative, so a row summing to 1 is a unit vector
+    source = [tm.row(i).index(1) if s == 0 and sum(tm.row(i)) == 1 else None for i, s in enumerate(slack)]
+    cycles: list[tuple[int, ...]] = []
+    for i in range(tm.rows):
+        back = [i]  # i, source[i], source[source[i]], ... until it stops or returns to i
+        while len(back) <= tm.rows and source[back[-1]] not in (None, i):
+            back.append(source[back[-1]])
+        if source[back[-1]] == i == min(back):
+            cycles.append((i, *reversed(back[1:])))
+    return cycles
 
 
 def coordinate_classes(tm: IntMatrix, slack: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(bounded, divergent) coordinate indices of the affine recurrence q' = tm.q + slack."""
-    n = tm.rows
-    reach = _support_reach(tm)
-    cyclic = [v for v in range(n) if reach[v][v]]
-    sccs: list[frozenset[int]] = []
-    placed: set[int] = set()
-    for v in cyclic:
-        if v in placed:
-            continue
-        group = frozenset(
-            u for u in cyclic if u == v or (reach[v][u] and reach[u][v])
-        )
-        sccs.append(group)
-        placed.update(group)
-    pumped: list[frozenset[int]] = []
-    for scc in sccs:
-        internal = [
-            (u, v) for u in scc for v in scc if tm.at(v, u) >= 1
-        ]
-        expanding = len(internal) > len(scc) or any(tm.at(v, u) >= 2 for u, v in internal)
-        slack_fed = any(
-            slack[u] > 0 and (u in scc or any(reach[u][v] for v in scc))
-            for u in range(n)
-        )
-        upstream = any(
-            other is not scc and any(reach[x][v] for x in other for v in scc)
-            for other in sccs
-        )
-        if expanding or slack_fed or upstream:
-            pumped.append(scc)
-    divergent = set()
-    for scc in pumped:
-        divergent.update(scc)
-        for i in range(n):
-            if any(reach[v][i] for v in scc):
-                divergent.add(i)
-    bounded = tuple(i for i in range(n) if i not in divergent)
-    return bounded, tuple(sorted(divergent))
+    """(bounded, divergent) coordinate indices of the affine recurrence q' = tm.q + slack.
+
+    The bounded ones are the copy-cycle coordinates and, to a fixpoint, every
+    coordinate fed only by bounded ones; the rest diverge (module docstring).
+    """
+    bounded = {i for cycle in _copy_cycles(tm, slack) for i in cycle}
+    feeders = [{j for j, x in enumerate(tm.row(i)) if x} for i in range(tm.rows)]
+    grown = True
+    while grown:
+        grown = False
+        for i, fed_by in enumerate(feeders):
+            if i not in bounded and fed_by <= bounded:
+                bounded.add(i)
+                grown = True
+    return tuple(sorted(bounded)), tuple(i for i in range(tm.rows) if i not in bounded)
 
 
 class TailOrbit(NamedTuple):
@@ -164,63 +161,7 @@ def tail_orbit(d: BratteliDiagram, budget: int = DEFAULT_BUDGET) -> Union[TailOr
     profiles, cycle = _diagram.unroll_to_repeat(d, lambda q: tuple(q[i] for i in bounded), budget)
     if cycle is None:
         return INCONCLUSIVE
-    start, period = cycle
-    return TailOrbit(
-        profiles=tuple(profiles),
-        bounded=bounded,
-        start=start,
-        period=period,
-    )
-
-
-def _phase_graph_cycle(
-    orbit: TailOrbit, tm: IntMatrix, k: int
-) -> Optional[list[tuple[int, int]]]:
-    """A directed cycle through (phase, coord) vertices of constant size k, or None.
-
-    Vertices use bounded coordinates only: divergent ones outgrow k and
-    cannot recur, so no infinite chain threads them.
-    """
-    period = orbit.period
-    # coords[phase]: the bounded coordinates of size k at that phase, ascending
-    coords = [
-        [i for i in orbit.bounded if orbit.profiles[orbit.start + phase - 1][i] == k]
-        for phase in range(period)
-    ]
-    verts = [(phase, i) for phase in range(period) for i in coords[phase]]
-    if not verts:
-        return None
-    # an edge only joins consecutive phases, so successors come from the next one
-    adjacency = {
-        (phase, i): [
-            ((phase + 1) % period, j) for j in coords[(phase + 1) % period] if tm.at(j, i) >= 1
-        ]
-        for phase, i in verts
-    }
-    color: dict[tuple[int, int], int] = {}
-    for root in verts:
-        if color.get(root):
-            continue
-        stack = [(root, iter(adjacency[root]))]
-        color[root] = 1
-        path = [root]
-        while stack:
-            vertex, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color.get(nxt) == 1:
-                    return path[path.index(nxt):]
-                if not color.get(nxt):
-                    color[nxt] = 1
-                    path.append(nxt)
-                    stack.append((nxt, iter(adjacency[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[vertex] = 2
-                path.pop()
-                stack.pop()
-    return None
+    return TailOrbit(tuple(profiles), bounded, *cycle)
 
 
 def _chain_witness(
@@ -259,16 +200,6 @@ def _chain_witness(
     )
 
 
-def _witness_from_cycle(
-    d: BratteliDiagram, orbit: TailOrbit, k: int, cycle: list[tuple[int, int]]
-) -> KChainWitness:
-    rotation = cycle.index(min(cycle))
-    cycle = cycle[rotation:] + cycle[:rotation]
-    return _chain_witness(
-        d, orbit.profiles, k, orbit.start + cycle[0][0], [i for _, i in cycle], "tail-cycle"
-    )
-
-
 def find_infinite_k_chain(
     d: BratteliDiagram, budget: int = DEFAULT_BUDGET
 ) -> Union[KChainWitness, None, _Inconclusive]:
@@ -277,20 +208,25 @@ def find_infinite_k_chain(
     The diagram is not validated here: `classify` and `telescope` validate
     first, and `telescope` searches a cut of a valid diagram, which is valid.
     Tail-less diagrams are never conclusive here: a finite unrolling cannot
-    exclude chains starting beyond it.  With a tail, the phase-graph analysis
-    is complete, so None is a genuine certificate of absence.
+    exclude chains starting beyond it.  With a tail, a chain exists iff a
+    copy cycle does, so None is a genuine certificate of absence.  The
+    witness is read at the first level of the bounded orbit's window: k is
+    the smallest size on a copy cycle there, and the chain starts at the
+    smallest coordinate of size k on one, following the copies until it is
+    back there after a multiple of the orbit's period.
     """
     orbit = tail_orbit(d, budget)
     if orbit is INCONCLUSIVE:
         return INCONCLUSIVE
-    tm = d.tail.matrix
-    window = range(orbit.start, orbit.start + orbit.period)
-    # each candidate k has at most one witness, so the smallest k with a cycle wins
-    for k in sorted({orbit.profiles[lvl - 1][i] for lvl in window for i in orbit.bounded}):
-        cycle = _phase_graph_cycle(orbit, tm, k)
-        if cycle is not None:
-            return _witness_from_cycle(d, orbit, k, cycle)
-    return None
+    cycles = _copy_cycles(d.tail.matrix, d.tail.slack)
+    if not cycles:
+        return None
+    q = orbit.profiles[orbit.start - 1]
+    k, first = min((q[i], i) for cycle in cycles for i in cycle)
+    cycle = next(cycle for cycle in cycles if first in cycle)
+    turn = cycle.index(first)
+    chain = [cycle[(turn + t) % len(cycle)] for t in range(lcm(orbit.period, len(cycle)))]
+    return _chain_witness(d, orbit.profiles, k, orbit.start, chain, "tail-cycle")
 
 
 def replay_witness(d: BratteliDiagram, w: KChainWitness, budget: int = DEFAULT_BUDGET) -> list[str]:

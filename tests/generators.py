@@ -102,6 +102,41 @@ def random_stationary_tail_diagram(rng, max_summands=4, max_levels=5, max_entry=
     )
 
 
+def random_permutation_tail_diagram(rng, max_cycle=5, max_cycles=3):
+    """A tail permuting its coordinates in cycles, then pumped here and there.
+
+    Zero or more extra edges and a unit of slack pump some cycles, and
+    half the draws put a random prefix in front.
+    """
+    lengths = [rng.randint(1, max_cycle) for _ in range(rng.randint(1, max_cycles))]
+    width = sum(lengths)
+    order = rng.sample(range(width), width)  # cycle positions -> coordinates
+    rows = [[0] * width for _ in range(width)]
+    offset = 0
+    for length in lengths:
+        for i in range(length):
+            rows[order[offset + i]][order[offset + (i - 1) % length]] = 1
+        offset += length
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        rows[rng.randrange(width)][rng.randrange(width)] += 1
+    slack = [0] * width
+    if rng.random() < 0.3:
+        slack[rng.randrange(width)] = 1
+    top = tuple(rng.randint(1, 4) for _ in range(width))
+    levels, matrices = [top], []
+    if rng.random() < 0.5:
+        levels, matrices = random_prefix(rng, max_levels=2, max_summands=3)
+        src = levels[-1]
+        mat = [[rng.randint(0, 1) for _ in src] for _ in range(width)]
+        levels.append(tuple(sum(m * p for m, p in zip(row, src)) + t for row, t in zip(mat, top)))
+        matrices.append(IntMatrix.from_rows(mat))
+    return BratteliDiagram(
+        prefix_levels=tuple(levels),
+        prefix_matrices=tuple(matrices),
+        tail=AffineTail(matrix=IntMatrix.from_rows(rows), slack=tuple(slack)),
+    )
+
+
 def random_document(rng) -> dict:
     """A document as `parse` returns it."""
     levels, matrices = random_prefix(rng, max_levels=4)

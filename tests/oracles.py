@@ -76,3 +76,45 @@ def oracle_truncated_colimit(d, m, probe_from, probe_to):
     if len(ranks) < 2 or ranks[-1] != ranks[-2]:
         raise AssertionError("oracle probe window too small to certify a plateau")
     return ranks[-1]
+
+
+def check_coordinate_classes(rows, slack, start, bounded, divergent):
+    """What is wrong with a (bounded, divergent) split of the tail q' = rows.q + slack.
+
+    Plain simulation from `start`, the last prefix level; sizes are assumed
+    positive.  The bounded sub-vector must repeat within 1000 levels and
+    stay periodic from its first repeat on.  With B its largest size and
+    n the width, every divergent coordinate must be above B from n(B + 2)
+    levels past `start` on: it gains >= 1 every n levels after at most n
+    levels of delay.  Returns the failures; an empty list means none.
+    """
+    n = len(rows)
+    if sorted([*bounded, *divergent]) != list(range(n)):
+        return [f"{bounded} and {divergent} do not split {n} coordinates"]
+
+    def step(q):
+        return [sum(a * x for a, x in zip(row, q)) + s for row, s in zip(rows, slack)]
+
+    sizes, seen = [list(start)], {}
+    while (key := tuple(sizes[-1][i] for i in bounded)) not in seen:
+        if len(sizes) > 1000:
+            return ["the bounded sub-vector does not repeat within 1000 levels"]
+        seen[key] = len(sizes) - 1
+        sizes.append(step(sizes[-1]))
+    first = seen[key]
+    period = len(sizes) - 1 - first
+    big = max((q[i] for q in sizes for i in bounded), default=0)
+    grown = n * (big + 2)
+    while len(sizes) <= 2 * grown + period:
+        sizes.append(step(sizes[-1]))
+    failures = []
+    for t in range(first, len(sizes) - period):
+        broken = [i for i in bounded if sizes[t][i] != sizes[t + period][i]]
+        if broken:
+            failures.append(f"bounded coordinate {broken[0]} breaks the period {period} at level {t}")
+            break
+    for i in divergent:
+        low = min(q[i] for q in sizes[grown:])
+        if low <= big:
+            failures.append(f"divergent coordinate {i} has size {low} <= {big} after level {grown}")
+    return failures

@@ -26,9 +26,11 @@ from cases import constant_column, single_level, two_column, worked_example
 from generators import (
     random_document,
     random_growing_tail_diagram,
+    random_permutation_tail_diagram,
     random_pinned_tail_diagram,
     random_stationary_tail_diagram,
 )
+from oracles import check_coordinate_classes
 
 
 # --- coordinate growth classification -------------------------------------
@@ -58,6 +60,23 @@ def test_classes_cycle_feeding_cycle():
 def test_classes_slack_pumped_loop():
     bounded, divergent = coordinate_classes(IntMatrix.from_rows([[1]]), (1,))
     assert bounded == () and divergent == (0,)
+
+
+def test_classes_agree_with_a_plain_simulation():
+    rng = random.Random(409)
+    families = (*FAMILIES, random_permutation_tail_diagram)
+    split = 0
+    for family in families:
+        for _ in range(60):
+            d = family(rng)
+            if not d.validation.ok:
+                continue  # the oracle's growth bound needs positive sizes
+            tail = d.tail
+            bounded, divergent = coordinate_classes(tail.matrix, tail.slack)
+            rows, start = tail.matrix.to_rows(), d.prefix_levels[-1]
+            assert check_coordinate_classes(rows, tail.slack, start, bounded, divergent) == [], d
+            split += bool(bounded) and bool(divergent)
+    assert split >= 40
 
 
 # --- chain search ----------------------------------------------------------
@@ -102,6 +121,25 @@ def test_find_chain_budget_exhaustion():
         tail=AffineTail(matrix=IntMatrix.from_rows([[0, 1], [1, 0]]), slack=(0, 0)),
     )
     assert find_infinite_k_chain(d, budget=2) is INCONCLUSIVE
+
+
+# sizes, p (row i copies column p[i]) and the witness (k, start, node_path, cycle_period, cycle_summands)
+WITNESS_CHOICES = (
+    ((1, 1, 1, 1, 1), (1, 0, 3, 4, 2), (1, 1, (), 2, (1, 2))),
+    ((2, 2, 1, 1, 1), (1, 0, 3, 4, 2), (1, 1, (), 3, (3, 5, 4))),
+    ((1, 2, 1, 2), (3, 0, 1, 2), (1, 1, (), 4, (1, 2, 3, 4))),
+    # the orbit's period is lcm(2, 3) = 6, so the 2-cycle turns three times
+    ((3, 1, 1, 2, 1), (1, 0, 3, 4, 2), (1, 1, (), 6, (2, 1, 2, 1, 2, 1))),
+)
+
+
+def test_witness_starts_at_the_smallest_coordinate_of_the_smallest_copy_size():
+    for sizes, p, expected in WITNESS_CHOICES:
+        rows = [[int(j == p[i]) for j in range(len(p))] for i in range(len(p))]
+        d = BratteliDiagram((sizes,), (), AffineTail(IntMatrix.from_rows(rows), (0,) * len(p)))
+        w = find_infinite_k_chain(d)
+        assert (w.k, w.start_level, w.node_path, w.cycle_period, w.cycle_summands) == expected
+        assert replay_witness(d, w) == []
 
 
 # --- telescoping -----------------------------------------------------------
@@ -406,7 +444,7 @@ def _permutation_tail(cycles):
     )
 
 
-def test_permutation_tail_phase_graph_is_linear_in_the_period():
+def test_permutation_tail_chain_search_is_linear_in_the_period():
     # sizes repeat after lcm(3, 4, 5, 7) = 420 levels: past the default budget
     d = _permutation_tail((3, 4, 5, 7))
     assert classify(d, 64).status == "inconclusive-at-budget"
