@@ -33,6 +33,7 @@ _EXPORTS = {
     "ParseError": "io",
     "ShapeMismatch": "diagram",
     "SizeOverflowAtEdge": "diagram",
+    "Telescoped": "kstability",
     "TruncatedSystem": "truncation",
     "ValidationReport": "diagram",
     "classify": "kstability",

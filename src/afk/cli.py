@@ -387,7 +387,7 @@ def _kstable(args, diagram, budget):
         result["witness"] = _witness_payload(verdict.witness)
     if verdict.certificate is not None:
         result["certificate"] = [{"m": m, "cuts": list(cuts)} for m, cuts in verdict.certificate]
-    return ("inconclusive" if verdict.status == INCONCLUSIVE_AT_BUDGET else "ok"), result, budget
+    return ("inconclusive" if verdict.status == INCONCLUSIVE_AT_BUDGET else "ok"), result, verdict.levels
 
 
 def _telescope(args, diagram, budget):
@@ -396,17 +396,17 @@ def _telescope(args, diagram, budget):
     try:
         out = telescope(diagram, args.min_dim, budget)
     except InfiniteChainError as exc:
-        return "ok", {"outcome": "infinite-chain", "witness": _witness_payload(exc.witness)}, budget
+        return "ok", {"outcome": "infinite-chain", "witness": _witness_payload(exc.witness)}, diagram.prefix_len
     if out is INCONCLUSIVE:
-        return "inconclusive", {"outcome": "inconclusive"}, budget
-    document = from_diagram(out)
+        return "inconclusive", {"outcome": "inconclusive"}, max(budget, diagram.prefix_len)
+    document = from_diagram(out.diagram)
     try:  # only the first level can come from the tail; the rest is the input's, which printed
         "".join(map(str, document["levels"][0]))
     except ValueError:
         raise ParseError(
             "--min-dim", "the telescoped first level has a summand size too long to print; ask for a smaller --min-dim"
         ) from None
-    return "ok", {"outcome": "telescoped", "min_dim": args.min_dim, "diagram": document}, budget
+    return "ok", {"outcome": "telescoped", "min_dim": args.min_dim, "diagram": document}, out.levels
 
 
 def _export_dot(args, diagram, budget):

@@ -243,10 +243,10 @@ def materialize(
         raise LevelOutOfRange(
             f"diagram has {d.prefix_len} levels and no tail; {levels} requested"
         )
-    return _profiles(d, levels), map(d.matrix_after, range(1, levels))
+    return unroll(d, levels), map(d.matrix_after, range(1, levels))
 
 
-def _profiles(d: BratteliDiagram, levels: int) -> Iterator[tuple[int, ...]]:
+def unroll(d: BratteliDiagram, levels: int) -> Iterator[tuple[int, ...]]:
     """The first `levels` level profiles, lazily: the one loop that steps a tail."""
     yield from d.prefix_levels[:levels]
     q = d.prefix_levels[-1]
@@ -285,10 +285,10 @@ def unroll_to_repeat(
     diagram without a tail yields its prefix and cycle None.
 
     Stopping there is sound whenever key(q) determines key(q') for the next
-    level q' (the analyses use clamped sizes and the bounded coordinates):
-    the keys then evolve on their own, so their first repeat repeats forever.
+    level q' (the truncation uses clamped sizes): the keys then evolve on
+    their own, so their first repeat repeats forever.
     """
-    levels = _profiles(d, d.prefix_len if d.tail is None else max(budget, d.prefix_len))
+    levels = unroll(d, d.prefix_len if d.tail is None else max(budget, d.prefix_len))
     profiles = list(islice(levels, d.prefix_len - 1))
 
     def keys():

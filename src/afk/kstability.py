@@ -6,10 +6,8 @@ finite-dimensional quotient, hence failure of K-stability.  Conversely, a
 diagram whose tail provably carries no infinite chain can be telescoped, for
 every target m, into a presentation whose summands all have size >= m, which
 certifies K-stability.  Telescoping is one walk and one cut: the walk unrolls
-until no summand is < m, or until one provably stays < m forever, and the cut
-drops every level up to the last one holding a summand < m.  The walk is
-`diagram.unroll_to_repeat` with a key that is None, ending the scan, once no
-summand is < m; the tail-orbit search uses the same unroll.
+until no summand is < m, and the cut drops every level up to the last one
+holding a summand < m.
 
 Tail analysis is exact and rests on one static relation of the tail matrix
 Φ.  Row i copies coordinate j when it is the unit vector e_j and slack_i is
@@ -35,19 +33,29 @@ So the bounded coordinates are the copy-cycle ones, closed under the last
 rule, and every other one diverges: walking back through predecessors
 outside that set (a valid tail has no zero row) closes a cycle that is not
 a copy cycle upstream of it.  The bounded coordinates off the copy cycles
-form no cycle, as each joins after all its predecessors, so the bounded
-sub-vector is periodic from at most n levels past the prefix, with a period
-dividing the lcm of the copy-cycle lengths; `tail_orbit` finds that repeat.
+form no cycle, as each joins after all its predecessors.
+
+From the last prefix level on, each copy-cycle coordinate carries a strand:
+its size rotates around the cycle unchanged.  So a witness needs no
+unrolling: k is the smallest strand size at the last prefix level, and the
+chain rides that strand's cycle, with period the cycle's length, then walks
+back through the prefix.  The smallest strand size is also the persistent
+minimum of the sizes: a bounded coordinate off the copy cycles is at
+least each of its feeders a level earlier, and following feeders back
+inside the bounded set reaches a copy cycle within n steps, so it is >= k
+from n levels past the prefix on; the divergent ones grow past any bound.  So
+`telescope` knows at once whether m is reachable, and when it is, every
+summand is >= m within prefix + n.(m + 1) levels: a divergent coordinate
+gains >= 1 every n levels after at most n levels of delay.
 """
 
 from __future__ import annotations
 
-from math import lcm
 from typing import NamedTuple, Optional, Sequence, Union
 
 # loaded on demand: other modules' functions are called through their module (see afk/__init__.py)
 from . import diagram as _diagram
-from .diagram import DEFAULT_BUDGET, BratteliDiagram, InjectivityRequired
+from .diagram import DEFAULT_BUDGET, AffineTail, BratteliDiagram, InjectivityRequired
 from .linalg import IntMatrix
 
 
@@ -81,8 +89,8 @@ class KChainWitness(NamedTuple):
 
     The chain occupies one summand per level from `start_level` on: first the
     explicit `node_path`, then `cycle_summands` repeated forever (summand
-    indices are 1-based).  `kind` is "tail-cycle" for a periodic tail segment
-    and "identity-completion" for a tail-less diagram read as a
+    indices are 1-based).  `kind` is "tail-cycle" for a copy cycle of the
+    tail and "identity-completion" for a tail-less diagram read as a
     finite-dimensional algebra extended by identity maps.
     """
 
@@ -101,6 +109,7 @@ class KChainWitness(NamedTuple):
 
 class KStabilityVerdict(NamedTuple):
     status: str
+    levels: int  # levels of the input the analysis held
     witness: Optional[KChainWitness] = None
     certificate: Optional[tuple[tuple[int, tuple[int, ...]], ...]] = None
 
@@ -141,132 +150,90 @@ def coordinate_classes(tm: IntMatrix, slack: Sequence[int]) -> tuple[tuple[int, 
     return tuple(sorted(bounded)), tuple(i for i in range(tm.rows) if i not in bounded)
 
 
-class TailOrbit(NamedTuple):
-    """Certified eventual periodicity of the bounded tail coordinates.
+def _with_tail(d: BratteliDiagram) -> BratteliDiagram:
+    """d, with a tail-less diagram read as its last level repeated by identity maps."""
+    if d.tail is not None:
+        return d
+    n = len(d.prefix_levels[-1])
+    return BratteliDiagram(d.prefix_levels, d.prefix_matrices, AffineTail(IntMatrix.identity(n), (0,) * n))
 
-    `profiles` run up to level start + period, where the bounded sub-vector
-    first repeats.
+
+def find_infinite_k_chain(d: BratteliDiagram) -> Optional[KChainWitness]:
+    """Read an infinite constant-size chain of a valid diagram off its copy cycles.
+
+    The diagram is not validated here: `classify` and `telescope` validate
+    first.  A chain exists iff a copy cycle does, so None is a certificate
+    of absence; a tail-less diagram is read as the identity tail, on which
+    every coordinate copies itself.  k is the smallest size on a copy cycle
+    at the last prefix level, and the chain rides the cycle through the
+    smallest coordinate of that size from there, so its period is the
+    cycle's length.  Its explicit path walks the sole-predecessor relation
+    back through the prefix while it stays a k-chain.
     """
-
-    profiles: tuple[tuple[int, ...], ...]
-    bounded: tuple[int, ...]
-    start: int  # first level of the periodic window (1-based)
-    period: int
-
-
-def tail_orbit(d: BratteliDiagram, budget: int = DEFAULT_BUDGET) -> Union[TailOrbit, _Inconclusive]:
-    if d.tail is None:
-        return INCONCLUSIVE
-    bounded, _ = coordinate_classes(d.tail.matrix, d.tail.slack)
-    profiles, cycle = _diagram.unroll_to_repeat(d, lambda q: tuple(q[i] for i in bounded), budget)
-    if cycle is None:
-        return INCONCLUSIVE
-    return TailOrbit(tuple(profiles), bounded, *cycle)
-
-
-def _chain_witness(
-    d: BratteliDiagram,
-    profiles: Sequence[tuple[int, ...]],
-    k: int,
-    level: int,
-    cycle: Sequence[int],
-    kind: str,
-) -> KChainWitness:
-    """The witness whose `cycle` (0-based summands) runs from `level` on.
-
-    Its explicit path walks the sole-predecessor relation down from the
-    cycle's first summand while it stays a k-chain.
-    """
+    tail = _with_tail(d).tail
+    cycles = _copy_cycles(tail.matrix, tail.slack)
+    if not cycles:
+        return None
+    q = d.prefix_levels[-1]
+    k, first = min((q[i], i) for cycle in cycles for i in cycle)
+    cycle = next(cycle for cycle in cycles if first in cycle)
+    turn = cycle.index(first)
     path: list[int] = []
-    current = cycle[0]
+    current, level = first, d.prefix_len
     while level > 1:
-        m = d.matrix_after(level - 1)
-        row = [(j, m.at(current, j)) for j in range(m.cols) if m.at(current, j) > 0]
-        if len(row) != 1:
+        row = d.matrix_after(level - 1).row(current)
+        # entries are non-negative, so a row summing to 1 is a sole simple predecessor
+        if sum(row) != 1 or d.prefix_levels[level - 2][row.index(1)] != k:
             break
-        j, mult = row[0]
-        if mult != 1 or profiles[level - 2][j] != k:
-            break
-        current = j
+        current = row.index(1)
         level -= 1
-        path.append(j)
+        path.append(current)
     return KChainWitness(
         k=k,
         start_level=level,
         node_path=tuple(j + 1 for j in reversed(path)),
         cycle_period=len(cycle),
-        cycle_summands=tuple(i + 1 for i in cycle),
-        kind=kind,
+        cycle_summands=tuple(i + 1 for i in cycle[turn:] + cycle[:turn]),
+        kind="tail-cycle" if d.tail is not None else "identity-completion",
     )
 
 
-def find_infinite_k_chain(
-    d: BratteliDiagram, budget: int = DEFAULT_BUDGET
-) -> Union[KChainWitness, None, _Inconclusive]:
-    """Search a valid diagram for an infinite constant-size chain.
+def replay_witness(d: BratteliDiagram, w: KChainWitness) -> list[str]:
+    """Re-verify every chain condition of a witness against the diagram.
 
-    The diagram is not validated here: `classify` and `telescope` validate
-    first, and `telescope` searches a cut of a valid diagram, which is valid.
-    Tail-less diagrams are never conclusive here: a finite unrolling cannot
-    exclude chains starting beyond it.  With a tail, a chain exists iff a
-    copy cycle does, so None is a genuine certificate of absence.  The
-    witness is read at the first level of the bounded orbit's window: k is
-    the smallest size on a copy cycle there, and the chain starts at the
-    smallest coordinate of size k on one, following the copies until it is
-    back there after a multiple of the orbit's period.
+    Returns human-readable violations; an empty list means the chain holds
+    at every level.  The levels from the start to the cycle's entry, or to
+    the last prefix level if that is later, are checked edge by edge.  From
+    there the chain rides the tail, where it holds forever iff each cycle
+    summand copies the one before it: its tail row is that unit vector and
+    its slack is 0.  A tail-less diagram is read as the identity tail.
     """
-    orbit = tail_orbit(d, budget)
-    if orbit is INCONCLUSIVE:
-        return INCONCLUSIVE
-    cycles = _copy_cycles(d.tail.matrix, d.tail.slack)
-    if not cycles:
-        return None
-    q = orbit.profiles[orbit.start - 1]
-    k, first = min((q[i], i) for cycle in cycles for i in cycle)
-    cycle = next(cycle for cycle in cycles if first in cycle)
-    turn = cycle.index(first)
-    chain = [cycle[(turn + t) % len(cycle)] for t in range(lcm(orbit.period, len(cycle)))]
-    return _chain_witness(d, orbit.profiles, k, orbit.start, chain, "tail-cycle")
-
-
-def replay_witness(d: BratteliDiagram, w: KChainWitness, budget: int = DEFAULT_BUDGET) -> list[str]:
-    """Re-verify every chain condition against the materialized diagram.
-
-    Returns human-readable violations; an empty list means the witness checks
-    out edge by edge over the available levels.
-    """
-    if d.tail is None:
-        levels = d.prefix_len
-    else:
-        levels = budget
-    profiles = list(_diagram.materialize(d, levels)[0])
+    full = _with_tail(d)
+    entry = max(w.start_level + len(w.node_path), d.prefix_len)
+    profiles = list(_diagram.unroll(full, entry))
     violations = []
-    if w.start_level > levels:
-        return [f"start level {w.start_level} beyond the {levels} materialized levels"]
-    for t in range(w.start_level, levels + 1):
+    if w.kind == "identity-completion" and d.tail is not None:
+        violations.append("identity-completion witness on a diagram with a tail")
+    for t in range(w.start_level, entry + 1):
         i = w.summand_at(t - w.start_level) - 1
         if i >= len(profiles[t - 1]):
             violations.append(f"level {t}: summand {i + 1} does not exist")
-            continue
-        if profiles[t - 1][i] != w.k:
-            violations.append(
-                f"level {t}: summand {i + 1} has size {profiles[t - 1][i]}, expected {w.k}"
-            )
-    for t in range(w.start_level, levels):
+        elif profiles[t - 1][i] != w.k:
+            violations.append(f"level {t}: summand {i + 1} has size {profiles[t - 1][i]}, expected {w.k}")
+    for t in range(w.start_level, entry + w.cycle_period):
         i = w.summand_at(t - w.start_level) - 1
         nxt = w.summand_at(t + 1 - w.start_level) - 1
-        m = d.matrix_after(t)
+        m = full.matrix_after(t)
+        if i >= m.cols or nxt >= m.rows:
+            violations.append(f"edge {t}->{t + 1}: a chain summand does not exist")
+            continue
         if m.at(nxt, i) != 1:
-            violations.append(
-                f"edge {t}->{t + 1}: multiplicity {m.at(nxt, i)} between chain nodes, expected 1"
-            )
+            violations.append(f"edge {t}->{t + 1}: multiplicity {m.at(nxt, i)} between chain nodes, expected 1")
         for j in range(m.cols):
             if j != i and m.at(nxt, j) != 0:
-                violations.append(
-                    f"edge {t}->{t + 1}: chain node has an extra predecessor (summand {j + 1})"
-                )
-    if w.kind == "identity-completion" and d.tail is not None:
-        violations.append("identity-completion witness on a diagram with a tail")
+                violations.append(f"edge {t}->{t + 1}: chain node has an extra predecessor (summand {j + 1})")
+        if t >= entry and full.tail.slack[nxt] != 0:
+            violations.append(f"edge {t}->{t + 1}: chain node has slack {full.tail.slack[nxt]}, expected 0")
     return violations
 
 
@@ -278,45 +245,24 @@ def _drop_before(d: BratteliDiagram, profiles: Sequence[tuple[int, ...]], cut: i
     return BratteliDiagram((profiles[cut - 1],), (), d.tail)
 
 
-def _identity_completion_witness(d: BratteliDiagram) -> KChainWitness:
-    last = d.prefix_levels[-1]
-    k = min(last)
-    return _chain_witness(d, d.prefix_levels, k, d.prefix_len, [last.index(k)], "identity-completion")
+def _walk(d: BratteliDiagram, m: int, budget: int) -> list[tuple[int, ...]]:
+    """The profiles up to the first level, from the last prefix level on, with no summand < m.
 
-
-def _walk(
-    d: BratteliDiagram, m: int, budget: int
-) -> tuple[list[tuple[int, ...]], Union[int, None, _Inconclusive]]:
-    """Unroll until the smallest summand k reaches m or provably stays below it.
-
-    Returns (profiles, k): k is None when the last profile has no summand
-    < m, the smallest summand when it stays < m forever, and INCONCLUSIVE
-    when neither shows by level max(budget, prefix length).  The walk is
-    `unroll_to_repeat` with a key that is None once min(q) >= m, which ends
-    the scan there, and otherwise the sizes clamped at min(q) + 1.
-
-    A valid tail has no zero rows, so each summand of a tail level is at
-    least the smallest summand of the level before: from the last prefix
-    level on, k never drops.  Once no summand is < m, none ever is again, so
-    one cut (dropping levels never changes the limit) before the first level
-    kept does what raising the minimum past 1, 2, ..., m-1 in turn would.
-    While k stays put, the sizes clamped at k+1 evolve on their own, so
-    their first repeat repeats forever and a summand of size k persists.
-    Rows are never zero, so it has, level after level, a same-size sole
-    predecessor, and the pigeonhole closes that walk into a cycle: an
-    infinite k-chain.  A tail-less diagram is its last level forever, so
-    a small summand there persists at once.
+    The walk stops at level max(budget, prefix length) if none shows by
+    then, and the caller reads min(last profile) < m as inconclusive.  It
+    runs only when no copy cycle carries a size < m; on a tail-less diagram
+    (the identity tail) that means its last level has no summand < m, so the
+    walk never steps past a tail-less prefix.  A valid tail has no zero
+    rows, so each summand of a tail level is at least the smallest summand
+    of the level before: from the last prefix level on the minimum never
+    drops, and once no summand is < m none ever is again.
     """
-    def key(q):
-        k = min(q)
-        # min(clamped) is k, so equal keys have equal k
-        return None if k >= m else tuple(min(x, k + 1) for x in q)
-
-    profiles, repeat = _diagram.unroll_to_repeat(d, key, budget)
-    k = min(profiles[-1])
-    if k >= m:
-        return profiles, None
-    return profiles, k if repeat is not None or d.tail is None else INCONCLUSIVE
+    profiles = []
+    for q in _diagram.unroll(d, max(budget, d.prefix_len)):
+        profiles.append(q)
+        if len(profiles) >= d.prefix_len and min(q) >= m:
+            break
+    return profiles
 
 
 def _cut(profiles: Sequence[tuple[int, ...]], m: int) -> int:
@@ -324,56 +270,58 @@ def _cut(profiles: Sequence[tuple[int, ...]], m: int) -> int:
     return next((lvl + 1 for lvl in range(len(profiles), 0, -1) if min(profiles[lvl - 1]) < m), 1)
 
 
+class Telescoped(NamedTuple):
+    """A telescoped presentation and the levels of the input its walk held."""
+
+    diagram: BratteliDiagram
+    levels: int
+
+
 def telescope(
     d: BratteliDiagram, m: int, budget: int = DEFAULT_BUDGET
-) -> Union[BratteliDiagram, _Inconclusive]:
+) -> Union[Telescoped, _Inconclusive]:
     """Telescope to an equal-colimit presentation with min summand size >= m.
 
-    Raises InfiniteChainError (with its witness) when a persistent small
-    summand makes that impossible, and InjectivityRequired when some
-    connecting map has a zero column.  No unroll passes level `budget` or
-    the given prefix, whichever is later, so the work is bounded by the
-    budget and the input, not by m.
+    Raises InfiniteChainError (with its witness) when a copy cycle carries a
+    size < m, which then persists, and InjectivityRequired when some
+    connecting map has a zero column.  Otherwise every summand reaches m,
+    and one cut (dropping levels never changes the limit) before the first
+    level kept does what raising the minimum past 1, 2, ..., m-1 in turn
+    would.  No unroll passes level `budget` or the given prefix, whichever
+    is later, so the work is bounded by the budget and the input, not by m.
     """
     _diagram.ensure_valid(d)
     if not d.injective:
         raise InjectivityRequired("telescoping assumes injective connecting maps")
-    profiles, k = _walk(d, m, budget)
-    if k is None:
-        return _drop_before(d, profiles, _cut(profiles, m))
-    if k is INCONCLUSIVE:
+    chain = find_infinite_k_chain(d)
+    if chain is not None and chain.k < m:
+        raise InfiniteChainError(chain)
+    profiles = _walk(d, m, budget)
+    if min(profiles[-1]) < m:
         return INCONCLUSIVE
-    # k persists: the chain lives in the diagram cut below k, on the levels left of the budget
-    cut = _cut(profiles, k)
-    below = _drop_before(d, profiles, cut)
-    chain = find_infinite_k_chain(below, budget - cut + 1) if d.tail else _identity_completion_witness(below)
-    if isinstance(chain, KChainWitness):
-        raise InfiniteChainError(chain._replace(start_level=chain.start_level + cut - 1))
-    return INCONCLUSIVE
+    return Telescoped(_drop_before(d, profiles, _cut(profiles, m)), len(profiles))
 
 
 def classify(d: BratteliDiagram, budget: int = DEFAULT_BUDGET) -> KStabilityVerdict:
     """Decide K-stability (equivalently, rational K-stability).
 
-    A tail-less diagram presents a finite-dimensional algebra, which is its
-    own nonzero finite-dimensional representation: never K-stable, and the
-    witness records the identity-completion chain through a smallest summand.
+    A copy cycle carries a chain, so the algebra has a nonzero
+    finite-dimensional representation: not K-stable.  A tail-less diagram
+    presents a finite-dimensional algebra, its own such representation, and
+    its witness is the identity-completion chain through a smallest summand.
+    Without a chain no summand < M_MAX persists, and one walk certifies the
+    cuts for every m <= M_MAX.
     """
     _diagram.ensure_valid(d)
     if not d.injective:
         raise InjectivityRequired("classification requires injective connecting maps")
-    if d.tail is None:
-        return KStabilityVerdict(NOT_K_STABLE, witness=_identity_completion_witness(d))
-    found = find_infinite_k_chain(d, budget)
-    if found is INCONCLUSIVE:
-        return KStabilityVerdict(INCONCLUSIVE_AT_BUDGET)
-    if isinstance(found, KChainWitness):
-        return KStabilityVerdict(NOT_K_STABLE, witness=found)
-    # no chain, so no summand < M_MAX persists: one walk certifies every m <= M_MAX
-    profiles, k = _walk(d, M_MAX, budget)
-    if k is not None:
-        return KStabilityVerdict(INCONCLUSIVE_AT_BUDGET)
+    chain = find_infinite_k_chain(d)
+    if chain is not None:
+        return KStabilityVerdict(NOT_K_STABLE, d.prefix_len, witness=chain)
+    profiles = _walk(d, M_MAX, budget)
+    if min(profiles[-1]) < M_MAX:
+        return KStabilityVerdict(INCONCLUSIVE_AT_BUDGET, len(profiles))
     schedule = tuple(_cut(profiles, s + 1) for s in range(1, M_MAX))
     return KStabilityVerdict(
-        K_STABLE, certificate=tuple((m, schedule[: m - 1]) for m in range(1, M_MAX + 1))
+        K_STABLE, len(profiles), certificate=tuple((m, schedule[: m - 1]) for m in range(1, M_MAX + 1))
     )

@@ -52,3 +52,30 @@ def stationary_identity(n: int) -> BratteliDiagram:
         prefix_matrices=(),
         tail=AffineTail(matrix=IntMatrix.identity(1), slack=(0,)),
     )
+
+
+def permutation_tail(cycles) -> BratteliDiagram:
+    """Zero-slack tail permuting sizes 1..L around each cycle of length L: one prefix level."""
+    sizes, rows, offset = [], [], 0
+    width = sum(cycles)
+    for length in cycles:
+        for i in range(length):
+            sizes.append(i + 1)
+            row = [0] * width
+            row[offset + (i - 1) % length] = 1  # summand i takes the size of summand i-1
+            rows.append(row)
+        offset += length
+    return BratteliDiagram(
+        prefix_levels=(tuple(sizes),),
+        prefix_matrices=(),
+        tail=AffineTail(matrix=IntMatrix.from_rows(rows), slack=(0,) * width),
+    )
+
+
+def fibonacci() -> BratteliDiagram:
+    """Sizes (1,1), (2,1), (3,2), (5,3), ...: no copy cycle, minimum 8 first at level 6."""
+    return BratteliDiagram(
+        prefix_levels=((1, 1),),
+        prefix_matrices=(),
+        tail=AffineTail(matrix=IntMatrix.from_rows([[1, 1], [1, 0]]), slack=(0, 0)),
+    )

@@ -118,3 +118,57 @@ def check_coordinate_classes(rows, slack, start, bounded, divergent):
         if low <= big:
             failures.append(f"divergent coordinate {i} has size {low} <= {big} after level {grown}")
     return failures
+
+
+def copy_cycle_coordinates(rows, slack):
+    """The coordinates on cycles of copies: row i copies j when it is the unit vector e_j and slack[i] == 0."""
+    source = {i: row.index(1) for i, row in enumerate(rows) if slack[i] == 0 and sum(row) == 1}  # entries >= 0
+    on_cycle = set()
+    for i in source:
+        j = source[i]
+        for _ in range(len(rows)):
+            if j == i:
+                on_cycle.add(i)
+                break
+            if j not in source:
+                break
+            j = source[j]
+    return on_cycle
+
+
+def oracle_replay_chain(d, w, levels):
+    """What is wrong with chain witness `w` over `levels` levels from its start.
+
+    Plain simulation: the sizes are unrolled with Python lists (a diagram
+    without a tail continues its last level through identity maps), and at
+    every level the chain's summand must have size w.k and, after the
+    first, the previous chain summand as its only predecessor, with
+    multiplicity 1.  Returns the failures; an empty list means none.
+    """
+    sizes = [list(lvl) for lvl in d.prefix_levels]
+    mats = [mat.to_rows() for mat in d.prefix_matrices]
+    n = len(sizes[-1])
+    if d.tail is None:
+        rows, slack = naive_identity(n), [0] * n
+    else:
+        rows, slack = d.tail.matrix.to_rows(), list(d.tail.slack)
+    last = w.start_level + levels
+    while len(sizes) < last:
+        q = sizes[-1]
+        sizes.append([sum(a * x for a, x in zip(row, q)) + s for row, s in zip(rows, slack)])
+        mats.append(rows)
+    chain = list(w.node_path)
+    while len(chain) <= levels:
+        chain += list(w.cycle_summands)
+    failures = []
+    for t in range(w.start_level, last + 1):
+        i = chain[t - w.start_level] - 1
+        if not 0 <= i < len(sizes[t - 1]) or sizes[t - 1][i] != w.k:
+            failures.append(f"level {t}: summand {i + 1} is not of size {w.k}")
+            continue
+        if t > w.start_level:
+            prev = chain[t - 1 - w.start_level] - 1
+            row = mats[t - 2][i]
+            if [j for j, x in enumerate(row) if x] != [prev] or row[prev] != 1:
+                failures.append(f"level {t}: summand {i + 1} is not fed by summand {prev + 1} alone, once")
+    return failures

@@ -23,7 +23,7 @@ from generators import (
     random_stationary_tail_diagram,
     random_valid_triple,
 )
-from oracles import oracle_truncated_colimit
+from oracles import oracle_replay_chain, oracle_truncated_colimit
 
 
 @contextmanager
@@ -88,7 +88,7 @@ def test_criterion_4_constant_column_witness():
         assert w is not None and w.k == 1
         assert w.start_level == 1
         assert set(w.cycle_summands) == {1}
-        assert replay_witness(d, w, budget=48) == []
+        assert replay_witness(d, w) == []
 
 
 def test_criterion_5_finite_dimensional_closed_form():
@@ -124,7 +124,7 @@ def test_criterion_6_oracle_equivalence():
 def test_criterion_7_k_stable_cross_check():
     with criterion(7, "K-stable corpus: odd-degree dimensions equal the rational K0 rank", 30.0):
         rng = random.Random(170915)
-        corpus = [two_column(), doubling(), telescope(two_column(), 3)]
+        corpus = [two_column(), doubling(), telescope(two_column(), 3).diagram]
         for _ in range(80):
             d = random_growing_tail_diagram(rng)
             if d.injective:
@@ -175,6 +175,7 @@ def test_criterion_8b_telescope_preserves_profile():
             scoped = telescope(d, target, budget=96)
             if scoped is INCONCLUSIVE:
                 continue
+            scoped = scoped.diagram
             before = [r.dimension for _, r in fm_profile(d, 7, budget=96)]
             after = [r.dimension for _, r in fm_profile(scoped, 7, budget=96)]
             assert before == after
@@ -190,10 +191,9 @@ def test_criterion_8c_witness_replay():
             d = random_pinned_tail_diagram(rng)
             if not validate(d).ok:
                 continue
-            w = find_infinite_k_chain(d, budget=96)
-            if w is INCONCLUSIVE or w is None:
-                continue
-            assert replay_witness(d, w, budget=48) == []
+            w = find_infinite_k_chain(d)
+            assert replay_witness(d, w) == []
+            assert oracle_replay_chain(d, w, len(w.node_path) + 2 * w.cycle_period + 32) == []
             cases += 1
         assert cases >= 200
 

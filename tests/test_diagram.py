@@ -19,7 +19,7 @@ from afk.diagram import (
     validate,
 )
 from afk.io import export_dot
-from afk.kstability import KChainWitness, classify, coordinate_classes, tail_orbit, telescope
+from afk.kstability import KChainWitness, classify, coordinate_classes, telescope
 from afk.linalg import DimensionMismatch, IntMatrix, multiply
 from afk.truncation import TruncatedSystem, build_systems
 from cases import constant_column, single_level, two_column, worked_example
@@ -140,7 +140,7 @@ def test_records_are_immutable_tuples():
         (d.tail.matrix, "rows"), (d.tail, "slack"), (d, "tail"), (d.validation, "ok"),
         (ValidationProblem("k", None, 1, "m"), "kind"), (verdict, "status"),
         (KChainWitness(1, 1, (), 1, (1,)), "k"), (fm_profile(d, 1)[0][1], "dimension"),
-        (build_systems(d, (3,))[0], "dims"), (tail_orbit(d), "period"),
+        (build_systems(d, (3,))[0], "dims"), (telescope(d, 2), "levels"),
     ]
     for record, name in records:
         with pytest.raises(AttributeError):

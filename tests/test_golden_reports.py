@@ -20,7 +20,16 @@ from pathlib import Path
 
 from afk.cli import main
 from afk.io import from_diagram, serialize
-from cases import constant_column, doubling, single_level, stationary_identity, two_column, worked_example
+from cases import (
+    constant_column,
+    doubling,
+    fibonacci,
+    permutation_tail,
+    single_level,
+    stationary_identity,
+    two_column,
+    worked_example,
+)
 from generators import random_document, stationary_tail_of_width
 
 GOLDEN = Path(__file__).with_name("golden_reports.json")
@@ -57,6 +66,8 @@ def inputs() -> dict[str, str]:
         "doubling": doubling(),
         "stationary_identity_2": stationary_identity(2),
         "stationary_identity_3": stationary_identity(3),
+        "permutation_3_4_5_7": permutation_tail((3, 4, 5, 7)),
+        "fibonacci": fibonacci(),
     }
     out = {name: serialize(from_diagram(d)) for name, d in named.items()}
     out["nilpotent"] = NILPOTENT

@@ -300,6 +300,18 @@ def test_cli_levels_materialized_counts_the_levels_held(tmp_path, capsys):
     assert levels(counting, "k0q") == 2
     assert levels(counting, "fm-profile", "--max-m", "9") == 6
     assert levels(counting, "fm-profile", "--max-m", "9", "--budget", "4") == 4
+    # kstable and telescope: the walk's profiles, or the prefix when a copy cycle answers
+    doubling = '{"levels":[[1]],"matrices":[],"tail":{"matrix":[[2]],"slack":[0]}}'
+    assert levels(doubling, "kstable", "--budget", "8000") == 4  # sizes 1, 2, 4, 8
+    assert levels(counting, "kstable") == 8
+    assert levels(counting, "kstable", "--budget", "3") == 3  # inconclusive: the budget was held
+    assert levels(counting, "telescope", "--min-dim", "5", "--budget", "8000") == 5
+    assert levels(counting, "telescope", "--min-dim", "9", "--budget", "4") == 4
+    assert levels(TWO_COLUMN_JSON, "telescope", "--min-dim", "2") == 3
+    pinned = '{"levels":[[1,1],[1,2]],"matrices":[[[1,0],[1,1]]],"tail":{"matrix":[[1,0],[1,1]],"slack":[0,1]}}'
+    assert levels(pinned, "kstable", "--budget", "8000") == 2
+    assert levels(pinned, "telescope", "--min-dim", "2", "--budget", "8000") == 2
+    assert levels(WORKED_JSON, "kstable") == levels(WORKED_JSON, "telescope", "--min-dim", "2") == 2
 
 
 def test_cli_export_dot_counts_the_levels_drawn(tmp_path, capsys):
@@ -335,13 +347,19 @@ def test_cli_telescope_infinite_chain(tmp_path, capsys):
     assert report["result"]["witness"]["k"] == 1
 
 
+# Fibonacci sizes (1,1), (2,1), (3,2), ...: no copy cycle, and the minimum first reaches 8 at level 6
+FIBONACCI_JSON = '{"levels":[[1,1]],"matrices":[],"tail":{"matrix":[[1,1],[1,0]],"slack":[0,0]}}'
+
+
 def test_cli_kstable_inconclusive_exit_two(tmp_path, capsys):
-    # swap tail cannot certify its orbit within a budget of 2 levels
-    doc = '{"levels":[[2,3]],"matrices":[],"tail":{"matrix":[[0,1],[1,0]],"slack":[0,0]}}'
-    code, out = run_cli(tmp_path, capsys, doc, "kstable", "--budget", "2")
-    report = json.loads(out)
-    assert code == 2
-    assert report["result"]["verdict"] == "inconclusive-at-budget"
+    # the K-stable certificate needs the cuts for m <= 8, out of reach below level 6
+    for budget in ("2", "5"):
+        code, out = run_cli(tmp_path, capsys, FIBONACCI_JSON, "kstable", "--budget", budget)
+        report = json.loads(out)
+        assert code == 2
+        assert report["result"] == {"verdict": "inconclusive-at-budget"}
+    code, out = run_cli(tmp_path, capsys, FIBONACCI_JSON, "kstable", "--budget", "6")
+    assert code == 0 and json.loads(out)["result"]["verdict"] == "k-stable"
 
 
 def test_cli_export_dot_text_is_raw(tmp_path, capsys):
@@ -368,11 +386,10 @@ def test_cli_reports_are_byte_identical(tmp_path, capsys):
 
 
 def test_cli_budget_env_and_flag(tmp_path, capsys, monkeypatch):
-    doc = '{"levels":[[2,3]],"matrices":[],"tail":{"matrix":[[0,1],[1,0]],"slack":[0,0]}}'
     monkeypatch.setenv("AFK_BUDGET", "2")
-    code, _ = run_cli(tmp_path, capsys, doc, "kstable")
+    code, _ = run_cli(tmp_path, capsys, FIBONACCI_JSON, "kstable")
     assert code == 2  # env budget too small
-    code, _ = run_cli(tmp_path, capsys, doc, "kstable", "--budget", "16")
+    code, _ = run_cli(tmp_path, capsys, FIBONACCI_JSON, "kstable", "--budget", "16")
     assert code == 0  # flag wins over the environment
 
 

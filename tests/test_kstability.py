@@ -5,7 +5,7 @@ import pytest
 
 from afk import diagram
 from afk.colimit import fm_profile, k0_rational_dimension, profile_systems
-from afk.diagram import AffineTail, BratteliDiagram, materialize, validate
+from afk.diagram import AffineTail, BratteliDiagram, materialize, tail_step, validate
 from afk.io import to_diagram
 from afk.kstability import (
     INCONCLUSIVE,
@@ -18,11 +18,10 @@ from afk.kstability import (
     coordinate_classes,
     find_infinite_k_chain,
     replay_witness,
-    tail_orbit,
     telescope,
 )
 from afk.linalg import IntMatrix
-from cases import constant_column, single_level, two_column, worked_example
+from cases import constant_column, fibonacci, permutation_tail, single_level, two_column, worked_example
 from generators import (
     random_document,
     random_growing_tail_diagram,
@@ -30,7 +29,7 @@ from generators import (
     random_pinned_tail_diagram,
     random_stationary_tail_diagram,
 )
-from oracles import check_coordinate_classes
+from oracles import check_coordinate_classes, copy_cycle_coordinates, oracle_replay_chain
 
 
 # --- coordinate growth classification -------------------------------------
@@ -95,8 +94,10 @@ def test_find_chain_two_column_none():
     assert find_infinite_k_chain(two_column()) is None
 
 
-def test_find_chain_prefix_only_inconclusive():
-    assert find_infinite_k_chain(worked_example()) is INCONCLUSIVE
+def test_find_chain_prefix_only_reads_the_identity_tail():
+    w = find_infinite_k_chain(worked_example())
+    assert w.kind == "identity-completion" and (w.k, w.start_level, w.cycle_period) == (1, 1, 1)
+    assert replay_witness(worked_example(), w) == []
 
 
 def test_find_chain_swap_tail():
@@ -113,14 +114,19 @@ def test_find_chain_swap_tail():
     assert replay_witness(d, w) == []
 
 
-def test_find_chain_budget_exhaustion():
-    # bounded orbit needs the swap to repeat, impossible within 2 levels
+def test_find_chain_needs_no_budget():
+    # the swap's sizes repeat only at level 3, but the copy cycle answers at level 1
     d = BratteliDiagram(
         prefix_levels=((2, 3),),
         prefix_matrices=(),
         tail=AffineTail(matrix=IntMatrix.from_rows([[0, 1], [1, 0]]), slack=(0, 0)),
     )
-    assert find_infinite_k_chain(d, budget=2) is INCONCLUSIVE
+    verdict = classify(d, 1)
+    assert verdict.status == "not-k-stable" and verdict.witness == find_infinite_k_chain(d)
+    assert (verdict.witness.start_level, verdict.witness.cycle_summands) == (1, (1, 2))
+    with pytest.raises(InfiniteChainError) as exc:
+        telescope(d, 3, 1)
+    assert exc.value.witness == verdict.witness
 
 
 # sizes, p (row i copies column p[i]) and the witness (k, start, node_path, cycle_period, cycle_summands)
@@ -128,9 +134,23 @@ WITNESS_CHOICES = (
     ((1, 1, 1, 1, 1), (1, 0, 3, 4, 2), (1, 1, (), 2, (1, 2))),
     ((2, 2, 1, 1, 1), (1, 0, 3, 4, 2), (1, 1, (), 3, (3, 5, 4))),
     ((1, 2, 1, 2), (3, 0, 1, 2), (1, 1, (), 4, (1, 2, 3, 4))),
-    # the orbit's period is lcm(2, 3) = 6, so the 2-cycle turns three times
-    ((3, 1, 1, 2, 1), (1, 0, 3, 4, 2), (1, 1, (), 6, (2, 1, 2, 1, 2, 1))),
+    # the chain's period is its own cycle's length, not lcm(2, 3) = 6
+    ((3, 1, 1, 2, 1), (1, 0, 3, 4, 2), (1, 1, (), 2, (2, 1))),
 )
+
+
+def test_replay_refuses_a_cycle_that_is_not_a_copy_cycle():
+    # the sizes 1, 2, 3, ... have a sole simple predecessor, but slack 1 breaks the chain at level 2
+    w = KChainWitness(1, 1, (), 1, (1,))
+    assert replay_witness(LINEAR, w) == ["edge 1->2: chain node has slack 1, expected 0"]
+    assert oracle_replay_chain(LINEAR, w, 3) != []
+    assert replay_witness(SEVEN_THOUSAND_FOLD, w) == ["edge 1->2: multiplicity 7000 between chain nodes, expected 1"]
+    swapped = KChainWitness(2, 1, (), 1, (1,))  # the swap moves size 2 to summand 2
+    d = BratteliDiagram(((2, 3),), (), AffineTail(IntMatrix.from_rows([[0, 1], [1, 0]]), (0, 0)))
+    assert replay_witness(d, swapped) == [
+        "edge 1->2: multiplicity 0 between chain nodes, expected 1",
+        "edge 1->2: chain node has an extra predecessor (summand 2)",
+    ]
 
 
 def test_witness_starts_at_the_smallest_coordinate_of_the_smallest_copy_size():
@@ -146,7 +166,7 @@ def test_witness_starts_at_the_smallest_coordinate_of_the_smallest_copy_size():
 
 
 def test_telescope_two_column_drops_first_level():
-    out = telescope(two_column(), 2)
+    out = telescope(two_column(), 2).diagram
     assert isinstance(out, BratteliDiagram)
     assert out.prefix_levels == ((2, 2), (3, 4))
     assert out.tail == two_column().tail
@@ -158,7 +178,7 @@ def test_telescope_unchanged_when_min_dim_suffices():
         prefix_matrices=(),
         tail=AffineTail(matrix=IntMatrix.from_rows([[1, 0], [1, 1]]), slack=(1, 0)),
     )
-    assert telescope(d, 3) is d
+    assert telescope(d, 3).diagram is d
 
 
 def test_telescope_constant_column_raises():
@@ -170,7 +190,7 @@ def test_telescope_constant_column_raises():
 
 def test_telescope_min_dim_and_validity():
     for m in (2, 3, 5, 8):
-        out = telescope(two_column(), m)
+        out = telescope(two_column(), m).diagram
         assert isinstance(out, BratteliDiagram)
         assert min(out.prefix_levels[0]) >= m
         assert validate(out).ok
@@ -189,7 +209,7 @@ def test_telescope_requires_injectivity():
 def test_telescope_preserves_fm_profile_two_column():
     d = two_column()
     base = [(m, r.dimension, r.exact) for m, r in fm_profile(d, 9)]
-    scoped = telescope(d, 4)
+    scoped = telescope(d, 4).diagram
     assert [(m, r.dimension, r.exact) for m, r in fm_profile(scoped, 9)] == base
 
 
@@ -204,7 +224,7 @@ LINEAR = BratteliDiagram(
 
 def test_telescope_jumps_over_stages_below_the_smallest_summand():
     start = time.perf_counter()
-    out = telescope(SEVEN_THOUSAND_FOLD, 10**100)
+    out = telescope(SEVEN_THOUSAND_FOLD, 10**100).diagram
     assert time.perf_counter() - start < 1
     assert out.prefix_levels == ((7000**27,),)  # the first size >= 10^100
     # level 1 is the only one with a summand < 8, so every target keeps level 2 on
@@ -214,7 +234,7 @@ def test_telescope_jumps_over_stages_below_the_smallest_summand():
 
 
 def test_telescope_is_inconclusive_once_the_cut_passes_the_budget():
-    assert telescope(LINEAR, 64, budget=64).prefix_levels == ((64,),)
+    assert telescope(LINEAR, 64, budget=64) == ((((64,),), (), LINEAR.tail), 64)
     assert telescope(LINEAR, 65, budget=64) is INCONCLUSIVE
     start = time.perf_counter()
     assert telescope(LINEAR, 100000) is INCONCLUSIVE
@@ -226,7 +246,7 @@ def test_telescope_of_a_tail_less_diagram_does_not_depend_on_the_budget():
         prefix_levels=((1,), (2,), (3,)), prefix_matrices=(IntMatrix.identity(1), IntMatrix.identity(1))
     )
     for budget in (1, 64):
-        assert telescope(d, 3, budget=budget).prefix_levels == ((3,),)
+        assert telescope(d, 3, budget=budget).diagram.prefix_levels == ((3,),)
 
 
 # summand 1 stays at size 2 forever; summand 2 starts at 1 and grows
@@ -255,11 +275,12 @@ def _answer(d, m, budget):
         return exc.witness
 
 
-def test_a_persistent_small_summand_stops_the_walk_at_its_repeat(monkeypatch):
+def test_a_persistent_small_summand_raises_before_any_tail_step(monkeypatch):
+    assert PINNED_AT_TWO.validation.ok  # validation steps the tail once; count after it is cached
     steps = _count_tail_steps(monkeypatch)
     with pytest.raises(InfiniteChainError) as exc:
         telescope(PINNED_AT_TWO, 10**6, budget=100000)
-    assert len(steps) <= 10
+    assert steps == []
     assert exc.value.witness.k == 2
     assert replay_witness(PINNED_AT_TWO, exc.value.witness) == []
 
@@ -275,8 +296,8 @@ def test_kstable_and_telescope_never_unroll_past_the_budget(monkeypatch):
     steps = _count_tail_steps(monkeypatch)
     for d in draws:
         for budget in (1, 2, 3, 4, 8, 16):
-            # one orbit plus one walk, or one walk plus one chain search
-            allowed = 2 * max(budget - d.prefix_len, 0)
+            # one walk: the chain search steps no tail
+            allowed = max(budget - d.prefix_len, 0)
             steps.clear()
             classify(d, budget)
             assert len(steps) <= allowed, (d, budget)
@@ -386,9 +407,9 @@ def test_random_pinned_diagrams_yield_sound_witnesses():
         d = random_pinned_tail_diagram(rng)
         if not d.injective or not validate(d).ok:
             continue
-        w = find_infinite_k_chain(d, budget=96)
+        w = find_infinite_k_chain(d)
         assert isinstance(w, KChainWitness)
-        assert replay_witness(d, w, budget=48) == []
+        assert replay_witness(d, w) == []
         found += 1
     assert found >= 60
 
@@ -408,12 +429,13 @@ def test_telescope_preserves_fm_profile_random():
         if not d.injective:
             continue
         m_target = rng.choice([2, 3, 4])
-        out = telescope(d, m_target, budget=96)
+        scoped = telescope(d, m_target, budget=96)
         verdict = classify(d, budget=96)
         for m, cuts in verdict.certificate[1:]:
             _assert_minimal_cut(d, cuts[-1], m)
-        if out is INCONCLUSIVE:
+        if scoped is INCONCLUSIVE:
             continue
+        out = scoped.diagram
         profiles = list(materialize(d, 96)[0])
         cut = profiles.index(out.prefix_levels[0], d.prefix_len - out.prefix_len) + 1
         assert out.tail == d.tail
@@ -426,36 +448,60 @@ def test_telescope_preserves_fm_profile_random():
     assert done >= 40
 
 
-def _permutation_tail(cycles):
-    """Zero-slack tail permuting sizes 1..L around each cycle of length L: one prefix level."""
-    sizes, rows, offset = [], [], 0
-    width = sum(cycles)
-    for length in cycles:
-        for i in range(length):
-            sizes.append(i + 1)
-            row = [0] * width
-            row[offset + (i - 1) % length] = 1  # summand i takes the size of summand i-1
-            rows.append(row)
-        offset += length
-    return BratteliDiagram(
-        prefix_levels=(tuple(sizes),),
-        prefix_matrices=(),
-        tail=AffineTail(matrix=IntMatrix.from_rows(rows), slack=(0,) * width),
-    )
-
-
-def test_permutation_tail_chain_search_is_linear_in_the_period():
-    # sizes repeat after lcm(3, 4, 5, 7) = 420 levels: past the default budget
-    d = _permutation_tail((3, 4, 5, 7))
-    assert classify(d, 64).status == "inconclusive-at-budget"
+def test_permutation_tail_answers_at_budget_one():
+    # sizes repeat only after lcm(3, 4, 5, 7) = 420 levels; the 3-cycle's copies answer at once
+    d = permutation_tail((3, 4, 5, 7))
     start = time.perf_counter()
-    verdict = classify(d, 1000)
+    verdict = classify(d, 1)
     spent = time.perf_counter() - start
-    assert verdict.status == "not-k-stable"
+    assert verdict.status == "not-k-stable" and verdict.levels == 1
     w = verdict.witness
-    assert (w.k, w.start_level, w.cycle_period) == (1, 1, 420)
-    assert replay_witness(d, w, 1000) == []
+    assert (w.k, w.start_level, w.cycle_period, w.cycle_summands) == (1, 1, 3, (1, 2, 3))
+    assert replay_witness(d, w) == []
+    with pytest.raises(InfiniteChainError) as exc:
+        telescope(d, 2, 1)
+    assert exc.value.witness == w
     assert spent < 1.0
+
+
+def test_a_tail_without_copy_cycles_is_inconclusive_until_its_walk_ends():
+    # Fibonacci sizes: the smallest summand first reaches M_MAX = 8 at level 6
+    d = fibonacci()
+    for budget in range(1, 6):
+        assert classify(d, budget) == (INCONCLUSIVE_AT_BUDGET, budget, None, None)
+    for budget in (6, 7, 1000):
+        verdict = classify(d, budget)
+        assert verdict.status == K_STABLE and verdict.levels == 6
+
+
+def test_every_copy_cycle_answers_at_budget_one():
+    # the witness is checked by a plain simulation sharing no code with afk
+    rng = random.Random(410)
+    draws = [permutation_tail(cycles) for cycles in ((1,), (2, 3), (3, 4, 5, 7), (6, 6))]
+    for family in (*FAMILIES, random_permutation_tail_diagram):
+        draws += [family(rng) for _ in range(80)]
+    draws += [to_diagram(random_document(rng)) for _ in range(80)]
+    chains = tail_less = 0
+    for d in draws:
+        if not (d.validation.ok and d.injective):
+            continue
+        verdict = classify(d, 1)
+        last = d.prefix_levels[-1]
+        # a tail-less diagram is read as the identity tail, every summand a copy cycle
+        strands = copy_cycle_coordinates(d.tail.matrix.to_rows(), d.tail.slack) if d.tail else range(len(last))
+        if not strands:
+            assert verdict.status != "not-k-stable", d
+            continue
+        assert verdict.status == "not-k-stable", d
+        w = verdict.witness
+        assert w.k == min(last[i] for i in strands), (d, w)
+        assert oracle_replay_chain(d, w, len(w.node_path) + 2 * w.cycle_period + 32) == [], (d, w)
+        with pytest.raises(InfiniteChainError) as exc:
+            telescope(d, w.k + 1, 1)
+        assert exc.value.witness == w
+        chains += 1
+        tail_less += d.tail is None
+    assert chains >= 150 and tail_less >= 10
 
 
 # --- the theorem: K-stable iff F_{2B+1} = F_1 ------------------------------
@@ -464,13 +510,15 @@ THEOREM_BUDGET = 4096
 
 
 def _bounded_size(d):
-    """B: the largest bounded-coordinate size in the tail orbit's window, or the largest last-level size."""
+    """B: the largest bounded-coordinate size once the bounded sizes repeat, or the largest last-level size."""
     if d.tail is None:
         return max(d.prefix_levels[-1])
-    orbit = tail_orbit(d, THEOREM_BUDGET)
-    assert orbit is not INCONCLUSIVE
-    window = orbit.profiles[orbit.start - 1:]
-    return max((q[i] for q in window for i in orbit.bounded), default=0)
+    bounded, _ = coordinate_classes(d.tail.matrix, d.tail.slack)
+    seen, q = [], d.prefix_levels[-1]
+    while (key := tuple(q[i] for i in bounded)) not in seen:
+        seen.append(key)
+        q = tail_step(d.tail, q)
+    return max((x for later in seen[seen.index(key):] for x in later), default=0)
 
 
 def test_classify_agrees_with_the_rational_k_stability_comparison():
