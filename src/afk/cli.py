@@ -168,7 +168,6 @@ def _colimit_payload(res) -> dict:
         "exact": res.exact,
         "stabilized_at": res.stabilized_at,
         "budget_exceeded": res.budget_exceeded,
-        "per_level_ranks": [[k, r] for k, r in res.per_level_ranks],
     }
     if res.note:
         out["note"] = res.note

@@ -24,15 +24,26 @@ and its system is a prefix of the unroll.  When min(q, H) never repeats
 within the budget, the unroll keeps every level it scanned, and a smaller
 degree may still repeat within them.  Because the rescan reads the same
 levels, from the same start, as an unroll with its own cap would, each
-degree's system is exactly the one it gets alone.  A system's map out of
-level k is a submatrix of `BratteliDiagram.matrix_after(k)`, sliced once
-per (matrix, kept rows, kept columns) within one call: equal triples give
-equal submatrices.  `build_systems` is the module's one entry point; a
-single degree is a one-element list of degrees.
+degree's system is exactly the one it gets alone.
+
+Caps with no stored size between them share one system: when no stored
+size p has h <= p < h', the caps h and h' keep the same summands on every
+stored level, and min(q_a, h) = min(q_b, h) iff min(q_a, h') = min(q_b, h')
+there (two sizes that differ and are both >= h are both >= h'), so they see
+the same first repeat.  A cap is therefore keyed by its position among the
+sorted distinct stored sizes, and each position is cut once, into one
+system object that all its degrees share.
+
+A system's map out of level k is a submatrix of
+`BratteliDiagram.matrix_after(k)`, sliced once per (matrix, kept rows, kept
+columns) within one call: equal triples give equal submatrices.
+`build_systems` is the module's one entry point; a single degree is a
+one-element list of degrees.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, NamedTuple, Optional
 
 # loaded on demand: other modules' functions are called through their module (see afk/__init__.py)
@@ -59,9 +70,7 @@ class TruncatedSystem(NamedTuple):
     that the clamped sizes repeat from `cycle_start` on, and the system ends
     at level cycle_start + period; `budget_exceeded` is set instead when no
     repeat showed within the level budget, and the system then holds only
-    the prefix.  Without a tail the system is every given level.  As a
-    NamedTuple it equals any tuple with the same values; the memo in
-    `colimit.profile_systems` only ever compares systems with each other.
+    the prefix.  Without a tail the system is every given level.
     """
 
     dims: tuple[int, ...]
@@ -94,14 +103,17 @@ def build_systems(
     top = (max(degrees) + 1) // 2
     profiles, cycle = _diagram.unroll_to_repeat(diagram, lambda q: tuple(min(x, top) for x in q), budget)
     first = diagram.prefix_len
+    sizes = sorted({p for q in profiles for p in q})
+    top_pos = bisect_left(sizes, top)
     # keyed by id: every matrix stays alive in the diagram meanwhile
     submatrices: dict[tuple[int, tuple[int, ...], tuple[int, ...]], IntMatrix] = {}
-    by_clamp: dict[int, TruncatedSystem] = {}
+    by_pos: dict[int, TruncatedSystem] = {}  # position of a cap among the stored sizes -> its system
     for m in degrees:
         h = (m + 1) // 2
-        if h in by_clamp:
+        pos = bisect_left(sizes, h)
+        if pos in by_pos:
             continue
-        if h == top:
+        if pos == top_pos:
             repeat = cycle
         else:  # min(q, top) repeating forces min(q, h) to repeat: rescan what is stored
             repeat = _diagram.first_repeat(
@@ -119,11 +131,11 @@ def build_systems(
                 sub = submatrices[cut] = phi.submatrix(kept[k + 1], kept[k])
             maps.append(sub)
         cycle_start, period = repeat or (None, None)
-        by_clamp[h] = TruncatedSystem(
+        by_pos[pos] = TruncatedSystem(
             dims=tuple(map(len, kept)),
             maps=tuple(maps),
             cycle_start=cycle_start,
             period=period,
             budget_exceeded=diagram.tail is not None and repeat is None,
         )
-    return [by_clamp[(m + 1) // 2] for m in degrees]
+    return [by_pos[bisect_left(sizes, (m + 1) // 2)] for m in degrees]

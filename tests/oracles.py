@@ -5,6 +5,7 @@ list-of-lists matrices, no sharing with the package's fraction-free code.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 
 def naive_rank(rows):
@@ -134,6 +135,48 @@ def copy_cycle_coordinates(rows, slack):
                 break
             j = source[j]
     return on_cycle
+
+
+def oracle_closed_form_fm(d, m):
+    """F_m of diagram `d` in closed form, without unrolling a tail level.
+
+    For odd m it is F_inf = rank(D^n), with D the tail matrix on its n
+    divergent coordinates, plus the number of copy-cycle coordinates whose
+    size at the last prefix level is >= (m + 1) / 2: each carries a strand
+    of that size forever.  Even m gives 0, and a diagram without a tail is
+    read as the identity tail.
+    """
+    if m % 2 == 0:
+        return 0
+    f_inf, strands = _closed_form_parts(d.prefix_levels[-1], d.tail)
+    return f_inf + sum(1 for size in strands if size >= (m + 1) // 2)
+
+
+@lru_cache(maxsize=64)
+def _closed_form_parts(last, tail):
+    """(F_inf, the strand sizes) of a tail read from the last prefix level `last`.
+
+    The bounded coordinates are the copy-cycle ones and every coordinate
+    fed only by bounded ones; the rest diverge.
+    """
+    n = len(last)
+    if tail is None:
+        rows, slack = naive_identity(n), [0] * n
+    else:
+        rows, slack = tail.matrix.to_rows(), list(tail.slack)
+    strands = copy_cycle_coordinates(rows, slack)
+    bounded = set(strands)
+    while True:
+        fed = {i for i in range(n) if all(j in bounded for j, x in enumerate(rows[i]) if x)}
+        if fed <= bounded:
+            break
+        bounded |= fed
+    divergent = [i for i in range(n) if i not in bounded]
+    block = [[rows[i][j] for j in divergent] for i in divergent]
+    power = naive_identity(len(divergent))
+    for _ in divergent:
+        power = naive_matmul(block, power)
+    return naive_rank(power), tuple(last[i] for i in strands)
 
 
 def oracle_replay_chain(d, w, levels):

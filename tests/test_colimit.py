@@ -4,13 +4,21 @@ import pytest
 
 import afk.diagram
 from afk.colimit import fm_dimension, fm_profile, k0_rational_dimension, profile_systems
-from afk.diagram import AffineTail, BratteliDiagram
+from afk.diagram import DEFAULT_BUDGET, AffineTail, BratteliDiagram
 from afk.io import parse, to_diagram
 from afk.linalg import IntMatrix, multiply, rank
 from afk.truncation import build_systems
-from cases import doubling, single_level, stationary_identity, two_column, worked_example
-from generators import random_growing_tail_diagram, random_prefix, stationary_tail_of_width
-from oracles import oracle_truncated_colimit
+from cases import doubling, permutation_tail, single_level, stationary_identity, two_column, worked_example
+from generators import (
+    random_document,
+    random_growing_tail_diagram,
+    random_permutation_tail_diagram,
+    random_pinned_tail_diagram,
+    random_prefix,
+    random_stationary_tail_diagram,
+    stationary_tail_of_width,
+)
+from oracles import oracle_closed_form_fm, oracle_truncated_colimit
 
 
 def test_two_column_every_odd_degree_is_two():
@@ -25,7 +33,7 @@ def test_even_degrees_vanish_without_computation():
     res = fm_dimension(two_column(), 2)
     assert res.dimension == 0 and res.exact
     assert res.note is not None
-    assert res.per_level_ranks == ()
+    assert res.stabilized_at is None
 
 
 def test_degrees_below_one_are_refused_even_or_odd():
@@ -84,14 +92,27 @@ def test_worked_example_prefix_only_lower_bound():
     assert res.stabilized_at == 2
 
 
-def test_per_level_ranks_nondecreasing():
-    for d in (two_column(), doubling(), worked_example()):
+def first_level_reaching(d, m, res, probe_to):
+    """The first level whose image, by the brute-force oracle, has the whole dimension."""
+    return next(k for k in range(1, probe_to - 1) if oracle_truncated_colimit(d, m, k, probe_to) == res.dimension)
+
+
+def test_stabilized_at_is_the_first_level_reaching_the_dimension():
+    # the tail-less worked example is checked on its identity-tailed twin, which the oracle can unroll
+    example = worked_example()
+    twin = BratteliDiagram(
+        example.prefix_levels,
+        example.prefix_matrices,
+        AffineTail(matrix=IntMatrix.identity(4), slack=(0,) * 4),
+    )
+    for d, probed in [(d, d) for d in (two_column(), doubling(), stationary_identity(3))] + [(example, twin)]:
         for m in (1, 3, 5):
             res = fm_dimension(d, m, budget=12)
-            values = [r for _, r in res.per_level_ranks]
-            assert values == sorted(values)
-            if res.exact:
-                assert res.dimension == max(values)
+            assert res.exact
+            [sys] = build_systems(probed, (m,), budget=12)
+            probe_to = sys.cycle_start + sys.period * (sys.dims[-1] + 3) + 2
+            assert res == fm_dimension(probed, m, budget=12)
+            assert res.stabilized_at == first_level_reaching(probed, m, res, probe_to)
 
 
 def test_invertible_cycle_dimension_equals_kept_count():
@@ -185,10 +206,7 @@ def test_random_stationary_tails_match_oracle():
             probe_from = sys.cycle_start
             probe_to = probe_from + (sys.period or 1) * (width + 3)
             assert res.dimension == oracle_truncated_colimit(d, m, probe_from, probe_to)
-            assert [k for k, _ in res.per_level_ranks] == list(range(1, probe_from + 1))
-            for k, r in res.per_level_ranks:
-                assert r == oracle_truncated_colimit(d, m, k, probe_to)
-            assert res.stabilized_at == next(k for k, r in res.per_level_ranks if r == res.dimension)
+            assert res.stabilized_at == first_level_reaching(d, m, res, probe_to)
 
 
 def test_nilpotent_cycle_is_certified_on_powers_not_per_level():
@@ -203,8 +221,8 @@ def test_nilpotent_cycle_is_certified_on_powers_not_per_level():
     res = fm_dimension(d, 3)
     assert res.exact
     assert res.dimension == 0
-    assert res.per_level_ranks == ((1, 0), (2, 0))
-    assert res.dimension == oracle_truncated_colimit(d, 3, 1, 8)
+    assert res.stabilized_at == 1  # a dimension of 0 is reached at level 1
+    assert oracle_truncated_colimit(d, 3, 1, 8) == oracle_truncated_colimit(d, 3, 2, 8) == 0
 
 
 def test_fm_profile_equals_fm_dimension_field_for_field():
@@ -273,3 +291,26 @@ def test_fm_profile_validates_the_diagram_once(monkeypatch):
     monkeypatch.setattr(afk.diagram, "validate", lambda d: calls.append(d) or validate(d))
     fm_profile(two_column(), 39)
     assert len(calls) == 1
+
+
+def test_closed_form_matches_every_exact_degree():
+    # F_m = rank(D^n) + #{copy-cycle strands of size >= (m+1)/2}, read off the tail matrix alone
+    rng = random.Random(1709)
+    makers = (
+        random_growing_tail_diagram,
+        random_pinned_tail_diagram,
+        random_stationary_tail_diagram,
+        random_permutation_tail_diagram,
+        lambda r: to_diagram(random_document(r)),
+    )
+    cases = [(make(rng), DEFAULT_BUDGET) for make in makers for _ in range(150)]
+    cases += [(stationary_tail_of_width(rng, w), DEFAULT_BUDGET) for w in range(4, 9) for _ in range(6)]
+    cases.append((permutation_tail((3, 4, 5, 7)), 1024))
+    compared = 0
+    for d, budget in cases:
+        top = 2 * max(d.prefix_levels[-1]) + 5
+        for m, res in fm_profile(d, top, budget):
+            if res.exact:
+                assert res.dimension == oracle_closed_form_fm(d, m), (d, m)
+                compared += m % 2
+    assert compared >= 20000

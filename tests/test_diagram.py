@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from afk.colimit import _composites_to, fm_profile
+from afk.colimit import fm_profile
 from afk.diagram import (
     AffineTail,
     BratteliDiagram,
@@ -21,18 +21,18 @@ from afk.diagram import (
 from afk.io import export_dot
 from afk.kstability import KChainWitness, classify, coordinate_classes, telescope
 from afk.linalg import DimensionMismatch, IntMatrix, multiply
-from afk.truncation import TruncatedSystem, build_systems
+from afk.truncation import build_systems
 from cases import constant_column, single_level, two_column, worked_example
 from generators import random_growing_tail_diagram, random_pinned_tail_diagram, random_stationary_tail_diagram
 
 
 def compose_multiplicities(d, frm, to, seed=None):
-    """seed . (connecting matrices from level `frm` up to `to`), by the colimit's sweep."""
-    profiles, matrices = materialize(d, to)
-    system = TruncatedSystem(dims=tuple(map(len, profiles)), maps=tuple(matrices))
-    if seed is None:
-        seed = IntMatrix.identity(system.dims[to - 1])
-    return _composites_to(system, to, seed)[frm - 1]
+    """seed . (connecting matrices from level `frm` up to `to`)."""
+    profiles, matrices = map(list, materialize(d, to))
+    out = IntMatrix.identity(len(profiles[frm - 1]))
+    for phi in matrices[frm - 1 :]:
+        out = multiply(phi, out)
+    return out if seed is None else multiply(seed, out)
 
 
 def predecessors(d, level, summand):

@@ -5,13 +5,14 @@ import pytest
 from afk.diagram import AffineTail, BratteliDiagram, materialize
 from afk.linalg import IntMatrix, multiply
 from afk.truncation import EvenDegree, TruncatedSystem, build_systems, d
-from cases import doubling, stationary_identity, two_column, worked_example
+from cases import doubling, permutation_tail, stationary_identity, two_column, worked_example
 from generators import (
     random_growing_tail_diagram,
     random_pinned_tail_diagram,
     random_prefix,
     random_stationary_tail_diagram,
     random_valid_triple,
+    stationary_tail_of_width,
 )
 
 
@@ -175,13 +176,20 @@ def test_build_systems_from_one_unroll_match_each_degree_alone():
     )
     cases = [(make(rng), budget) for make in makers for _ in range(6) for budget in (1, 2, 3, 5, 9, 40)]
     cases += [(dg, budget) for dg in (two_column(), doubling(), worked_example()) for budget in (1, 4, 64)]
+    # many caps cut these alike, so they share systems
+    cases += [(permutation_tail((3, 4, 5, 7)), budget) for budget in (1, 64, 512)]
+    wide = [stationary_tail_of_width(rng, w) for w in (6, 8) for _ in range(3)]
+    cases += [(dg, budget) for dg in wide for budget in (1, 4, 64)]
     seen = set()
+    shared = 0
     for dg, budget in cases:
         for degrees in (range(1, 40, 2), (9, 3, 3, 21), (5,)):
             got = build_systems(dg, degrees, budget)
             assert got == [_reference_system(dg, m, budget) for m in degrees]
             seen.update((s.cycle_start is not None, s.budget_exceeded) for s in got)
+            shared += len({id(s) for s in got}) < len({(m + 1) // 2 for m in degrees})
     assert seen == {(True, False), (False, True), (False, False)}  # cycles, exhausted, no tail
+    assert shared >= 200
 
 
 def test_build_systems_rejects_even_and_negative_degrees():
