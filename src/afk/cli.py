@@ -24,7 +24,10 @@ A JSON report is byte for byte `json.dumps(report, sort_keys=True, indent=2)`
 and a newline, for the types a report holds: dicts with str keys, lists,
 tuples, str, int, bool and None; any other type raises TypeError.  `json`
 with an indent never uses its C encoder, so `_json_chunks` writes the text
-itself: pieces appended to one list, joined once.
+itself: pieces appended to one list, joined once.  One value comes already
+quoted: `export-dot`'s `dot` is an `io.JSONText`, the JSON string literal of
+the DOT text, which the writer copies as it is, so a JSON report is
+`json.dumps` of the report with that value read back by `json.loads`.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from typing import Any, Callable, NamedTuple, Optional
 from . import __version__
 from .diagram import DEFAULT_BUDGET, InjectivityRequired
 from .io import (
+    JSONText,
     ParseError,
     dot_levels,
     export_dot,
@@ -220,6 +224,8 @@ def _json_chunks(value, out: list, pad: str) -> None:
             _json_chunks(item, out, inner)
             lead = "," + inner
         out.append(pad + "]" if value else "[]")
+    elif kind is JSONText:  # checked last, so no other value pays for it
+        out.append(value)
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
@@ -409,7 +415,8 @@ def _telescope(args, diagram, budget):
 
 
 def _export_dot(args, diagram, budget):
-    return "ok", {"dot": export_dot(diagram, degree=args.degree, budget=budget)}, dot_levels(diagram, budget)
+    dot = export_dot(diagram, degree=args.degree, budget=budget, quoted=args.format == "json")
+    return "ok", {"dot": dot}, dot_levels(diagram, budget)
 
 
 class Command(NamedTuple):

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Any, Optional
 
 from .diagram import DEFAULT_BUDGET, AffineTail, BratteliDiagram, DiagramError, materialize
@@ -166,11 +167,59 @@ def dot_levels(d: BratteliDiagram, budget: int) -> int:
     return d.prefix_len if d.tail is None else max(budget, d.prefix_len)
 
 
-def export_dot(d: BratteliDiagram, degree: Optional[int] = None, budget: int = DEFAULT_BUDGET) -> str:
+class JSONText(str):
+    """A str that is already a JSON string literal, quotes included; `cli` writes it into a report as it is."""
+
+    __slots__ = ()
+
+
+_LEVEL = "\0"  # the level number's place in a level template
+
+
+def _level_template(width: int) -> str:
+    """A level's node lines and its `rank=same` line: label i is format field {i}, the level number `_LEVEL`."""
+    names = [f'"L{_LEVEL}S{i}"' for i in range(1, width + 1)]
+    nodes = "".join(f'  {n} [label="{{{i}}}"];\n' for i, n in enumerate(names))
+    return nodes + f"  {{{{ rank=same; {'; '.join(names)}; }}}}\n"
+
+
+def _edge_template(m: IntMatrix) -> str:
+    """The edge lines of `m`, with the source and target level numbers left as fields {0} and {1}."""
+    return "".join(
+        f'  "L{{0}}S{j + 1}" -> "L{{1}}S{i + 1}" [label="{mult}"];\n'
+        for i in range(m.rows)
+        for j, mult in enumerate(m.row(i))
+        if mult > 0
+    )
+
+
+def _quote(template: str) -> str:
+    """`template` as it reads inside a JSON string literal, its fields and `_LEVEL` kept.
+
+    Labels and level numbers are integers, which JSON writes as they are, so
+    quoting a template before it is filled equals quoting the filled text.
+    """
+    return encode_basestring_ascii(template)[1:-1].replace("\\u0000", _LEVEL)
+
+
+def export_dot(d: BratteliDiagram, degree: Optional[int] = None, budget: int = DEFAULT_BUDGET, quoted: bool = False) -> str:
     """Render the diagram (or its degree-m shadow) as deterministic DOT text.
 
     One node per (level, summand), labeled with the summand size, or with the
     0/1 survival indicator when a degree is given; edges carry multiplicities.
+    All node lines come first, level by level, then all edge lines.
+
+    The text is drawn from templates built once per call: one per level
+    width (`_level_template`) and one per matrix (`_edge_template`; a tail
+    repeats one matrix object).  A level is one `str.format` of its labels
+    and one `str.replace` of the level number; an edge block is one
+    `str.format` of its two level numbers.
+
+    With `quoted`, the result is the JSON string literal of that text, as
+    `json.encoder.encode_basestring_ascii` writes it, in a `JSONText`: the
+    templates are quoted once instead of the text, so the JSON report never
+    holds an escaped copy of a large DOT.
+
     A size too long for `str` (the interpreter's int-to-str digit limit) is
     refused with a ParseError at `--budget` naming its level: only the levels
     a tail adds beyond the parsed prefix can grow that long.
@@ -178,29 +227,32 @@ def export_dot(d: BratteliDiagram, degree: Optional[int] = None, budget: int = D
     if degree is not None:  # only a degree's labels need the survival rule
         from .truncation import d as degree_indicator
 
+    quote = _quote if quoted else str  # str of a str is the same str
     profiles, matrices = materialize(d, dot_levels(d, budget))
-    parts = ["digraph bratteli {\n  rankdir=TB;\n  node [shape=circle];\n"]
+    parts = ['"'] if quoted else []
+    parts.append(quote("digraph bratteli {\n  rankdir=TB;\n  node [shape=circle];\n"))
+    level_templates: dict[int, str] = {}  # by width
     # each level is drawn as it is stepped, so a size too long to print is met
     # without unrolling the levels after it
     for lvl, profile in enumerate(profiles, start=1):
         labels = profile if degree is None else [degree_indicator(degree, p) for p in profile]
-        names = [f'"L{lvl}S{i}"' for i in range(1, len(profile) + 1)]
+        template = level_templates.get(len(profile))
+        if template is None:
+            template = level_templates[len(profile)] = quote(_level_template(len(profile)))
         try:
-            parts.append("".join(f"  {n} [label=\"{x}\"];\n" for n, x in zip(names, labels)))
+            text = template.format(*labels)
         except ValueError:
             raise ParseError("--budget", f"level {lvl} has a summand size too long to print; draw fewer levels") from None
-        parts.append(f"  {{ rank=same; {'; '.join(names)}; }}\n")
-    # a tail repeats one matrix object: its edge lines are built once, with
-    # the source and target level numbers left as fields {0} and {1}
-    templates: dict[int, str] = {}
+        parts.append(text.replace(_LEVEL, str(lvl)))
+    edge_templates: dict[int, str] = {}  # by matrix object
     for lvl, m in enumerate(matrices, start=1):
-        if id(m) not in templates:
-            templates[id(m)] = "".join(
-                f'  "L{{0}}S{j + 1}" -> "L{{1}}S{i + 1}" [label="{mult}"];\n'
-                for i in range(m.rows)
-                for j, mult in enumerate(m.row(i))
-                if mult > 0
-            )
-        parts.append(templates[id(m)].format(lvl, lvl + 1))
-    parts.append("}\n")
-    return "".join(parts)
+        if id(m) not in edge_templates:
+            edge_templates[id(m)] = quote(_edge_template(m))
+        parts.append(edge_templates[id(m)].format(lvl, lvl + 1))
+    parts.append(quote("}\n"))
+    if not quoted:
+        return "".join(parts)
+    parts.append('"')
+    text = "".join(parts)
+    parts.clear()  # the subclass copies the text; the parts need not live through that copy too
+    return JSONText(text)

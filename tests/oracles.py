@@ -215,3 +215,37 @@ def oracle_replay_chain(d, w, levels):
             if [j for j, x in enumerate(row) if x] != [prev] or row[prev] != 1:
                 failures.append(f"level {t}: summand {i + 1} is not fed by summand {prev + 1} alone, once")
     return failures
+
+
+def oracle_dot(d, degree, levels):
+    """The DOT text of the first `levels` levels of diagram `d`, one line at a time.
+
+    Plain simulation of the sizes: a tail continues the last prefix level
+    through q' = rows.q + slack.  A node is labeled with its size, or, when
+    `degree` is given, with 1 if that degree keeps it (degree odd and
+    degree <= 2p - 1) and 0 if not.  All node lines come first, each level
+    closed by its `rank=same` line, then the edge lines of every matrix,
+    one per positive multiplicity.
+    """
+    sizes = [list(lvl) for lvl in d.prefix_levels[:levels]]
+    mats = [mat.to_rows() for mat in d.prefix_matrices[: levels - 1]]
+    if len(sizes) < levels:
+        rows, slack = d.tail.matrix.to_rows(), list(d.tail.slack)
+    while len(sizes) < levels:
+        q = sizes[-1]
+        sizes.append([sum(a * x for a, x in zip(row, q)) + s for row, s in zip(rows, slack)])
+        mats.append(rows)
+    lines = ["digraph bratteli {", "  rankdir=TB;", "  node [shape=circle];"]
+    for lvl, q in enumerate(sizes, start=1):
+        names = [f'"L{lvl}S{i}"' for i in range(1, len(q) + 1)]
+        for name, p in zip(names, q):
+            label = p if degree is None else int(degree % 2 == 1 and degree <= 2 * p - 1)
+            lines.append(f'  {name} [label="{label}"];')
+        lines.append(f"  {{ rank=same; {'; '.join(names)}; }}")
+    for lvl, rows in enumerate(mats, start=1):
+        for i, row in enumerate(rows, start=1):
+            for j, mult in enumerate(row, start=1):
+                if mult > 0:
+                    lines.append(f'  "L{lvl}S{j}" -> "L{lvl + 1}S{i}" [label="{mult}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"

@@ -6,6 +6,8 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,7 @@ import afk
 from afk import cli
 from afk.cli import main
 from afk.io import (
+    JSONText,
     ParseError,
     export_dot,
     from_diagram,
@@ -25,7 +28,14 @@ from afk.io import (
     to_diagram,
 )
 from cases import single_level, two_column, worked_example
-from generators import random_document
+from generators import (
+    random_document,
+    random_growing_tail_diagram,
+    random_permutation_tail_diagram,
+    random_pinned_tail_diagram,
+    random_stationary_tail_diagram,
+)
+from oracles import oracle_dot
 
 TWO_COLUMN_JSON = (
     '{"levels":[[1,1],[2,2],[3,4]],'
@@ -165,6 +175,30 @@ def test_export_dot_budget_bounds_tail():
     assert '"L5S1"' in dot and '"L6S1"' not in dot
 
 
+DOT_FAMILIES = {
+    "growing": random_growing_tail_diagram,
+    "pinned": random_pinned_tail_diagram,
+    "stationary": random_stationary_tail_diagram,
+    "permutation": random_permutation_tail_diagram,
+    "document": lambda rng: to_diagram(random_document(rng)),  # width changes, tail-less diagrams
+}
+
+
+@pytest.mark.parametrize("family", sorted(DOT_FAMILIES))
+def test_export_dot_matches_the_line_oracle_raw_and_quoted(family):
+    rng = random.Random(f"dot-{family}")
+    for _ in range(6):
+        d = DOT_FAMILIES[family](rng)
+        for budget in sorted({1, d.prefix_len, 64, 300}):
+            levels = d.prefix_len if d.tail is None else max(budget, d.prefix_len)
+            for degree in (None, rng.choice((1, 2, 3, 5, 9))):
+                want = oracle_dot(d, degree, levels)
+                assert export_dot(d, degree, budget) == want
+                quoted = export_dot(d, degree, budget, quoted=True)
+                assert type(quoted) is JSONText
+                assert quoted == encode_basestring_ascii(want)
+
+
 # `str` and `int` refuse integers of more than 4300 digits by default
 needs_digit_limit = pytest.mark.skipif(
     getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300, reason="needs the default int-to-str digit limit"
@@ -184,12 +218,13 @@ def test_parse_refuses_an_integer_literal_past_the_digit_limit():
 @needs_digit_limit
 def test_export_dot_refuses_a_size_past_the_digit_limit():
     d = to_diagram(parse(TWENTY_FOLD_JSON))
-    with pytest.raises(ParseError) as exc:
-        export_dot(d, budget=4000)
-    assert exc.value.locus == "--budget"
-    assert "level 3307 " in exc.value.reason
-    assert export_dot(d, budget=3306).count("rank=same") == 3306
-    assert export_dot(d, degree=3, budget=4000).count("rank=same") == 4000  # 0/1 labels
+    for quoted in (False, True):
+        with pytest.raises(ParseError) as exc:
+            export_dot(d, budget=4000, quoted=quoted)
+        assert exc.value.locus == "--budget"
+        assert "level 3307 " in exc.value.reason
+        assert export_dot(d, budget=3306, quoted=quoted).count("rank=same") == 3306
+        assert export_dot(d, degree=3, budget=4000, quoted=quoted).count("rank=same") == 4000  # 0/1 labels
 
 
 @needs_digit_limit
@@ -203,11 +238,17 @@ def test_cli_export_dot_refuses_at_the_first_long_size_without_unrolling_the_bud
         return step(tail, q)
 
     monkeypatch.setattr(afk.diagram, "tail_step", counting)
-    code, out = run_cli(tmp_path, capsys, TWENTY_FOLD_JSON, "export-dot", "--budget", "200000")
-    report = json.loads(out)
-    assert code == 1
-    assert report["error"]["locus"] == "--budget"
-    assert "level 3307 " in report["error"]["message"]
+    for fmt in ("json", "text"):  # the JSON report draws the quoted DOT, the text report the raw one
+        steps.clear()
+        code, out = run_cli(tmp_path, capsys, TWENTY_FOLD_JSON, "export-dot", "--budget", "200000", "--format", fmt)
+        assert code == 1
+        if fmt == "json":
+            assert json.loads(out)["error"] == {
+                "locus": "--budget",
+                "message": "level 3307 has a summand size too long to print; draw fewer levels",
+            }
+        else:  # the error report and nothing before it
+            assert out.startswith(f"afk {afk.__version__} — export-dot\nstatus: invalid\nerror at --budget: level 3307 ")
 
 
 # --- CLI ----------------------------------------------------------------------
@@ -366,6 +407,43 @@ def test_cli_export_dot_text_is_raw(tmp_path, capsys):
     code, out = run_cli(tmp_path, capsys, WORKED_JSON, "export-dot", "--format", "text")
     assert code == 0
     assert out.startswith("digraph bratteli {")
+
+
+# sizes grow about fivefold a level: at budget 1024 the JSON report is 2.2 MB
+GROWING_JSON = (
+    '{"levels":[[1,2,1,3]],"matrices":[],'
+    '"tail":{"matrix":[[1,1,1,2],[1,1,1,2],[2,2,1,1],[0,0,2,1]],"slack":[1,1,1,1]}}'
+)
+
+
+def test_cli_export_dot_json_holds_no_escaped_copy_of_the_dot(monkeypatch):
+    # the DOT comes quoted, so a call holds at most two texts of the report's size at once:
+    # the parts and their join while drawing, then the DOT and the joined report
+    written = []
+
+    class Sink:
+        def write(self, text):
+            written.append(len(text))
+
+    monkeypatch.setattr(sys, "stdout", Sink())
+    argv = ["export-dot", "--budget", "1024", "--input", "-"]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(GROWING_JSON))
+    assert main(argv) == 0  # the first call loads what the command imports
+    written.clear()
+    monkeypatch.setattr(sys, "stdin", io.StringIO(GROWING_JSON))
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert sum(written) > 2_000_000
+    assert peak < 2.5 * sum(written)
 
 
 def test_cli_export_dot_degree(tmp_path, capsys):
@@ -813,5 +891,13 @@ def test_the_writer_matches_json_dumps_on_every_benchmark_report(monkeypatch):
             main(op["argv"] + ["--input", "-"])
         ops += len(corpus["ops"])
     assert len(reports) == ops
+    quoted = 0
     for report in reports:
-        assert written(report) == json.dumps(report, sort_keys=True, indent=2)
+        plain = report
+        dot = report.get("result", {}).get("dot")
+        if dot is not None:  # export-dot hands the writer its DOT already quoted
+            assert type(dot) is JSONText
+            plain = {**report, "result": {**report["result"], "dot": json.loads(dot)}}
+            quoted += 1
+        assert written(report) == json.dumps(plain, sort_keys=True, indent=2)
+    assert quoted > 0
