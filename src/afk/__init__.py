@@ -21,7 +21,6 @@ _EXPORTS = {
     "DiagramError": "diagram",
     "DimensionMismatch": "linalg",
     "EmptyLevel": "diagram",
-    "EvenDegree": "truncation",
     "INCONCLUSIVE": "kstability",
     "InfiniteChainError": "kstability",
     "InjectivityRequired": "diagram",

@@ -44,7 +44,6 @@ from .diagram import DEFAULT_BUDGET, InjectivityRequired
 from .io import (
     JSONText,
     ParseError,
-    dot_levels,
     export_dot,
     from_diagram,
     input_digest,
@@ -178,9 +177,9 @@ def _colimit_payload(res) -> dict:
     return out
 
 
-def _levels_used(system, budget: int) -> int:
-    """Levels a truncated system holds; `budget` when its tail ran out of levels."""
-    return budget if system.budget_exceeded else system.levels
+def _levels_used(system, diagram, budget: int) -> int:
+    """Levels a truncated system holds; the horizon when its tail ran out of levels."""
+    return diagram.horizon(budget) if system.budget_exceeded else system.levels
 
 
 def _report(command: str, digest: str, flags: dict, status: str, result: dict, levels_used: int, budget: int) -> dict:
@@ -349,7 +348,7 @@ def _fm(args, diagram, budget):
     result["m"] = m
     levels_used = 0
     if system is not None:
-        levels_used = _levels_used(system, budget)
+        levels_used = _levels_used(system, diagram, budget)
         result["dims"] = list(system.dims)
         result["maps"] = [mat.to_rows() for mat in system.maps]
         if system.cycle_start is not None:
@@ -371,7 +370,7 @@ def _fm_profile(args, diagram, budget):
         }
         for m, _, res in rows
     ]
-    levels_used = max((_levels_used(s, budget) for _, s, _ in rows if s is not None), default=0)
+    levels_used = max((_levels_used(s, diagram, budget) for _, s, _ in rows if s is not None), default=0)
     status = "ok" if all(res.exact for _, _, res in rows) else "inconclusive"
     return status, {"profile": profile}, levels_used
 
@@ -380,7 +379,7 @@ def _k0q(args, diagram, budget):
     from .colimit import profile_systems
 
     [(_, system, res)] = profile_systems(diagram, (1,), budget)
-    return ("ok" if res.exact else "inconclusive"), _colimit_payload(res), _levels_used(system, budget)
+    return ("ok" if res.exact else "inconclusive"), _colimit_payload(res), _levels_used(system, diagram, budget)
 
 
 def _kstable(args, diagram, budget):
@@ -403,7 +402,7 @@ def _telescope(args, diagram, budget):
     except InfiniteChainError as exc:
         return "ok", {"outcome": "infinite-chain", "witness": _witness_payload(exc.witness)}, diagram.prefix_len
     if out is INCONCLUSIVE:
-        return "inconclusive", {"outcome": "inconclusive"}, max(budget, diagram.prefix_len)
+        return "inconclusive", {"outcome": "inconclusive"}, diagram.horizon(budget)
     document = from_diagram(out.diagram)
     try:  # only the first level can come from the tail; the rest is the input's, which printed
         "".join(map(str, document["levels"][0]))
@@ -416,7 +415,7 @@ def _telescope(args, diagram, budget):
 
 def _export_dot(args, diagram, budget):
     dot = export_dot(diagram, degree=args.degree, budget=budget, quoted=args.format == "json")
-    return "ok", {"dot": dot}, dot_levels(diagram, budget)
+    return "ok", {"dot": dot}, diagram.horizon(budget)
 
 
 class Command(NamedTuple):

@@ -30,22 +30,40 @@ budget gets no number at all: a finite unrolling neither bounds nor
 certifies the limit.
 
 `profile_systems` holds the rule for every degree: an even degree vanishes,
-and an odd one is the colimit of its truncated system.  All the odd
-degrees' systems come from one tail unroll, and degrees whose caps cut the
-stored sizes alike get the same system object (see `truncation`).  The
-colimit is a pure function of the system, so each system object is swept
-once, and a whole profile has few of them.  The stable power is a pure
-function of the cycle composite, so distinct systems whose composites are
-equal share one `stable_power`; this is sound because P = C^j depends on C
-alone, and the walk uses each system's own maps.  Both memos live for one
-call, so a hit can only return what the computation would.
+and an odd one is the colimit of its truncated system (see `truncation`).
+
+Many degrees are cut from one unroll, clamped at the largest cap H.  For
+h <= H, min(q_a, H) = min(q_b, H) implies min(q_a, h) = min(q_b, h), so the
+level where min(q, H) first repeats is a repeat of min(q, h) as well, and
+min(q, h) first repeats no later.  Each degree's first repeat is
+therefore a rescan of the stored profiles, from the last prefix level on,
+and its system is a prefix of the unroll.  When min(q, H) never repeats
+within the budget, the unroll keeps every level it scanned, and a smaller
+degree may still repeat within them.  Because the rescan reads the same
+levels, from the same start, as an unroll with its own cap would, each
+degree's system is exactly the one it gets alone.
+
+Caps with no stored size between them share one system: when no stored
+size p has h <= p < h', the caps h and h' keep the same summands on every
+stored level, and min(q_a, h) = min(q_b, h) iff min(q_a, h') = min(q_b, h')
+there (two sizes that differ and are both >= h are both >= h'), so they see
+the same first repeat.  A cap is therefore keyed by its position among the
+sorted distinct stored sizes (its cap class), and each class is cut and
+swept once, into one system object and one result that all its degrees
+share.  The stable power is a pure function of the cycle composite, so
+distinct systems whose composites are equal share one `stable_power`; this
+is sound because P = C^j depends on C alone, and the walk uses each
+system's own maps.  The memos live for one call, so a hit can only return
+what the computation would.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, NamedTuple, Optional
 
 # loaded on demand: other modules' functions are called through their module (see afk/__init__.py)
+from . import diagram as _diagram
 from . import linalg as _linalg
 from . import truncation as _truncation
 from .diagram import DEFAULT_BUDGET, BratteliDiagram
@@ -111,28 +129,36 @@ def profile_systems(
 ) -> list[tuple[int, Optional[TruncatedSystem], ColimitResult]]:
     """(m, degree-m system, its colimit) for each m; even degrees have no system.
 
-    The odd degrees' systems come from one tail unroll (`build_systems`).
-    Each system object gets one result and equal cycle composites one
-    stable power (see the module docstring); both memos live for this call
-    only.  Every degree must be at least 1, the even ones included.
+    Each cap class is cut from one tail unroll and swept at once (see the
+    module docstring).  Every degree must be at least 1, the even ones
+    included.
     """
     degrees = tuple(degrees)
     if any(m < 1 for m in degrees):
         raise ValueError(f"degree must be >= 1, got {min(degrees)}")
-    odd = [m for m in degrees if m % 2]
-    systems = dict(zip(odd, _truncation.build_systems(d, odd, budget)))
-    results: dict[int, ColimitResult] = {}  # keyed by id: every system stays alive in `systems`
+    caps = [(m + 1) // 2 for m in degrees if m % 2]
+    if caps:
+        _diagram.ensure_valid(d)
+        top = max(caps)
+        profiles, _ = _diagram.unroll_to_repeat(d, lambda q: tuple(min(x, top) for x in q), budget)
+        sizes = sorted({p for q in profiles for p in q})
+    first = d.prefix_len
+    classes: dict[int, tuple[TruncatedSystem, ColimitResult]] = {}  # cap class -> its system and colimit
     powers: dict[IntMatrix, IntMatrix] = {}
+    submatrices: dict = {}
     rows = []
     for m in degrees:
         if m % 2 == 0:
             rows.append((m, None, _EVEN_DEGREE))
             continue
-        system = systems[m]
-        res = results.get(id(system))
-        if res is None:
-            res = results[id(system)] = _colimit(system, powers)
-        rows.append((m, system, res))
+        h = (m + 1) // 2
+        cap_class = bisect_left(sizes, h)
+        swept = classes.get(cap_class)
+        if swept is None:  # min(q, top) repeating forces min(q, h) to repeat: rescan what is stored
+            repeat = _diagram.first_repeat((tuple(min(x, h) for x in q) for q in profiles[first - 1 :]), first)
+            system = _truncation.cut(d, profiles, h, repeat, submatrices)
+            swept = classes[cap_class] = (system, _colimit(system, powers))
+        rows.append((m, *swept))
     return rows
 
 

@@ -143,6 +143,10 @@ class BratteliDiagram(_BratteliDiagramFields):
     def prefix_len(self) -> int:
         return len(self.prefix_levels)
 
+    def horizon(self, budget: int) -> int:
+        """The last level an analysis at `budget` may hold: the prefix, continued by a tail to `budget`."""
+        return self.prefix_len if self.tail is None else max(budget, self.prefix_len)
+
     @property
     def injective(self) -> bool:
         """True iff no connecting matrix (prefix or tail) has a zero column."""
@@ -271,32 +275,28 @@ def first_repeat(keys: Iterable[Hashable], first_level: int) -> Optional[tuple[i
 
 
 def unroll_to_repeat(
-    d: BratteliDiagram, key: Callable[[tuple[int, ...]], Optional[Hashable]], budget: int
+    d: BratteliDiagram, key: Callable[[tuple[int, ...]], Hashable], budget: int
 ) -> tuple[list[tuple[int, ...]], Optional[tuple[int, int]]]:
     """Unroll the tail up to the first level whose key(profile) was seen before.
 
-    The scan starts at the last prefix level and never passes level `budget`
-    or, without a tail, the prefix.  Returns (profiles, cycle): at the first
-    level L whose key equals that of an earlier level `start`, the profiles
-    of levels 1..L and cycle = (start, L - start).  A key of None ends the
-    scan at its level with cycle None.  When no key repeats by level
-    `budget`, cycle is None and the profiles run to level max(budget,
-    prefix length), so a coarser key can still be scanned on them.  A
-    diagram without a tail yields its prefix and cycle None.
+    The scan starts at the last prefix level and never passes the horizon,
+    `d.horizon(budget)`.  Returns (profiles, cycle): at the first level L
+    whose key equals that of an earlier level `start`, the profiles of
+    levels 1..L and cycle = (start, L - start).  When no key repeats by the
+    horizon, cycle is None and the profiles run to it, so a coarser key can
+    still be scanned on them.  A diagram without a tail yields its prefix
+    and cycle None.
 
     Stopping there is sound whenever key(q) determines key(q') for the next
     level q' (the truncation uses clamped sizes): the keys then evolve on
     their own, so their first repeat repeats forever.
     """
-    levels = unroll(d, d.prefix_len if d.tail is None else max(budget, d.prefix_len))
+    levels = unroll(d, d.horizon(budget))
     profiles = list(islice(levels, d.prefix_len - 1))
 
     def keys():
         for q in levels:
             profiles.append(q)
-            state = key(q)
-            if state is None:
-                return
-            yield state
+            yield key(q)
 
     return profiles, first_repeat(keys(), d.prefix_len)

@@ -162,11 +162,6 @@ def from_diagram(d: BratteliDiagram) -> dict:
     return doc
 
 
-def dot_levels(d: BratteliDiagram, budget: int) -> int:
-    """Levels `export_dot` draws: the prefix, continued by a tail to `budget` levels."""
-    return d.prefix_len if d.tail is None else max(budget, d.prefix_len)
-
-
 class JSONText(str):
     """A str that is already a JSON string literal, quotes included; `cli` writes it into a report as it is."""
 
@@ -228,7 +223,7 @@ def export_dot(d: BratteliDiagram, degree: Optional[int] = None, budget: int = D
         from .truncation import d as degree_indicator
 
     quote = _quote if quoted else str  # str of a str is the same str
-    profiles, matrices = materialize(d, dot_levels(d, budget))
+    profiles, matrices = materialize(d, d.horizon(budget))
     parts = ['"'] if quoted else []
     parts.append(quote("digraph bratteli {\n  rankdir=TB;\n  node [shape=circle];\n"))
     level_templates: dict[int, str] = {}  # by width

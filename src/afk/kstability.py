@@ -248,17 +248,16 @@ def _drop_before(d: BratteliDiagram, profiles: Sequence[tuple[int, ...]], cut: i
 def _walk(d: BratteliDiagram, m: int, budget: int) -> list[tuple[int, ...]]:
     """The profiles up to the first level, from the last prefix level on, with no summand < m.
 
-    The walk stops at level max(budget, prefix length) if none shows by
-    then, and the caller reads min(last profile) < m as inconclusive.  It
-    runs only when no copy cycle carries a size < m; on a tail-less diagram
-    (the identity tail) that means its last level has no summand < m, so the
-    walk never steps past a tail-less prefix.  A valid tail has no zero
-    rows, so each summand of a tail level is at least the smallest summand
-    of the level before: from the last prefix level on the minimum never
-    drops, and once no summand is < m none ever is again.
+    The walk stops at the horizon, `d.horizon(budget)` (a tail-less
+    diagram's prefix), if none shows by then, and the caller reads
+    min(last profile) < m as inconclusive.  It runs only when no copy cycle
+    carries a size < m.  A valid tail has no zero rows, so each summand of a
+    tail level is at least the smallest summand of the level before: from
+    the last prefix level on the minimum never drops, and once no summand is
+    < m none ever is again.
     """
     profiles = []
-    for q in _diagram.unroll(d, max(budget, d.prefix_len)):
+    for q in _diagram.unroll(d, d.horizon(budget)):
         profiles.append(q)
         if len(profiles) >= d.prefix_len and min(q) >= m:
             break
@@ -287,8 +286,8 @@ def telescope(
     connecting map has a zero column.  Otherwise every summand reaches m,
     and one cut (dropping levels never changes the limit) before the first
     level kept does what raising the minimum past 1, 2, ..., m-1 in turn
-    would.  No unroll passes level `budget` or the given prefix, whichever
-    is later, so the work is bounded by the budget and the input, not by m.
+    would.  No unroll passes the horizon, `d.horizon(budget)`, so the work
+    is bounded by the budget and the input, not by m.
     """
     _diagram.ensure_valid(d)
     if not d.injective:

@@ -1,7 +1,13 @@
 """Shared example diagrams used across the test modules."""
 
-from afk.diagram import AffineTail, BratteliDiagram
+from afk.colimit import profile_systems
+from afk.diagram import DEFAULT_BUDGET, AffineTail, BratteliDiagram
 from afk.linalg import IntMatrix
+
+
+def build_systems(d: BratteliDiagram, degrees, budget: int = DEFAULT_BUDGET) -> list:
+    """The truncated system of each degree, as `profile_systems` rows hold it (None for an even one)."""
+    return [system for _, system, _ in profile_systems(d, degrees, budget)]
 
 
 def worked_example() -> BratteliDiagram:

@@ -14,8 +14,8 @@ from afk.diagram import BratteliDiagram, validate
 from afk.io import parse, serialize
 from afk.kstability import INCONCLUSIVE, classify, find_infinite_k_chain, replay_witness, telescope
 from afk.linalg import matvec, multiply
-from afk.truncation import build_systems, d as survives
-from cases import constant_column, doubling, single_level, two_column, worked_example
+from afk.truncation import d as survives
+from cases import build_systems, constant_column, doubling, single_level, two_column, worked_example
 from generators import (
     random_document,
     random_growing_tail_diagram,

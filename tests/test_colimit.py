@@ -2,13 +2,13 @@ import random
 
 import pytest
 
+import afk.colimit
 import afk.diagram
 from afk.colimit import fm_dimension, fm_profile, k0_rational_dimension, profile_systems
 from afk.diagram import DEFAULT_BUDGET, AffineTail, BratteliDiagram
 from afk.io import parse, to_diagram
 from afk.linalg import IntMatrix, multiply, rank
-from afk.truncation import build_systems
-from cases import doubling, permutation_tail, single_level, stationary_identity, two_column, worked_example
+from cases import build_systems, doubling, permutation_tail, single_level, stationary_identity, two_column, worked_example
 from generators import (
     random_document,
     random_growing_tail_diagram,
@@ -283,6 +283,20 @@ def test_fm_profile_unrolls_the_tail_once(monkeypatch):
         assert len(steps) <= max(held) - d.prefix_len
         several += len(held) > 1
     assert several >= 3  # one unroll per degree would step more than the largest system
+
+
+def test_profile_systems_sweeps_each_cap_class_once(monkeypatch):
+    rng = random.Random(2040)
+    cases = [permutation_tail((3, 4, 5, 7))] + [stationary_tail_of_width(rng, w) for w in (6, 8)]
+    colimit = afk.colimit._colimit
+    for d in cases:
+        swept = []
+        monkeypatch.setattr(afk.colimit, "_colimit", lambda sys, powers: swept.append(sys) or colimit(sys, powers))
+        rows = profile_systems(d, range(1, 40), 512)
+        monkeypatch.setattr(afk.colimit, "_colimit", colimit)
+        distinct = {id(sys) for _, sys, _ in rows if sys is not None}
+        assert len(swept) == len(distinct) < 20  # 20 odd degrees share fewer systems
+        assert {id(sys) for sys in swept} == distinct
 
 
 def test_fm_profile_validates_the_diagram_once(monkeypatch):

@@ -21,9 +21,13 @@ from afk.diagram import (
 from afk.io import export_dot
 from afk.kstability import KChainWitness, classify, coordinate_classes, telescope
 from afk.linalg import DimensionMismatch, IntMatrix, multiply
-from afk.truncation import build_systems
-from cases import constant_column, single_level, two_column, worked_example
-from generators import random_growing_tail_diagram, random_pinned_tail_diagram, random_stationary_tail_diagram
+from cases import build_systems, constant_column, single_level, two_column, worked_example
+from generators import (
+    random_growing_tail_diagram,
+    random_pinned_tail_diagram,
+    random_prefix,
+    random_stationary_tail_diagram,
+)
 
 
 def compose_multiplicities(d, frm, to, seed=None):
@@ -199,15 +203,10 @@ def test_materialize_prefix_property():
 
 
 def _first_repeat(profiles, key, prefix_len):
-    """(last level scanned, cycle): the first repeated key from the last prefix level on.
-
-    A key of None ends the scan at its level with no cycle.
-    """
+    """(last level scanned, cycle): the first repeated key from the last prefix level on."""
     keys = []
     for level in range(prefix_len, len(profiles) + 1):
         k = key(profiles[level - 1])
-        if k is None:
-            return level, None
         if k in keys:
             start = keys.index(k) + prefix_len
             return level, (start, level - start)
@@ -218,28 +217,28 @@ def _first_repeat(profiles, key, prefix_len):
 def test_unroll_to_repeat_matches_a_scan_over_materialize():
     rng = random.Random(3021)
     makers = (random_growing_tail_diagram, random_pinned_tail_diagram, random_stationary_tail_diagram)
-    cases = stops = 0
+    cases = 0
     for _ in range(12):
         for make in makers:
             d = make(rng)
             bounded, _ = coordinate_classes(d.tail.matrix, d.tail.slack)
             keys = [lambda q, c=c: tuple(min(x, c) for x in q) for c in range(1, 7)]
             keys.append(lambda q: tuple(q[i] for i in bounded))
-            # a stopping key, like the telescoping walk's: None once min(q) >= c
-            keys += [lambda q, c=c: None if min(q) >= c else tuple(min(x, c) for x in q) for c in (2, 5)]
             for budget in range(1, 41):
                 profiles = list(materialize(d, max(budget, d.prefix_len))[0])
                 for key in keys:
                     got_profiles, cycle = unroll_to_repeat(d, key, budget)
-                    # a repeat or a None key ends the unroll; otherwise it keeps every level it scanned
+                    # a repeat ends the unroll; otherwise it keeps every level it scanned
                     end, expected = _first_repeat(profiles, key, d.prefix_len)
                     assert cycle == expected
                     assert got_profiles == profiles[:end]
                     cases += cycle is not None
-                    stops += cycle is None and end < len(profiles)
-    assert cases >= 1000 and stops >= 100
+    assert cases >= 1000
     # no tail, nothing to unroll: the prefix, whatever the budget
-    assert unroll_to_repeat(worked_example(), tuple, 64) == (list(worked_example().prefix_levels), None)
+    rng = random.Random(3022)
+    for d in [worked_example()] + [BratteliDiagram(*map(tuple, random_prefix(rng))) for _ in range(12)]:
+        for budget in (1, d.prefix_len, d.prefix_len + 1, 64):
+            assert unroll_to_repeat(d, tuple, budget) == (list(d.prefix_levels), None)
 
 
 def test_compose_identity_at_same_level():

@@ -7,7 +7,12 @@ reports regenerates the file with
 
     PYTHONPATH=src python tests/test_golden_reports.py
 
-and says in CHANGES.md which reports changed and why.
+and says in CHANGES.md which reports changed and why.  The same comparison
+runs without pytest, on any interpreter, with
+
+    PYTHONPATH=src python tests/test_golden_reports.py --check
+
+which lists the changed keys and exits 1 when there are any.
 """
 
 import contextlib
@@ -108,10 +113,15 @@ def reports() -> dict[str, list]:
     return table
 
 
-def test_reports_match_golden():
+def changed_reports() -> list[str]:
+    """The keys whose exit code or stdout differs from the golden file, or that only one side has."""
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     got = reports()
-    changed = sorted(k for k in golden.keys() | got.keys() if golden.get(k) != got.get(k))
+    return sorted(k for k in golden.keys() | got.keys() if golden.get(k) != got.get(k))
+
+
+def test_reports_match_golden():
+    changed = changed_reports()
     assert not changed, f"{len(changed)} reports changed, first: {changed[:5]}"
 
 
@@ -123,4 +133,10 @@ def test_exit_code_is_set_by_the_report_status():
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--check"]:
+        changed = changed_reports()
+        for key in changed:
+            print(key)
+        print(f"{len(changed)} reports changed" if changed else "every report matches")
+        raise SystemExit(1 if changed else 0)
     GOLDEN.write_text(json.dumps(reports(), indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -364,6 +364,37 @@ def test_cli_export_dot_counts_the_levels_drawn(tmp_path, capsys):
     assert levels(TWO_COLUMN_JSON, "--budget", "2") == 3  # never fewer than the prefix
 
 
+# every command, with a degree that some tails cannot certify at a small budget
+COUNTER_ARGV = (
+    ("validate",), ("fm", "--m", "3"), ("fm", "--m", "9"), ("fm-profile", "--max-m", "9"), ("k0q",),
+    ("kstable",), ("telescope", "--min-dim", "3"), ("export-dot",),
+)
+
+
+def test_cli_levels_materialized_never_passes_the_horizon(tmp_path, capsys):
+    # the horizon: the prefix, continued by a tail to the budget; an inconclusive report held all of it
+    rng = random.Random(2020)
+    docs = [TWO_COLUMN_JSON, WORKED_JSON] + [serialize(random_document(rng)) for _ in range(16)]
+    inconclusive_below_prefix = tailless = 0
+    for text in docs:
+        d = to_diagram(parse(text))
+        for budget in range(1, d.prefix_len + 3):
+            horizon = d.prefix_len if d.tail is None else max(budget, d.prefix_len)
+            for argv in COUNTER_ARGV:
+                report = json.loads(run_cli(tmp_path, capsys, text, *argv, "--budget", str(budget))[1])
+                levels = report["timing"]["levels_materialized"]
+                assert levels <= horizon, (text, argv, budget)
+                if report["status"] == "inconclusive":
+                    assert levels == horizon, (text, argv, budget)
+                    inconclusive_below_prefix += budget < d.prefix_len
+                tailless += d.tail is None
+    assert inconclusive_below_prefix >= 10 and tailless >= 100
+    # the 3-level two-column prefix: degree 3 finds no repeat at budget 1, having held all 3 levels
+    report = json.loads(run_cli(tmp_path, capsys, TWO_COLUMN_JSON, "fm", "--m", "3", "--budget", "1")[1])
+    assert report["status"] == "inconclusive"
+    assert report["timing"]["levels_materialized"] == len(report["result"]["dims"]) == 3
+
+
 def test_cli_k0q(tmp_path, capsys):
     code, out = run_cli(tmp_path, capsys, TWO_COLUMN_JSON, "k0q")
     report = json.loads(out)

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
+from afk.colimit import profile_systems
 from afk.diagram import AffineTail, BratteliDiagram, materialize
 from afk.linalg import IntMatrix, multiply
-from afk.truncation import EvenDegree, TruncatedSystem, build_systems, d
-from cases import doubling, permutation_tail, stationary_identity, two_column, worked_example
+from afk.truncation import TruncatedSystem, d
+from cases import build_systems, doubling, permutation_tail, stationary_identity, two_column, worked_example
 from generators import (
     random_growing_tail_diagram,
     random_pinned_tail_diagram,
@@ -54,9 +55,11 @@ def test_truncate_worked_example_m5():
     assert out.to_rows() == [[0], [1], [2]]
 
 
-def test_truncate_rejects_even_degree():
-    with pytest.raises(EvenDegree):
-        build_systems(stationary_identity(2), (4,))
+def test_an_even_degree_has_no_system_and_the_exact_zero_row():
+    for dg in (stationary_identity(2), two_column(), worked_example()):
+        [(m, sys, res)] = profile_systems(dg, (4,))
+        assert m == 4 and sys is None
+        assert res.exact and res.dimension == 0 and res.stabilized_at is None and res.note
 
 
 def test_truncate_all_kept_is_identity_transformation():
@@ -93,9 +96,10 @@ def test_build_system_small_stationary_node():
     assert sys.cycle_start is not None
 
 
-def test_build_system_rejects_even():
-    with pytest.raises(EvenDegree):
-        build_systems(two_column(), (2,))
+def test_even_degrees_among_odd_ones_get_no_system():
+    rows = profile_systems(two_column(), (1, 2, 3))
+    assert [sys is None for _, sys, _ in rows] == [False, True, False]
+    assert rows[1][2].dimension == 0 and rows[1][2].exact
 
 
 def test_kept_mask_monotone_in_degree():
@@ -192,8 +196,7 @@ def test_build_systems_from_one_unroll_match_each_degree_alone():
     assert shared >= 200
 
 
-def test_build_systems_rejects_even_and_negative_degrees():
-    with pytest.raises(EvenDegree):
-        build_systems(two_column(), (1, 3, 4))
+def test_build_systems_refuse_a_negative_degree_and_skip_the_even_ones():
+    assert build_systems(two_column(), (1, 3, 4))[2] is None
     with pytest.raises(ValueError):
         build_systems(two_column(), (3, -1))
