@@ -383,15 +383,15 @@ def _k0q(args, diagram, budget):
 
 
 def _kstable(args, diagram, budget):
-    from .kstability import INCONCLUSIVE_AT_BUDGET, classify
+    from .kstability import classify
 
-    verdict = classify(diagram, budget)
+    verdict = classify(diagram)
     result: dict[str, Any] = {"verdict": verdict.status}
     if verdict.witness is not None:
         result["witness"] = _witness_payload(verdict.witness)
     if verdict.certificate is not None:
         result["certificate"] = [{"m": m, "cuts": list(cuts)} for m, cuts in verdict.certificate]
-    return ("inconclusive" if verdict.status == INCONCLUSIVE_AT_BUDGET else "ok"), result, verdict.levels
+    return "ok", result, verdict.levels
 
 
 def _telescope(args, diagram, budget):

@@ -44,9 +44,13 @@ minimum of the sizes: a bounded coordinate off the copy cycles is at
 least each of its feeders a level earlier, and following feeders back
 inside the bounded set reaches a copy cycle within n steps, so it is >= k
 from n levels past the prefix on; the divergent ones grow past any bound.  So
-`telescope` knows at once whether m is reachable, and when it is, every
-summand is >= m within prefix + n.(m + 1) levels: a divergent coordinate
-gains >= 1 every n levels after at most n levels of delay.
+`telescope` knows at once whether m is reachable.  Walking back from a
+divergent coordinate through divergent feeders reaches a cycle of length L
+at distance d, with d + L <= n; the cycle gains >= 1 every L levels, so for
+m >= 2 the coordinate is >= m from d + L.(m - 1) <= n.(m - 1) levels past
+the prefix on, a bound that a single n-cycle with one unit of slack and all
+sizes 1 meets exactly.  So without a copy cycle `classify` walks at most
+prefix + n.(M_MAX - 1) levels, whatever the budget.
 """
 
 from __future__ import annotations
@@ -78,7 +82,6 @@ INCONCLUSIVE = _Inconclusive()
 
 NOT_K_STABLE = "not-k-stable"
 K_STABLE = "k-stable"
-INCONCLUSIVE_AT_BUDGET = "inconclusive-at-budget"
 
 # a K-stable verdict certifies the telescoping cuts for targets m = 1..M_MAX
 M_MAX = 8
@@ -130,24 +133,6 @@ def _copy_cycles(tm: IntMatrix, slack: Sequence[int]) -> list[tuple[int, ...]]:
         if source[back[-1]] == i == min(back):
             cycles.append((i, *reversed(back[1:])))
     return cycles
-
-
-def coordinate_classes(tm: IntMatrix, slack: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(bounded, divergent) coordinate indices of the affine recurrence q' = tm.q + slack.
-
-    The bounded ones are the copy-cycle coordinates and, to a fixpoint, every
-    coordinate fed only by bounded ones; the rest diverge (module docstring).
-    """
-    bounded = {i for cycle in _copy_cycles(tm, slack) for i in cycle}
-    feeders = [{j for j, x in enumerate(tm.row(i)) if x} for i in range(tm.rows)]
-    grown = True
-    while grown:
-        grown = False
-        for i, fed_by in enumerate(feeders):
-            if i not in bounded and fed_by <= bounded:
-                bounded.add(i)
-                grown = True
-    return tuple(sorted(bounded)), tuple(i for i in range(tm.rows) if i not in bounded)
 
 
 def _with_tail(d: BratteliDiagram) -> BratteliDiagram:
@@ -245,19 +230,18 @@ def _drop_before(d: BratteliDiagram, profiles: Sequence[tuple[int, ...]], cut: i
     return BratteliDiagram((profiles[cut - 1],), (), d.tail)
 
 
-def _walk(d: BratteliDiagram, m: int, budget: int) -> list[tuple[int, ...]]:
+def _walk(d: BratteliDiagram, m: int, levels: int) -> list[tuple[int, ...]]:
     """The profiles up to the first level, from the last prefix level on, with no summand < m.
 
-    The walk stops at the horizon, `d.horizon(budget)` (a tail-less
-    diagram's prefix), if none shows by then, and the caller reads
-    min(last profile) < m as inconclusive.  It runs only when no copy cycle
-    carries a size < m.  A valid tail has no zero rows, so each summand of a
-    tail level is at least the smallest summand of the level before: from
-    the last prefix level on the minimum never drops, and once no summand is
-    < m none ever is again.
+    The walk stops after `levels` levels if none shows by then, and the
+    caller reads min(last profile) < m as inconclusive.  It runs only when
+    no copy cycle carries a size < m.  A valid tail has no zero rows, so
+    each summand of a tail level is at least the smallest summand of the
+    level before: from the last prefix level on the minimum never drops,
+    and once no summand is < m none ever is again.
     """
     profiles = []
-    for q in _diagram.unroll(d, d.horizon(budget)):
+    for q in _diagram.unroll(d, levels):
         profiles.append(q)
         if len(profiles) >= d.prefix_len and min(q) >= m:
             break
@@ -295,21 +279,22 @@ def telescope(
     chain = find_infinite_k_chain(d)
     if chain is not None and chain.k < m:
         raise InfiniteChainError(chain)
-    profiles = _walk(d, m, budget)
+    profiles = _walk(d, m, d.horizon(budget))
     if min(profiles[-1]) < m:
         return INCONCLUSIVE
     return Telescoped(_drop_before(d, profiles, _cut(profiles, m)), len(profiles))
 
 
-def classify(d: BratteliDiagram, budget: int = DEFAULT_BUDGET) -> KStabilityVerdict:
-    """Decide K-stability (equivalently, rational K-stability).
+def classify(d: BratteliDiagram) -> KStabilityVerdict:
+    """Decide K-stability (equivalently, rational K-stability), with no level budget.
 
     A copy cycle carries a chain, so the algebra has a nonzero
     finite-dimensional representation: not K-stable.  A tail-less diagram
     presents a finite-dimensional algebra, its own such representation, and
     its witness is the identity-completion chain through a smallest summand.
-    Without a chain no summand < M_MAX persists, and one walk certifies the
-    cuts for every m <= M_MAX.
+    Without a chain every summand is >= M_MAX within prefix + n.(M_MAX - 1)
+    levels (module docstring), and one walk that long certifies the cuts
+    for every m <= M_MAX.
     """
     _diagram.ensure_valid(d)
     if not d.injective:
@@ -317,10 +302,8 @@ def classify(d: BratteliDiagram, budget: int = DEFAULT_BUDGET) -> KStabilityVerd
     chain = find_infinite_k_chain(d)
     if chain is not None:
         return KStabilityVerdict(NOT_K_STABLE, d.prefix_len, witness=chain)
-    profiles = _walk(d, M_MAX, budget)
-    if min(profiles[-1]) < M_MAX:
-        return KStabilityVerdict(INCONCLUSIVE_AT_BUDGET, len(profiles))
-    schedule = tuple(_cut(profiles, s + 1) for s in range(1, M_MAX))
-    return KStabilityVerdict(
-        K_STABLE, len(profiles), certificate=tuple((m, schedule[: m - 1]) for m in range(1, M_MAX + 1))
-    )
+    profiles = _walk(d, M_MAX, d.prefix_len + d.tail.matrix.rows * (M_MAX - 1))
+    assert min(profiles[-1]) >= M_MAX, "the walk bound in the module docstring"
+    cuts = tuple(_cut(profiles, m) for m in range(2, M_MAX + 1))
+    certificate = tuple((m, cuts[: m - 1]) for m in range(1, M_MAX + 1))
+    return KStabilityVerdict(K_STABLE, len(profiles), certificate=certificate)

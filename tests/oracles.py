@@ -137,6 +137,21 @@ def copy_cycle_coordinates(rows, slack):
     return on_cycle
 
 
+def coordinate_classes(rows, slack):
+    """(bounded, divergent) coordinate indices of the tail q' = rows.q + slack, sorted.
+
+    The bounded ones are the copy-cycle coordinates and, to a fixpoint,
+    every coordinate fed only by bounded ones; the rest diverge.
+    """
+    bounded = copy_cycle_coordinates(rows, slack)
+    while True:
+        fed = {i for i, row in enumerate(rows) if all(j in bounded for j, x in enumerate(row) if x)}
+        if fed <= bounded:
+            break
+        bounded |= fed
+    return tuple(sorted(bounded)), tuple(i for i in range(len(rows)) if i not in bounded)
+
+
 def oracle_closed_form_fm(d, m):
     """F_m of diagram `d` in closed form, without unrolling a tail level.
 
@@ -154,24 +169,14 @@ def oracle_closed_form_fm(d, m):
 
 @lru_cache(maxsize=64)
 def _closed_form_parts(last, tail):
-    """(F_inf, the strand sizes) of a tail read from the last prefix level `last`.
-
-    The bounded coordinates are the copy-cycle ones and every coordinate
-    fed only by bounded ones; the rest diverge.
-    """
+    """(F_inf, the strand sizes) of a tail read from the last prefix level `last`."""
     n = len(last)
     if tail is None:
         rows, slack = naive_identity(n), [0] * n
     else:
         rows, slack = tail.matrix.to_rows(), list(tail.slack)
     strands = copy_cycle_coordinates(rows, slack)
-    bounded = set(strands)
-    while True:
-        fed = {i for i in range(n) if all(j in bounded for j, x in enumerate(rows[i]) if x)}
-        if fed <= bounded:
-            break
-        bounded |= fed
-    divergent = [i for i in range(n) if i not in bounded]
+    _, divergent = coordinate_classes(rows, slack)
     block = [[rows[i][j] for j in divergent] for i in divergent]
     power = naive_identity(len(divergent))
     for _ in divergent:

@@ -131,7 +131,7 @@ def test_criterion_7_k_stable_cross_check():
                 corpus.append(d)
         checked = 0
         for d in corpus:
-            verdict = classify(d, budget=96)
+            verdict = classify(d)
             if verdict.status != "k-stable":
                 continue
             k0 = k0_rational_dimension(d, budget=96)
@@ -210,8 +210,8 @@ def test_criterion_9_work_scales_with_the_repeat_not_the_budget():
     # one time limit per call, two-column first: code that unrolled the whole
     # budget fails on the linear sizes before the doubling sizes fill memory
     for name, d in (("two-column", two_column()), ("doubling", doubling())):
-        with criterion(9, f"{name}: classify at budget 10^6 equals budget 64", 5.0):
-            assert classify(d, 10**6) == classify(d, 64)
+        with criterion(9, f"{name}: telescope to 9 at budget 10^6 equals budget 64", 5.0):
+            assert telescope(d, 9, 10**6) == telescope(d, 9, 64)
         with criterion(9, f"{name}: F_9 at budget 10^6 equals budget 64", 5.0):
             res = fm_dimension(d, 9, 10**6)
             assert res.exact and res == fm_dimension(d, 9, 64)

@@ -19,7 +19,7 @@ from afk.diagram import (
     validate,
 )
 from afk.io import export_dot
-from afk.kstability import KChainWitness, classify, coordinate_classes, telescope
+from afk.kstability import KChainWitness, classify, telescope
 from afk.linalg import DimensionMismatch, IntMatrix, multiply
 from cases import build_systems, constant_column, single_level, two_column, worked_example
 from generators import (
@@ -28,6 +28,7 @@ from generators import (
     random_prefix,
     random_stationary_tail_diagram,
 )
+from oracles import coordinate_classes
 
 
 def compose_multiplicities(d, frm, to, seed=None):
@@ -221,7 +222,7 @@ def test_unroll_to_repeat_matches_a_scan_over_materialize():
     for _ in range(12):
         for make in makers:
             d = make(rng)
-            bounded, _ = coordinate_classes(d.tail.matrix, d.tail.slack)
+            bounded, _ = coordinate_classes(d.tail.matrix.to_rows(), d.tail.slack)
             keys = [lambda q, c=c: tuple(min(x, c) for x in q) for c in range(1, 7)]
             keys.append(lambda q: tuple(q[i] for i in bounded))
             for budget in range(1, 41):

@@ -12,7 +12,10 @@ runs without pytest, on any interpreter, with
 
     PYTHONPATH=src python tests/test_golden_reports.py --check
 
-which lists the changed keys and exits 1 when there are any.
+which lists the changed keys and exits 1 when there are any.  `--check`
+also replays every op of the seed-0 bench corpora in `bench/corpus/`
+(read only) in both formats, against the per-op entries the golden file
+keeps under keys starting with "bench/corpus/"; pytest leaves those out.
 """
 
 import contextlib
@@ -38,6 +41,8 @@ from cases import (
 from generators import random_document, stationary_tail_of_width
 
 GOLDEN = Path(__file__).with_name("golden_reports.json")
+BENCH_KEY = "bench/corpus/"
+BENCH_CORPORA = Path(__file__).resolve().parent.parent / BENCH_KEY
 
 COMMANDS = (
     ("validate",),
@@ -52,6 +57,7 @@ COMMANDS = (
     ("export-dot", "--budget", "4"),
     ("export-dot", "--degree", "3", "--budget", "4"),
     ("kstable", "--budget", "1024"),
+    ("kstable", "--budget", "1"),
     ("telescope", "--min-dim", "3", "--budget", "1024"),
     ("fm", "--m", "5", "--budget", "1024"),
     ("fm-profile", "--max-m", "39"),
@@ -102,27 +108,64 @@ def run(argv: list[str], text: str) -> tuple[int, str]:
     return code, out.getvalue()
 
 
+def _entry(argv: list[str], text: str) -> list:
+    code, out = run(argv, text)
+    return [code, hashlib.sha256(out.encode("utf-8")).hexdigest()]
+
+
 def reports() -> dict[str, list]:
     table = {}
     for name, text in inputs().items():
         for command in COMMANDS:
             for fmt in ("json", "text"):
                 argv = [*command, "--format", fmt, "--input", "-"]
-                code, out = run(argv, text)
-                table[f"{name} | {' '.join(argv)}"] = [code, hashlib.sha256(out.encode("utf-8")).hexdigest()]
+                table[f"{name} | {' '.join(argv)}"] = _entry(argv, text)
     return table
 
 
-def changed_reports() -> list[str]:
-    """The keys whose exit code or stdout differs from the golden file, or that only one side has."""
+def bench_reports() -> dict[str, list]:
+    """Every op of the seed-0 bench corpora in both formats, each document fed as `json.dumps` of it."""
+    table = {}
+    for path in sorted(BENCH_CORPORA.glob("*.seed0.json")):
+        corpus = json.loads(path.read_text(encoding="utf-8"))
+        texts = [json.dumps(doc) for doc in corpus["documents"]]
+        for i, op in enumerate(corpus["ops"]):
+            for fmt in ("json", "text"):
+                argv = [*op["argv"], "--format", fmt, "--input", "-"]
+                table[f"{BENCH_KEY}{path.name} #{i} | {' '.join(argv)}"] = _entry(argv, texts[op["doc"]])
+    return table
+
+
+def changed_reports(bench: bool = False) -> list[str]:
+    """The keys whose exit code or stdout differs from the golden file, or that only one side has.
+
+    Without `bench` the bench-corpus entries are left out on both sides.
+    """
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     got = reports()
+    if bench:
+        got.update(bench_reports())
+    else:
+        golden = {k: v for k, v in golden.items() if not k.startswith(BENCH_KEY)}
     return sorted(k for k in golden.keys() | got.keys() if golden.get(k) != got.get(k))
 
 
 def test_reports_match_golden():
     changed = changed_reports()
     assert not changed, f"{len(changed)} reports changed, first: {changed[:5]}"
+
+
+def test_kstable_reads_no_budget():
+    # the same report at budget 1 as at 1024, apart from the budget it echoes
+    for name, text in inputs().items():
+        for fmt in ("json", "text"):
+            small, large = (run(["kstable", "--budget", b, "--format", fmt, "--input", "-"], text) for b in ("1", "1024"))
+            if fmt == "json":
+                small, large = ((code, json.loads(out)) for code, out in (small, large))
+                for _, report in (small, large):
+                    report.get("flags", {}).pop("budget", None)
+                    report.get("timing", {}).pop("budget_levels", None)
+            assert small == large, (name, fmt)
 
 
 def test_exit_code_is_set_by_the_report_status():
@@ -134,9 +177,9 @@ def test_exit_code_is_set_by_the_report_status():
 
 if __name__ == "__main__":
     if sys.argv[1:] == ["--check"]:
-        changed = changed_reports()
+        changed = changed_reports(bench=True)
         for key in changed:
             print(key)
         print(f"{len(changed)} reports changed" if changed else "every report matches")
         raise SystemExit(1 if changed else 0)
-    GOLDEN.write_text(json.dumps(reports(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    GOLDEN.write_text(json.dumps({**reports(), **bench_reports()}, indent=1, sort_keys=True) + "\n", encoding="utf-8")

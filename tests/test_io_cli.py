@@ -344,8 +344,8 @@ def test_cli_levels_materialized_counts_the_levels_held(tmp_path, capsys):
     # kstable and telescope: the walk's profiles, or the prefix when a copy cycle answers
     doubling = '{"levels":[[1]],"matrices":[],"tail":{"matrix":[[2]],"slack":[0]}}'
     assert levels(doubling, "kstable", "--budget", "8000") == 4  # sizes 1, 2, 4, 8
-    assert levels(counting, "kstable") == 8
-    assert levels(counting, "kstable", "--budget", "3") == 3  # inconclusive: the budget was held
+    assert levels(counting, "kstable") == levels(counting, "kstable", "--budget", "3") == 8  # no budget: 1 + 7
+    assert levels(FIBONACCI_JSON, "kstable", "--budget", "1") == 6  # the first level with no summand < 8
     assert levels(counting, "telescope", "--min-dim", "5", "--budget", "8000") == 5
     assert levels(counting, "telescope", "--min-dim", "9", "--budget", "4") == 4
     assert levels(TWO_COLUMN_JSON, "telescope", "--min-dim", "2") == 3
@@ -372,7 +372,8 @@ COUNTER_ARGV = (
 
 
 def test_cli_levels_materialized_never_passes_the_horizon(tmp_path, capsys):
-    # the horizon: the prefix, continued by a tail to the budget; an inconclusive report held all of it
+    # the horizon: the prefix, continued by a tail to the budget; an inconclusive report held all of it.
+    # kstable reads no budget: it holds at most the prefix and 7 levels per tail coordinate
     rng = random.Random(2020)
     docs = [TWO_COLUMN_JSON, WORKED_JSON] + [serialize(random_document(rng)) for _ in range(16)]
     inconclusive_below_prefix = tailless = 0
@@ -383,6 +384,10 @@ def test_cli_levels_materialized_never_passes_the_horizon(tmp_path, capsys):
             for argv in COUNTER_ARGV:
                 report = json.loads(run_cli(tmp_path, capsys, text, *argv, "--budget", str(budget))[1])
                 levels = report["timing"]["levels_materialized"]
+                if argv[0] == "kstable":
+                    assert report["status"] != "inconclusive", (text, budget)
+                    assert levels <= d.prefix_len + (d.tail is not None) * len(d.prefix_levels[-1]) * 7, (text, budget)
+                    continue
                 assert levels <= horizon, (text, argv, budget)
                 if report["status"] == "inconclusive":
                     assert levels == horizon, (text, argv, budget)
@@ -423,15 +428,39 @@ def test_cli_telescope_infinite_chain(tmp_path, capsys):
 FIBONACCI_JSON = '{"levels":[[1,1]],"matrices":[],"tail":{"matrix":[[1,1],[1,0]],"slack":[0,0]}}'
 
 
-def test_cli_kstable_inconclusive_exit_two(tmp_path, capsys):
-    # the K-stable certificate needs the cuts for m <= 8, out of reach below level 6
+# one n-cycle of copies but one, which adds a unit of slack: its minimum reaches 8 at level 1 + 7n
+SLOW_8_CYCLE_JSON = json.dumps({
+    "levels": [[1] * 8], "matrices": [],
+    "tail": {"matrix": [[int(j == (i - 1) % 8) for j in range(8)] for i in range(8)], "slack": [1] + [0] * 7},
+})
+
+
+def _without_budget(out):
+    report = json.loads(out)
+    del report["flags"]["budget"], report["timing"]["budget_levels"]
+    return report
+
+
+def test_cli_kstable_answers_at_every_budget_where_telescope_exits_two(tmp_path, capsys):
+    # the K-stable certificate needs the cuts for m <= 8, which telescope finds only from budget 6 on
     for budget in ("2", "5"):
-        code, out = run_cli(tmp_path, capsys, FIBONACCI_JSON, "kstable", "--budget", budget)
-        report = json.loads(out)
+        code, out = run_cli(tmp_path, capsys, FIBONACCI_JSON, "telescope", "--min-dim", "8", "--budget", budget)
         assert code == 2
-        assert report["result"] == {"verdict": "inconclusive-at-budget"}
-    code, out = run_cli(tmp_path, capsys, FIBONACCI_JSON, "kstable", "--budget", "6")
-    assert code == 0 and json.loads(out)["result"]["verdict"] == "k-stable"
+        assert json.loads(out)["result"] == {"outcome": "inconclusive"}
+    code, out = run_cli(tmp_path, capsys, FIBONACCI_JSON, "telescope", "--min-dim", "8", "--budget", "6")
+    assert code == 0 and json.loads(out)["result"]["outcome"] == "telescoped"
+    # kstable: the same report at every budget up to one past its walk's bound, prefix + 7n
+    for doc, bound in ((FIBONACCI_JSON, 15), (SLOW_8_CYCLE_JSON, 57)):
+        for fmt in ("json", "text"):
+            outs = set()
+            for budget in range(1, bound + 2):
+                code, out = run_cli(tmp_path, capsys, doc, "kstable", "--budget", str(budget), "--format", fmt)
+                assert code == 0
+                outs.add(json.dumps(_without_budget(out)) if fmt == "json" else out)
+            assert len(outs) == 1, (doc, fmt)
+        report = _without_budget(run_cli(tmp_path, capsys, doc, "kstable")[1])
+        assert report["result"]["verdict"] == "k-stable"
+        assert report["timing"]["levels_materialized"] == (6 if doc == FIBONACCI_JSON else bound)
 
 
 def test_cli_export_dot_text_is_raw(tmp_path, capsys):
@@ -496,10 +525,12 @@ def test_cli_reports_are_byte_identical(tmp_path, capsys):
 
 def test_cli_budget_env_and_flag(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("AFK_BUDGET", "2")
-    code, _ = run_cli(tmp_path, capsys, FIBONACCI_JSON, "kstable")
+    code, _ = run_cli(tmp_path, capsys, FIBONACCI_JSON, "telescope", "--min-dim", "8")
     assert code == 2  # env budget too small
-    code, _ = run_cli(tmp_path, capsys, FIBONACCI_JSON, "kstable", "--budget", "16")
+    code, _ = run_cli(tmp_path, capsys, FIBONACCI_JSON, "telescope", "--min-dim", "8", "--budget", "16")
     assert code == 0  # flag wins over the environment
+    code, out = run_cli(tmp_path, capsys, FIBONACCI_JSON, "kstable")
+    assert code == 0 and json.loads(out)["timing"]["budget_levels"] == 2  # read, and only reported
 
 
 @pytest.mark.parametrize("env", ["0", "-5"])
@@ -821,11 +852,14 @@ def test_cli_telescope_past_the_budget_is_inconclusive(tmp_path, capsys):
     assert json.loads(out)["result"] == {"outcome": "inconclusive"}
 
 
-def test_cli_kstable_certifies_no_cut_past_the_budget(tmp_path, capsys):
+def test_cli_kstable_certifies_cuts_past_the_budget(tmp_path, capsys):
+    # sizes 1, 2, 3, ...: the cut for m = 8 is level 8, past a budget of 4
     linear = '{"levels":[[1]],"matrices":[],"tail":{"matrix":[[1]],"slack":[1]}}'
     code, out = run_cli(tmp_path, capsys, linear, "kstable", "--budget", "4")
-    assert code == 2
-    assert json.loads(out)["result"] == {"verdict": "inconclusive-at-budget"}
+    report = json.loads(out)
+    assert code == 0
+    assert report["result"]["certificate"][-1] == {"m": 8, "cuts": [2, 3, 4, 5, 6, 7, 8]}
+    assert report["timing"] == {"budget_levels": 4, "levels_materialized": 8}
 
 
 OVERFLOW_JSON = '{"levels":[[2],[1]],"matrices":[[[1]]]}'

@@ -9,13 +9,12 @@ from afk.diagram import AffineTail, BratteliDiagram, materialize, tail_step, val
 from afk.io import to_diagram
 from afk.kstability import (
     INCONCLUSIVE,
-    INCONCLUSIVE_AT_BUDGET,
     K_STABLE,
+    M_MAX,
     InfiniteChainError,
     InjectivityRequired,
     KChainWitness,
     classify,
-    coordinate_classes,
     find_infinite_k_chain,
     replay_witness,
     telescope,
@@ -29,35 +28,36 @@ from generators import (
     random_pinned_tail_diagram,
     random_stationary_tail_diagram,
 )
-from oracles import check_coordinate_classes, copy_cycle_coordinates, oracle_replay_chain
+from moves import MOVES
+from oracles import check_coordinate_classes, coordinate_classes, copy_cycle_coordinates, oracle_replay_chain
 
 
-# --- coordinate growth classification -------------------------------------
+# --- coordinate growth classification (the test-side fixpoint) ------------
 
 
 def test_classes_two_column():
-    bounded, divergent = coordinate_classes(IntMatrix.from_rows([[1, 0], [1, 1]]), (1, 0))
+    bounded, divergent = coordinate_classes([[1, 0], [1, 1]], (1, 0))
     assert bounded == () and divergent == (0, 1)
 
 
 def test_classes_constant_column():
-    bounded, divergent = coordinate_classes(IntMatrix.from_rows([[1, 0], [1, 2]]), (0, 0))
+    bounded, divergent = coordinate_classes([[1, 0], [1, 2]], (0, 0))
     assert bounded == (0,) and divergent == (1,)
 
 
 def test_classes_swap_is_bounded():
-    bounded, divergent = coordinate_classes(IntMatrix.from_rows([[0, 1], [1, 0]]), (0, 0))
+    bounded, divergent = coordinate_classes([[0, 1], [1, 0]], (0, 0))
     assert bounded == (0, 1) and divergent == ()
 
 
 def test_classes_cycle_feeding_cycle():
     # 1 -> 1 and 1 -> 2 -> 2: the downstream loop is pumped by the upstream one
-    bounded, divergent = coordinate_classes(IntMatrix.from_rows([[1, 0], [1, 1]]), (0, 0))
+    bounded, divergent = coordinate_classes([[1, 0], [1, 1]], (0, 0))
     assert bounded == (0,) and divergent == (1,)
 
 
 def test_classes_slack_pumped_loop():
-    bounded, divergent = coordinate_classes(IntMatrix.from_rows([[1]]), (1,))
+    bounded, divergent = coordinate_classes([[1]], (1,))
     assert bounded == () and divergent == (0,)
 
 
@@ -71,8 +71,8 @@ def test_classes_agree_with_a_plain_simulation():
             if not d.validation.ok:
                 continue  # the oracle's growth bound needs positive sizes
             tail = d.tail
-            bounded, divergent = coordinate_classes(tail.matrix, tail.slack)
             rows, start = tail.matrix.to_rows(), d.prefix_levels[-1]
+            bounded, divergent = coordinate_classes(rows, tail.slack)
             assert check_coordinate_classes(rows, tail.slack, start, bounded, divergent) == [], d
             split += bool(bounded) and bool(divergent)
     assert split >= 40
@@ -121,7 +121,7 @@ def test_find_chain_needs_no_budget():
         prefix_matrices=(),
         tail=AffineTail(matrix=IntMatrix.from_rows([[0, 1], [1, 0]]), slack=(0, 0)),
     )
-    verdict = classify(d, 1)
+    verdict = classify(d)
     assert verdict.status == "not-k-stable" and verdict.witness == find_infinite_k_chain(d)
     assert (verdict.witness.start_level, verdict.witness.cycle_summands) == (1, (1, 2))
     with pytest.raises(InfiniteChainError) as exc:
@@ -285,9 +285,7 @@ def test_a_persistent_small_summand_raises_before_any_tail_step(monkeypatch):
     assert replay_witness(PINNED_AT_TWO, exc.value.witness) == []
 
 
-def test_kstable_and_telescope_never_unroll_past_the_budget(monkeypatch):
-    assert classify(LINEAR, 4).status == INCONCLUSIVE_AT_BUDGET  # its cut for m = 8 is level 8
-    assert classify(LINEAR, 8).certificate[-1] == (8, (2, 3, 4, 5, 6, 7, 8))
+def test_telescope_never_unrolls_past_the_budget(monkeypatch):
     rng = random.Random(407)
     draws = [LINEAR, PINNED_AT_TWO, two_column(), constant_column()]
     draws += [family(rng) for family in FAMILIES for _ in range(30)]
@@ -298,13 +296,44 @@ def test_kstable_and_telescope_never_unroll_past_the_budget(monkeypatch):
         for budget in (1, 2, 3, 4, 8, 16):
             # one walk: the chain search steps no tail
             allowed = max(budget - d.prefix_len, 0)
-            steps.clear()
-            classify(d, budget)
-            assert len(steps) <= allowed, (d, budget)
             for m in (2, 3, 5, 9):
                 steps.clear()
                 _answer(d, m, budget)
                 assert len(steps) <= allowed, (d, m, budget)
+
+
+def slow_cycle(n):
+    """A single n-cycle of copies but one, which adds a unit of slack; all sizes 1."""
+    rows = [[int(j == (i - 1) % n) for j in range(n)] for i in range(n)]
+    return BratteliDiagram(((1,) * n,), (), AffineTail(IntMatrix.from_rows(rows), (1,) + (0,) * (n - 1)))
+
+
+def test_classify_never_unrolls_past_prefix_plus_n_levels_per_target(monkeypatch):
+    # the bound prefix + n.(M_MAX - 1) of the module docstring, met exactly by the slow n-cycle
+    rng = random.Random(411)
+    draws = [LINEAR, PINNED_AT_TWO, two_column(), constant_column(), fibonacci()]
+    draws += [family(rng) for family in (*FAMILIES, random_permutation_tail_diagram) for _ in range(30)]
+    draws += [to_diagram(random_document(rng)) for _ in range(30)]
+    draws = [d for d in draws if d.validation.ok and d.injective]
+    slow = [slow_cycle(n) for n in range(1, 9)]
+    for d in slow:
+        assert d.validation.ok
+    steps = _count_tail_steps(monkeypatch)
+    stable = 0
+    for d in draws + slow:
+        steps.clear()
+        verdict = classify(d)
+        walked, bound = len(steps), len(d.prefix_levels[-1]) * (M_MAX - 1)
+        assert walked <= bound, d
+        # the levels held: the prefix and the tail steps of the walk
+        assert verdict.levels == d.prefix_len + walked, d
+        if verdict.status == K_STABLE:
+            assert min(list(materialize(d, verdict.levels)[0])[-1]) >= M_MAX, d
+            stable += 1
+        if any(d is s for s in slow):
+            assert walked == bound, d
+    assert stable >= 50
+    assert classify(LINEAR).certificate[-1] == (8, (2, 3, 4, 5, 6, 7, 8))
 
 
 def test_an_answer_at_a_small_budget_is_the_answer_at_a_large_one():
@@ -314,11 +343,8 @@ def test_an_answer_at_a_small_budget_is_the_answer_at_a_large_one():
             d = family(rng)
             if not (d.validation.ok and d.injective):
                 continue
-            verdict = classify(d, 1024)
             answers = {m: _answer(d, m, 1024) for m in (2, 3, 5, 9)}
             for budget in (1, 2, 3, 4, 8):
-                small = classify(d, budget)
-                assert small.status == INCONCLUSIVE_AT_BUDGET or small == verdict, (d, budget)
                 for m, answer in answers.items():
                     got = _answer(d, m, budget)
                     assert got is INCONCLUSIVE or got == answer, (d, m, budget)
@@ -387,6 +413,31 @@ def test_classify_mutual_exclusion_and_cross_check():
 # --- randomized families ---------------------------------------------------
 
 
+def test_kstable_verdict_and_witness_survive_diagram_moves():
+    # a move keeps the algebra, so it keeps the verdict and the chain's size k
+    rng = random.Random(412)
+    families = (*FAMILIES, random_permutation_tail_diagram, lambda rng: to_diagram(random_document(rng)))
+    pairs, verdicts = 0, set()
+    for family in families:
+        for _ in range(60):
+            d = family(rng)
+            if not (d.validation.ok and d.injective):
+                continue
+            before = classify(d)
+            for move in MOVES:
+                moved = move(d, rng)
+                if moved is None:
+                    continue
+                assert moved.validation.ok and moved.injective, (move.__name__, d)
+                after = classify(moved)
+                assert after.status == before.status, (move.__name__, d)
+                if before.witness is not None:
+                    assert (after.witness.k, after.witness.kind) == (before.witness.k, before.witness.kind), (move.__name__, d)
+                pairs += 1
+                verdicts.add(before.status)
+    assert pairs >= 800 and verdicts == {K_STABLE, "not-k-stable"}, pairs
+
+
 def test_random_growing_diagrams_are_k_stable():
     rng = random.Random(404)
     stable = 0
@@ -394,7 +445,7 @@ def test_random_growing_diagrams_are_k_stable():
         d = random_growing_tail_diagram(rng)
         if not d.injective:
             continue
-        verdict = classify(d, budget=96)
+        verdict = classify(d)
         assert verdict.status == "k-stable"
         stable += 1
     assert stable >= 60
@@ -430,7 +481,7 @@ def test_telescope_preserves_fm_profile_random():
             continue
         m_target = rng.choice([2, 3, 4])
         scoped = telescope(d, m_target, budget=96)
-        verdict = classify(d, budget=96)
+        verdict = classify(d)
         for m, cuts in verdict.certificate[1:]:
             _assert_minimal_cut(d, cuts[-1], m)
         if scoped is INCONCLUSIVE:
@@ -452,7 +503,7 @@ def test_permutation_tail_answers_at_budget_one():
     # sizes repeat only after lcm(3, 4, 5, 7) = 420 levels; the 3-cycle's copies answer at once
     d = permutation_tail((3, 4, 5, 7))
     start = time.perf_counter()
-    verdict = classify(d, 1)
+    verdict = classify(d)
     spent = time.perf_counter() - start
     assert verdict.status == "not-k-stable" and verdict.levels == 1
     w = verdict.witness
@@ -465,13 +516,16 @@ def test_permutation_tail_answers_at_budget_one():
 
 
 def test_a_tail_without_copy_cycles_is_inconclusive_until_its_walk_ends():
-    # Fibonacci sizes: the smallest summand first reaches M_MAX = 8 at level 6
+    # Fibonacci sizes: the smallest summand first reaches 8 at level 6; telescope's walk
+    # stops at the budget, and classify's at its own bound, 1 + 2.(M_MAX - 1) = 15
     d = fibonacci()
     for budget in range(1, 6):
-        assert classify(d, budget) == (INCONCLUSIVE_AT_BUDGET, budget, None, None)
+        assert telescope(d, 8, budget) is INCONCLUSIVE
     for budget in (6, 7, 1000):
-        verdict = classify(d, budget)
-        assert verdict.status == K_STABLE and verdict.levels == 6
+        assert telescope(d, 8, budget).levels == 6
+    verdict = classify(d)
+    assert verdict.status == K_STABLE and verdict.levels == 6
+    assert verdict.certificate[-1] == (8, (3, 4, 5, 5, 6, 6, 6))
 
 
 def test_every_copy_cycle_answers_at_budget_one():
@@ -485,7 +539,7 @@ def test_every_copy_cycle_answers_at_budget_one():
     for d in draws:
         if not (d.validation.ok and d.injective):
             continue
-        verdict = classify(d, 1)
+        verdict = classify(d)
         last = d.prefix_levels[-1]
         # a tail-less diagram is read as the identity tail, every summand a copy cycle
         strands = copy_cycle_coordinates(d.tail.matrix.to_rows(), d.tail.slack) if d.tail else range(len(last))
@@ -513,7 +567,7 @@ def _bounded_size(d):
     """B: the largest bounded-coordinate size once the bounded sizes repeat, or the largest last-level size."""
     if d.tail is None:
         return max(d.prefix_levels[-1])
-    bounded, _ = coordinate_classes(d.tail.matrix, d.tail.slack)
+    bounded, _ = coordinate_classes(d.tail.matrix.to_rows(), d.tail.slack)
     seen, q = [], d.prefix_levels[-1]
     while (key := tuple(q[i] for i in bounded)) not in seen:
         seen.append(key)
@@ -538,7 +592,7 @@ def test_classify_agrees_with_the_rational_k_stability_comparison():
             d = draw()
             if not (d.validation.ok and d.injective):
                 continue  # classify refuses it
-            verdict = classify(d, THEOREM_BUDGET)
+            verdict = classify(d)
             b = _bounded_size(d)
             rows = profile_systems(d, range(1, 2 * b + 4, 2), THEOREM_BUDGET)
             assert all(res.exact for _, _, res in rows)
