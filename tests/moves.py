@@ -72,8 +72,9 @@ def square_tail(d, rng):
     if d.tail is None:
         return None
     rows, slack = _tail_rows(d)
-    square = [[sum(rows[i][k] * rows[k][j] for k in range(len(rows))) for j in range(len(rows))] for i in range(len(rows))]
-    return BratteliDiagram(d.prefix_levels, d.prefix_matrices, AffineTail(IntMatrix.from_rows(square), _step(rows, slack, slack)))
+    columns = list(zip(*rows))
+    square = IntMatrix.from_rows([[sum(a * b for a, b in zip(row, col)) for col in columns] for row in rows])
+    return BratteliDiagram(d.prefix_levels, d.prefix_matrices, AffineTail(square, _step(rows, slack, slack)))
 
 
 MOVES = (relabel, append_tail_step, drop_first_level, square_tail)
