@@ -228,7 +228,7 @@ def ensure_valid(d: BratteliDiagram) -> None:
 
 def tail_step(tail: AffineTail, q: Sequence[int]) -> tuple[int, ...]:
     """The tail level after q: q' = phi.q + slack."""
-    return tuple(sum(map(mul, row, q)) + s for row, s in zip(tail.matrix_rows, tail.slack))
+    return tuple([sum(map(mul, row, q), s) for row, s in zip(tail.matrix_rows, tail.slack)])
 
 
 def materialize(

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from itertools import count, islice
 from json.encoder import encode_basestring_ascii
 from typing import Any, Optional
 
@@ -168,7 +169,7 @@ class JSONText(str):
     __slots__ = ()
 
 
-_LEVEL = "\0"  # the level number's place in a level template
+_LEVEL, _SOURCE, _TARGET = "\0", "\1", "\2"  # level numbers' places in the templates
 
 
 def _level_template(width: int) -> str:
@@ -179,9 +180,9 @@ def _level_template(width: int) -> str:
 
 
 def _edge_template(m: IntMatrix) -> str:
-    """The edge lines of `m`, with the source and target level numbers left as fields {0} and {1}."""
+    """The edge lines of `m`, the source and target level numbers left as `_SOURCE` and `_TARGET`."""
     return "".join(
-        f'  "L{{0}}S{j + 1}" -> "L{{1}}S{i + 1}" [label="{mult}"];\n'
+        f'  "L{_SOURCE}S{j + 1}" -> "L{_TARGET}S{i + 1}" [label="{mult}"];\n'
         for i in range(m.rows)
         for j, mult in enumerate(m.row(i))
         if mult > 0
@@ -189,12 +190,13 @@ def _edge_template(m: IntMatrix) -> str:
 
 
 def _quote(template: str) -> str:
-    """`template` as it reads inside a JSON string literal, its fields and `_LEVEL` kept.
+    """`template` as it reads inside a JSON string literal, its fields and level placeholders kept.
 
     Labels and level numbers are integers, which JSON writes as they are, so
     quoting a template before it is filled equals quoting the filled text.
     """
-    return encode_basestring_ascii(template)[1:-1].replace("\\u0000", _LEVEL)
+    text = encode_basestring_ascii(template)[1:-1]
+    return text.replace("\\u0000", _LEVEL).replace("\\u0001", _SOURCE).replace("\\u0002", _TARGET)
 
 
 def export_dot(d: BratteliDiagram, degree: Optional[int] = None, budget: int = DEFAULT_BUDGET, quoted: bool = False) -> str:
@@ -206,9 +208,10 @@ def export_dot(d: BratteliDiagram, degree: Optional[int] = None, budget: int = D
 
     The text is drawn from templates built once per call: one per level
     width (`_level_template`) and one per matrix (`_edge_template`; a tail
-    repeats one matrix object).  A level is one `str.format` of its labels
-    and one `str.replace` of the level number; an edge block is one
-    `str.format` of its two level numbers.
+    repeats one matrix object).  Each level number is made into a str once,
+    as the level is drawn.  A level is one `str.format` of its labels and
+    one `str.replace` of its number; an edge block is two `str.replace`s,
+    of its source and its target number.
 
     With `quoted`, the result is the JSON string literal of that text, as
     `json.encoder.encode_basestring_ascii` writes it, in a `JSONText`: the
@@ -227,9 +230,10 @@ def export_dot(d: BratteliDiagram, degree: Optional[int] = None, budget: int = D
     parts = ['"'] if quoted else []
     parts.append(quote("digraph bratteli {\n  rankdir=TB;\n  node [shape=circle];\n"))
     level_templates: dict[int, str] = {}  # by width
+    names: list[str] = []  # each level's number, made once as it is drawn, for its nodes and its edges
     # each level is drawn as it is stepped, so a size too long to print is met
     # without unrolling the levels after it
-    for lvl, profile in enumerate(profiles, start=1):
+    for profile, name in zip(profiles, map(str, count(1))):
         labels = profile if degree is None else [degree_indicator(degree, p) for p in profile]
         template = level_templates.get(len(profile))
         if template is None:
@@ -237,13 +241,15 @@ def export_dot(d: BratteliDiagram, degree: Optional[int] = None, budget: int = D
         try:
             text = template.format(*labels)
         except ValueError:
-            raise ParseError("--budget", f"level {lvl} has a summand size too long to print; draw fewer levels") from None
-        parts.append(text.replace(_LEVEL, str(lvl)))
+            raise ParseError("--budget", f"level {name} has a summand size too long to print; draw fewer levels") from None
+        parts.append(text.replace(_LEVEL, name))
+        names.append(name)
     edge_templates: dict[int, str] = {}  # by matrix object
-    for lvl, m in enumerate(matrices, start=1):
-        if id(m) not in edge_templates:
-            edge_templates[id(m)] = quote(_edge_template(m))
-        parts.append(edge_templates[id(m)].format(lvl, lvl + 1))
+    for source, target, m in zip(names, islice(names, 1, None), matrices):
+        block = edge_templates.get(id(m))
+        if block is None:
+            block = edge_templates[id(m)] = quote(_edge_template(m))
+        parts.append(block.replace(_SOURCE, source).replace(_TARGET, target))
     parts.append(quote("}\n"))
     if not quoted:
         return "".join(parts)

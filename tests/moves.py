@@ -21,6 +21,12 @@ def _step(rows, slack, q):
     return tuple(sum(a * x for a, x in zip(row, q)) + s for row, s in zip(rows, slack))
 
 
+def _product(left, right):
+    """The matrix product left.right of two lists of rows."""
+    columns = list(zip(*right))
+    return IntMatrix.from_rows([[sum(a * b for a, b in zip(row, col)) for col in columns] for row in left])
+
+
 def _relabeled(rows, source, target):
     """rows with column j moved to source[j] and row i to target[i]."""
     out = [[0] * len(source) for _ in target]
@@ -72,9 +78,20 @@ def square_tail(d, rng):
     if d.tail is None:
         return None
     rows, slack = _tail_rows(d)
-    columns = list(zip(*rows))
-    square = IntMatrix.from_rows([[sum(a * b for a, b in zip(row, col)) for col in columns] for row in rows])
-    return BratteliDiagram(d.prefix_levels, d.prefix_matrices, AffineTail(square, _step(rows, slack, slack)))
+    return BratteliDiagram(d.prefix_levels, d.prefix_matrices, AffineTail(_product(rows, rows), _step(rows, slack, slack)))
 
 
-MOVES = (relabel, append_tail_step, drop_first_level, square_tail)
+def compose_prefix_maps(d, rng):
+    """Drop one inner prefix level and join its neighbours by the composite of its two maps."""
+    if d.prefix_len < 3:
+        return None
+    k = rng.randrange(1, d.prefix_len - 1)  # 0-based: level k is dropped, maps k-1 and k compose
+    composite = _product(d.prefix_matrices[k].to_rows(), d.prefix_matrices[k - 1].to_rows())
+    return BratteliDiagram(
+        d.prefix_levels[:k] + d.prefix_levels[k + 1 :],
+        (*d.prefix_matrices[: k - 1], composite, *d.prefix_matrices[k + 1 :]),
+        d.tail,
+    )
+
+
+MOVES = (relabel, append_tail_step, drop_first_level, square_tail, compose_prefix_maps)

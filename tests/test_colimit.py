@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -18,6 +19,7 @@ from generators import (
     random_stationary_tail_diagram,
     stationary_tail_of_width,
 )
+from moves import MOVES
 from oracles import oracle_closed_form_fm, oracle_truncated_colimit
 
 
@@ -328,3 +330,39 @@ def test_closed_form_matches_every_exact_degree():
                 assert res.dimension == oracle_closed_form_fm(d, m), (d, m)
                 compared += m % 2
     assert compared >= 20000
+
+
+def _exact_invariants(d):
+    """F_1..F_21 and the K0 rank of `d`, each a dimension or None where it is not exact."""
+    results = [res for _, res in fm_profile(d, 21)] + [k0_rational_dimension(d)]
+    return [res.dimension if res.exact else None for res in results]
+
+
+def test_exact_fm_and_k0q_survive_diagram_moves():
+    # a move keeps the algebra: it may make an inconclusive value exact, never change an exact one
+    rng = random.Random(2402)
+    families = (
+        random_growing_tail_diagram,
+        random_pinned_tail_diagram,
+        random_stationary_tail_diagram,
+        random_permutation_tail_diagram,
+        lambda rng: to_diagram(random_document(rng)),
+    )
+    compared, moved_by = 0, Counter()
+    for family in families:
+        for _ in range(60):
+            d = family(rng)
+            if not d.validation.ok:
+                continue
+            before = _exact_invariants(d)
+            for move in MOVES:
+                moved = move(d, rng)
+                if moved is None:
+                    continue
+                assert moved.validation.ok, (move.__name__, d)
+                after = _exact_invariants(moved)
+                pairs = [(old, new) for old, new in zip(before, after) if old is not None and new is not None]
+                assert all(old == new for old, new in pairs), (move.__name__, before, after, d)
+                compared += len(pairs)
+                moved_by[move.__name__] += 1
+    assert compared >= 20000 and min(moved_by.values()) >= 50, (compared, moved_by)

@@ -15,6 +15,7 @@ from afk.diagram import (
     ValidationProblem,
     ensure_valid,
     materialize,
+    tail_step,
     unroll_to_repeat,
     validate,
 )
@@ -201,6 +202,19 @@ def test_materialize_prefix_property():
         b, mb = map(list, materialize(d, k + 1))
         assert b[:k] == a
         assert mb[: k - 1] == ma
+
+
+def test_tail_step_is_the_plain_affine_step():
+    # q' = phi.q + slack row by row: zero entries, multiplicities up to 10**6, sizes past 1000 digits
+    rng = random.Random(2403)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        rows = [[rng.choice((0, 0, 1, rng.randint(2, 10**6))) for _ in range(n)] for _ in range(n)]
+        slack = tuple(rng.choice((0, 1, rng.randint(2, 10**6))) for _ in range(n))
+        q = tuple(rng.choice((1, rng.randint(2, 10**6), rng.randint(10**1000, 10**1100))) for _ in range(n))
+        got = tail_step(AffineTail(IntMatrix.from_rows(rows), slack), q)
+        assert type(got) is tuple
+        assert got == tuple(sum(a * b for a, b in zip(row, q)) + s for row, s in zip(rows, slack))
 
 
 def _first_repeat(profiles, key, prefix_len):
