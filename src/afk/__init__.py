@@ -21,7 +21,6 @@ _EXPORTS = {
     "DiagramError": "diagram",
     "DimensionMismatch": "linalg",
     "EmptyLevel": "diagram",
-    "INCONCLUSIVE": "kstability",
     "InfiniteChainError": "kstability",
     "InjectivityRequired": "diagram",
     "IntMatrix": "linalg",
@@ -44,12 +43,10 @@ _EXPORTS = {
     "fm_profile": "colimit",
     "from_diagram": "io",
     "input_digest": "io",
-    "k0_rational_dimension": "colimit",
     "materialize": "diagram",
     "multiply": "linalg",
     "parse": "io",
     "rank": "linalg",
-    "replay_witness": "kstability",
     "serialize": "io",
     "telescope": "kstability",
     "to_diagram": "io",

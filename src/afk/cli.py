@@ -170,7 +170,7 @@ def _colimit_payload(res) -> dict:
         "dimension": res.dimension,
         "exact": res.exact,
         "stabilized_at": res.stabilized_at,
-        "budget_exceeded": res.budget_exceeded,
+        "budget_exceeded": not res.exact,
     }
     if res.note:
         out["note"] = res.note
@@ -366,7 +366,7 @@ def _fm_profile(args, diagram, budget):
             "dimension": res.dimension,
             "exact": res.exact,
             "stabilized_at": res.stabilized_at,
-            "budget_exceeded": res.budget_exceeded,
+            "budget_exceeded": not res.exact,
         }
         for m, _, res in rows
     ]
@@ -395,13 +395,13 @@ def _kstable(args, diagram, budget):
 
 
 def _telescope(args, diagram, budget):
-    from .kstability import INCONCLUSIVE, InfiniteChainError, telescope
+    from .kstability import InfiniteChainError, telescope
 
     try:
         out = telescope(diagram, args.min_dim, budget)
     except InfiniteChainError as exc:
         return "ok", {"outcome": "infinite-chain", "witness": _witness_payload(exc.witness)}, diagram.prefix_len
-    if out is INCONCLUSIVE:
+    if out is None:
         return "inconclusive", {"outcome": "inconclusive"}, diagram.horizon(budget)
     document = from_diagram(out.diagram)
     try:  # only the first level can come from the tail; the rest is the input's, which printed

@@ -74,17 +74,16 @@ from .truncation import TruncatedSystem
 class ColimitResult(NamedTuple):
     """Outcome of a colimit computation.
 
-    `exact` marks a certified dimension; otherwise `budget_exceeded` is set,
-    the tail's clamped sizes never repeated within the level budget, and
-    `dimension` is None.  `stabilized_at` is the first level whose image in
-    the limit has the limit's whole dimension (None when there is no
-    dimension, and for an even degree).
+    `exact` marks a certified dimension.  Otherwise the tail's clamped sizes
+    never repeated within the level budget, and `dimension` is None.
+    `stabilized_at` is the first level whose image in the limit has the
+    limit's whole dimension (None when there is no dimension, and for an
+    even degree).
     """
 
     dimension: Optional[int]
     exact: bool
     stabilized_at: Optional[int]
-    budget_exceeded: bool = False
     note: Optional[str] = None
 
 
@@ -95,7 +94,7 @@ def colimit_dimension(sys: TruncatedSystem) -> ColimitResult:
 def _colimit(sys: TruncatedSystem, powers: dict[IntMatrix, IntMatrix]) -> ColimitResult:
     """`colimit_dimension`, reading and filling `powers` (cycle composite -> stable power)."""
     if sys.budget_exceeded:
-        return ColimitResult(dimension=None, exact=False, stabilized_at=None, budget_exceeded=True)
+        return ColimitResult(dimension=None, exact=False, stabilized_at=None)
     if sys.cycle_start is None:  # no tail: the last level is the algebra
         target, image, dim = sys.levels, IntMatrix.identity(sys.dims[-1]), sys.dims[-1]
     else:
@@ -145,7 +144,6 @@ def profile_systems(
     first = d.prefix_len
     classes: dict[int, tuple[TruncatedSystem, ColimitResult]] = {}  # cap class -> its system and colimit
     powers: dict[IntMatrix, IntMatrix] = {}
-    submatrices: dict = {}
     rows = []
     for m in degrees:
         if m % 2 == 0:
@@ -156,7 +154,7 @@ def profile_systems(
         swept = classes.get(cap_class)
         if swept is None:  # min(q, top) repeating forces min(q, h) to repeat: rescan what is stored
             repeat = _diagram.first_repeat((tuple(min(x, h) for x in q) for q in profiles[first - 1 :]), first)
-            system = _truncation.cut(d, profiles, h, repeat, submatrices)
+            system = _truncation.cut(d, profiles, h, repeat)
             swept = classes[cap_class] = (system, _colimit(system, powers))
         rows.append((m, *swept))
     return rows
@@ -165,11 +163,6 @@ def profile_systems(
 def fm_dimension(d: BratteliDiagram, m: int, budget: int = DEFAULT_BUDGET) -> ColimitResult:
     """Dimension of the degree-m group; even degrees vanish with no work."""
     return profile_systems(d, (m,), budget)[0][2]
-
-
-def k0_rational_dimension(d: BratteliDiagram, budget: int = DEFAULT_BUDGET) -> ColimitResult:
-    """Rank of rational K0: the colimit of the untruncated (degree-1) system."""
-    return fm_dimension(d, 1, budget)
 
 
 def fm_profile(

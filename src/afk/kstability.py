@@ -55,11 +55,11 @@ prefix + n.(M_MAX - 1) levels, whatever the budget.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
 # loaded on demand: other modules' functions are called through their module (see afk/__init__.py)
 from . import diagram as _diagram
-from .diagram import DEFAULT_BUDGET, AffineTail, BratteliDiagram, InjectivityRequired
+from .diagram import DEFAULT_BUDGET, BratteliDiagram, InjectivityRequired
 from .linalg import IntMatrix
 
 
@@ -70,15 +70,6 @@ class InfiniteChainError(Exception):
         super().__init__(f"infinite {witness.k}-chain starting at level {witness.start_level}")
         self.witness = witness
 
-
-class _Inconclusive:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "INCONCLUSIVE"
-
-
-INCONCLUSIVE = _Inconclusive()
 
 NOT_K_STABLE = "not-k-stable"
 K_STABLE = "k-stable"
@@ -103,11 +94,6 @@ class KChainWitness(NamedTuple):
     cycle_period: int
     cycle_summands: tuple[int, ...]
     kind: str = "tail-cycle"
-
-    def summand_at(self, offset: int) -> int:
-        if offset < len(self.node_path):
-            return self.node_path[offset]
-        return self.cycle_summands[(offset - len(self.node_path)) % self.cycle_period]
 
 
 class KStabilityVerdict(NamedTuple):
@@ -135,14 +121,6 @@ def _copy_cycles(tm: IntMatrix, slack: Sequence[int]) -> list[tuple[int, ...]]:
     return cycles
 
 
-def _with_tail(d: BratteliDiagram) -> BratteliDiagram:
-    """d, with a tail-less diagram read as its last level repeated by identity maps."""
-    if d.tail is not None:
-        return d
-    n = len(d.prefix_levels[-1])
-    return BratteliDiagram(d.prefix_levels, d.prefix_matrices, AffineTail(IntMatrix.identity(n), (0,) * n))
-
-
 def find_infinite_k_chain(d: BratteliDiagram) -> Optional[KChainWitness]:
     """Read an infinite constant-size chain of a valid diagram off its copy cycles.
 
@@ -155,11 +133,10 @@ def find_infinite_k_chain(d: BratteliDiagram) -> Optional[KChainWitness]:
     cycle's length.  Its explicit path walks the sole-predecessor relation
     back through the prefix while it stays a k-chain.
     """
-    tail = _with_tail(d).tail
-    cycles = _copy_cycles(tail.matrix, tail.slack)
+    q = d.prefix_levels[-1]
+    cycles = _copy_cycles(d.tail.matrix, d.tail.slack) if d.tail is not None else [(i,) for i in range(len(q))]
     if not cycles:
         return None
-    q = d.prefix_levels[-1]
     k, first = min((q[i], i) for cycle in cycles for i in cycle)
     cycle = next(cycle for cycle in cycles if first in cycle)
     turn = cycle.index(first)
@@ -181,45 +158,6 @@ def find_infinite_k_chain(d: BratteliDiagram) -> Optional[KChainWitness]:
         cycle_summands=tuple(i + 1 for i in cycle[turn:] + cycle[:turn]),
         kind="tail-cycle" if d.tail is not None else "identity-completion",
     )
-
-
-def replay_witness(d: BratteliDiagram, w: KChainWitness) -> list[str]:
-    """Re-verify every chain condition of a witness against the diagram.
-
-    Returns human-readable violations; an empty list means the chain holds
-    at every level.  The levels from the start to the cycle's entry, or to
-    the last prefix level if that is later, are checked edge by edge.  From
-    there the chain rides the tail, where it holds forever iff each cycle
-    summand copies the one before it: its tail row is that unit vector and
-    its slack is 0.  A tail-less diagram is read as the identity tail.
-    """
-    full = _with_tail(d)
-    entry = max(w.start_level + len(w.node_path), d.prefix_len)
-    profiles = list(_diagram.unroll(full, entry))
-    violations = []
-    if w.kind == "identity-completion" and d.tail is not None:
-        violations.append("identity-completion witness on a diagram with a tail")
-    for t in range(w.start_level, entry + 1):
-        i = w.summand_at(t - w.start_level) - 1
-        if i >= len(profiles[t - 1]):
-            violations.append(f"level {t}: summand {i + 1} does not exist")
-        elif profiles[t - 1][i] != w.k:
-            violations.append(f"level {t}: summand {i + 1} has size {profiles[t - 1][i]}, expected {w.k}")
-    for t in range(w.start_level, entry + w.cycle_period):
-        i = w.summand_at(t - w.start_level) - 1
-        nxt = w.summand_at(t + 1 - w.start_level) - 1
-        m = full.matrix_after(t)
-        if i >= m.cols or nxt >= m.rows:
-            violations.append(f"edge {t}->{t + 1}: a chain summand does not exist")
-            continue
-        if m.at(nxt, i) != 1:
-            violations.append(f"edge {t}->{t + 1}: multiplicity {m.at(nxt, i)} between chain nodes, expected 1")
-        for j in range(m.cols):
-            if j != i and m.at(nxt, j) != 0:
-                violations.append(f"edge {t}->{t + 1}: chain node has an extra predecessor (summand {j + 1})")
-        if t >= entry and full.tail.slack[nxt] != 0:
-            violations.append(f"edge {t}->{t + 1}: chain node has slack {full.tail.slack[nxt]}, expected 0")
-    return violations
 
 
 def _drop_before(d: BratteliDiagram, profiles: Sequence[tuple[int, ...]], cut: int) -> BratteliDiagram:
@@ -260,10 +198,8 @@ class Telescoped(NamedTuple):
     levels: int
 
 
-def telescope(
-    d: BratteliDiagram, m: int, budget: int = DEFAULT_BUDGET
-) -> Union[Telescoped, _Inconclusive]:
-    """Telescope to an equal-colimit presentation with min summand size >= m.
+def telescope(d: BratteliDiagram, m: int, budget: int = DEFAULT_BUDGET) -> Optional[Telescoped]:
+    """Telescope to an equal-colimit presentation with min summand size >= m, or None.
 
     Raises InfiniteChainError (with its witness) when a copy cycle carries a
     size < m, which then persists, and InjectivityRequired when some
@@ -271,7 +207,8 @@ def telescope(
     and one cut (dropping levels never changes the limit) before the first
     level kept does what raising the minimum past 1, 2, ..., m-1 in turn
     would.  No unroll passes the horizon, `d.horizon(budget)`, so the work
-    is bounded by the budget and the input, not by m.
+    is bounded by the budget and the input, not by m.  Returns None when a
+    summand is still < m at the horizon: the budget cannot decide.
     """
     _diagram.ensure_valid(d)
     if not d.injective:
@@ -281,7 +218,7 @@ def telescope(
         raise InfiniteChainError(chain)
     profiles = _walk(d, m, d.horizon(budget))
     if min(profiles[-1]) < m:
-        return INCONCLUSIVE
+        return None
     return Telescoped(_drop_before(d, profiles, _cut(profiles, m)), len(profiles))
 
 

@@ -69,9 +69,6 @@ class IntMatrix(_IntMatrixFields):
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
-    def at(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 

@@ -15,11 +15,10 @@ engine needs; the system ends at the repeat level.  A diagram without a tail
 is read as the finite-dimensional algebra of its last level: the system is
 all of its given levels.
 
-A system's map out of level k is a submatrix of
-`BratteliDiagram.matrix_after(k)`, sliced once per (matrix, kept rows, kept
-columns) within one call of `colimit.profile_systems`, which calls `cut`,
-the module's one entry point, once per cap class: equal triples give equal
-submatrices.
+A system's map out of level k is the submatrix of
+`BratteliDiagram.matrix_after(k)` on the kept rows and columns, or that
+matrix itself when every summand is kept.  `colimit.profile_systems` calls
+`cut`, the module's one entry point, once per cap class.
 """
 
 from __future__ import annotations
@@ -58,24 +57,19 @@ class TruncatedSystem(NamedTuple):
         return len(self.dims)
 
 
-def cut(
-    diagram: BratteliDiagram, profiles: list, h: int, repeat: Optional[tuple[int, int]], submatrices: dict
-) -> TruncatedSystem:
+def cut(diagram: BratteliDiagram, profiles: list, h: int, repeat: Optional[tuple[int, int]]) -> TruncatedSystem:
     """The system keeping the sizes >= h of `profiles`, to the end of `repeat`, the prefix without one.
 
-    `repeat` is the first repeat of min(q, h) over `profiles`.  `submatrices`
-    is the slicing memo, keyed by id: every matrix stays alive in the diagram.
+    `repeat` is the first repeat of min(q, h) over `profiles`.  A map that
+    keeps every row and column is the diagram's matrix itself.
     """
     end = sum(repeat) if repeat else diagram.prefix_len
     kept = [tuple(j for j, p in enumerate(q) if p >= h) for q in profiles[:end]]  # d(m, p) = 1 iff p >= h
     maps = []
     for k in range(end - 1):
         phi = diagram.matrix_after(k + 1)
-        key = (id(phi), kept[k + 1], kept[k])
-        sub = submatrices.get(key)
-        if sub is None:
-            sub = submatrices[key] = phi.submatrix(kept[k + 1], kept[k])
-        maps.append(sub)
+        rows, cols = kept[k + 1], kept[k]
+        maps.append(phi if (len(rows), len(cols)) == phi.shape else phi.submatrix(rows, cols))
     cycle_start, period = repeat or (None, None)
     return TruncatedSystem(
         dims=tuple(map(len, kept)),

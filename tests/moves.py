@@ -6,6 +6,8 @@ sizes and matrices are rebuilt with plain lists; a tail-less diagram is
 continued by identity maps.
 """
 
+from math import lcm
+
 from afk.diagram import AffineTail, BratteliDiagram
 from afk.linalg import IntMatrix
 
@@ -81,6 +83,37 @@ def square_tail(d, rng):
     return BratteliDiagram(d.prefix_levels, d.prefix_matrices, AffineTail(_product(rows, rows), _step(rows, slack, slack)))
 
 
+def _copy_cycle_lcm(rows, slack):
+    """The lcm of the lengths of the cycles of copies: row i copies j when it is e_j and slack[i] == 0."""
+    source = {i: row.index(1) for i, row in enumerate(rows) if slack[i] == 0 and sum(row) == 1}  # entries >= 0
+    period = 1
+    for i in source:
+        j, length = source[i], 1
+        while j != i and j in source and length <= len(rows):
+            j, length = source[j], length + 1
+        if j == i:
+            period = lcm(period, length)
+    return period
+
+
+def power_tail(d, rng):
+    """Replace the tail (Φ, s) by L of its steps at once, (Φ^L, Σ_{i<L} Φ^i.s).
+
+    L is the lcm of the copy-cycle lengths, so every copy cycle becomes
+    fixed points.  None when L is 1 (or there is no tail) or above 12.
+    """
+    if d.tail is None:
+        return None
+    rows, slack = _tail_rows(d)
+    period = _copy_cycle_lcm(rows, slack)
+    if not 1 < period <= 12:
+        return None
+    power, shift = rows, slack
+    for _ in range(period - 1):
+        power, shift = _product(rows, power).to_rows(), _step(rows, slack, shift)
+    return BratteliDiagram(d.prefix_levels, d.prefix_matrices, AffineTail(IntMatrix.from_rows(power), tuple(shift)))
+
+
 def compose_prefix_maps(d, rng):
     """Drop one inner prefix level and join its neighbours by the composite of its two maps."""
     if d.prefix_len < 3:
@@ -94,4 +127,4 @@ def compose_prefix_maps(d, rng):
     )
 
 
-MOVES = (relabel, append_tail_step, drop_first_level, square_tail, compose_prefix_maps)
+MOVES = (relabel, append_tail_step, drop_first_level, square_tail, power_tail, compose_prefix_maps)

@@ -184,15 +184,22 @@ def _closed_form_parts(last, tail):
     return naive_rank(power), tuple(last[i] for i in strands)
 
 
-def oracle_replay_chain(d, w, levels):
-    """What is wrong with chain witness `w` over `levels` levels from its start.
+def oracle_replay_chain(d, w):
+    """What is wrong with chain witness `w` over a window of levels from its start.
 
     Plain simulation: the sizes are unrolled with Python lists (a diagram
     without a tail continues its last level through identity maps), and at
     every level the chain's summand must have size w.k and, after the
     first, the previous chain summand as its only predecessor, with
     multiplicity 1.  Returns the failures; an empty list means none.
+
+    The window is the witness's path, two cycle periods and 32 more levels,
+    as `bench/checks.replay` reads it.  That covers every cycle edge in the
+    tail, and an edge there between summands of the same size, the earlier
+    one the only predecessor, is a copy (the `kstability` module
+    docstring), so a chain that holds over the window holds forever.
     """
+    levels = len(w.node_path) + 2 * w.cycle_period + 32
     sizes = [list(lvl) for lvl in d.prefix_levels]
     mats = [mat.to_rows() for mat in d.prefix_matrices]
     n = len(sizes[-1])

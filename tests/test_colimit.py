@@ -5,7 +5,7 @@ import pytest
 
 import afk.colimit
 import afk.diagram
-from afk.colimit import fm_dimension, fm_profile, k0_rational_dimension, profile_systems
+from afk.colimit import fm_dimension, fm_profile, profile_systems
 from afk.diagram import DEFAULT_BUDGET, AffineTail, BratteliDiagram
 from afk.io import parse, to_diagram
 from afk.linalg import IntMatrix, multiply, rank
@@ -19,7 +19,7 @@ from generators import (
     random_stationary_tail_diagram,
     stationary_tail_of_width,
 )
-from moves import MOVES
+from moves import MOVES, power_tail
 from oracles import oracle_closed_form_fm, oracle_truncated_colimit
 
 
@@ -60,17 +60,17 @@ def test_stationary_small_node_eventually_zero():
 
 
 def test_k0q_two_column():
-    res = k0_rational_dimension(two_column())
+    res = fm_dimension(two_column(), 1)
     assert res.exact and res.dimension == 2
 
 
 def test_k0q_doubling():
-    res = k0_rational_dimension(doubling())
+    res = fm_dimension(doubling(), 1)
     assert res.exact and res.dimension == 1
 
 
 def test_k0q_single_level_counts_summands():
-    res = k0_rational_dimension(single_level(4))
+    res = fm_dimension(single_level(4), 1)
     assert res.dimension == 1
     assert res.exact  # no tail: the algebra of the last level, exactly
 
@@ -130,7 +130,7 @@ def test_budget_exceeded_reported():
         tail=AffineTail(matrix=IntMatrix.identity(1), slack=(1,)),
     )
     res = fm_dimension(d, 9, budget=3)
-    assert res.budget_exceeded and not res.exact
+    assert not res.exact
     assert res.dimension is None
 
 
@@ -239,7 +239,7 @@ def test_fm_profile_equals_fm_dimension_field_for_field():
     for d, budget in cases:
         profile = fm_profile(d, 39, budget)
         assert profile == [(m, fm_dimension(d, m, budget)) for m in range(1, 40)]
-        exhausted += any(res.budget_exceeded for _, res in profile)
+        exhausted += any(not res.exact for _, res in profile)
     assert exhausted >= 3
 
 
@@ -250,7 +250,7 @@ def test_fm_profile_mixes_exact_and_budget_exhausted_degrees():
     assert profile == [(m, fm_dimension(d, m, 10)) for m in range(1, 40)]
     odd = {m: res for m, res in profile if m % 2}
     assert all(res.exact and res.dimension == 1 for m, res in odd.items() if m <= 17)
-    assert all(res.budget_exceeded and res.dimension is None for m, res in odd.items() if m >= 19)
+    assert all(not res.exact and res.dimension is None for m, res in odd.items() if m >= 19)
 
 
 # functional-graph tails: some degrees' cycle composites have equal sizes but
@@ -333,9 +333,11 @@ def test_closed_form_matches_every_exact_degree():
 
 
 def _exact_invariants(d):
-    """F_1..F_21 and the K0 rank of `d`, each a dimension or None where it is not exact."""
-    results = [res for _, res in fm_profile(d, 21)] + [k0_rational_dimension(d)]
-    return [res.dimension if res.exact else None for res in results]
+    """F_1..F_21 of `d`, each a dimension or None where it is not exact.
+
+    The K0 rank `k0q` reports is F_1, the first of them.
+    """
+    return [res.dimension if res.exact else None for _, res in fm_profile(d, 21)]
 
 
 def test_exact_fm_and_k0q_survive_diagram_moves():
@@ -365,4 +367,6 @@ def test_exact_fm_and_k0q_survive_diagram_moves():
                 assert all(old == new for old, new in pairs), (move.__name__, before, after, d)
                 compared += len(pairs)
                 moved_by[move.__name__] += 1
-    assert compared >= 20000 and min(moved_by.values()) >= 50, (compared, moved_by)
+    # the L-th power applies only where a copy cycle has length 2 to 12: mostly the permutation family
+    least = {move.__name__: 30 if move is power_tail else 50 for move in MOVES}
+    assert compared >= 20000 and all(moved_by[name] >= n for name, n in least.items()), (compared, moved_by)

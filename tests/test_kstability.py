@@ -4,11 +4,10 @@ import time
 import pytest
 
 from afk import diagram
-from afk.colimit import fm_profile, k0_rational_dimension, profile_systems
+from afk.colimit import fm_dimension, fm_profile, profile_systems
 from afk.diagram import AffineTail, BratteliDiagram, materialize, tail_step, validate
 from afk.io import to_diagram
 from afk.kstability import (
-    INCONCLUSIVE,
     K_STABLE,
     M_MAX,
     InfiniteChainError,
@@ -16,7 +15,6 @@ from afk.kstability import (
     KChainWitness,
     classify,
     find_infinite_k_chain,
-    replay_witness,
     telescope,
 )
 from afk.linalg import IntMatrix
@@ -26,9 +24,10 @@ from generators import (
     random_growing_tail_diagram,
     random_permutation_tail_diagram,
     random_pinned_tail_diagram,
+    random_prefix,
     random_stationary_tail_diagram,
 )
-from moves import MOVES
+from moves import MOVES, power_tail
 from oracles import check_coordinate_classes, coordinate_classes, copy_cycle_coordinates, oracle_replay_chain
 
 
@@ -87,7 +86,7 @@ def test_find_chain_constant_column():
     assert w.k == 1
     assert w.start_level == 1
     assert set(w.cycle_summands) == {1}
-    assert replay_witness(constant_column(), w) == []
+    assert oracle_replay_chain(constant_column(), w) == []
 
 
 def test_find_chain_two_column_none():
@@ -97,7 +96,20 @@ def test_find_chain_two_column_none():
 def test_find_chain_prefix_only_reads_the_identity_tail():
     w = find_infinite_k_chain(worked_example())
     assert w.kind == "identity-completion" and (w.k, w.start_level, w.cycle_period) == (1, 1, 1)
-    assert replay_witness(worked_example(), w) == []
+    assert oracle_replay_chain(worked_example(), w) == []
+
+
+def test_a_tail_less_chain_is_the_chain_of_its_identity_tail():
+    # without a tail the copy cycles are the last level's summands, each copying itself
+    rng = random.Random(413)
+    for _ in range(100):
+        levels, matrices = random_prefix(rng)
+        d = BratteliDiagram(tuple(levels), tuple(matrices))
+        n = len(d.prefix_levels[-1])
+        identity = BratteliDiagram(d.prefix_levels, d.prefix_matrices, AffineTail(IntMatrix.identity(n), (0,) * n))
+        w = find_infinite_k_chain(d)
+        assert w.kind == "identity-completion", d
+        assert w == find_infinite_k_chain(identity)._replace(kind="identity-completion"), d
 
 
 def test_find_chain_swap_tail():
@@ -111,7 +123,7 @@ def test_find_chain_swap_tail():
     assert isinstance(w, KChainWitness)
     assert w.k == 2
     assert w.cycle_period == 2
-    assert replay_witness(d, w) == []
+    assert oracle_replay_chain(d, w) == []
 
 
 def test_find_chain_needs_no_budget():
@@ -142,15 +154,11 @@ WITNESS_CHOICES = (
 def test_replay_refuses_a_cycle_that_is_not_a_copy_cycle():
     # the sizes 1, 2, 3, ... have a sole simple predecessor, but slack 1 breaks the chain at level 2
     w = KChainWitness(1, 1, (), 1, (1,))
-    assert replay_witness(LINEAR, w) == ["edge 1->2: chain node has slack 1, expected 0"]
-    assert oracle_replay_chain(LINEAR, w, 3) != []
-    assert replay_witness(SEVEN_THOUSAND_FOLD, w) == ["edge 1->2: multiplicity 7000 between chain nodes, expected 1"]
     swapped = KChainWitness(2, 1, (), 1, (1,))  # the swap moves size 2 to summand 2
     d = BratteliDiagram(((2, 3),), (), AffineTail(IntMatrix.from_rows([[0, 1], [1, 0]]), (0, 0)))
-    assert replay_witness(d, swapped) == [
-        "edge 1->2: multiplicity 0 between chain nodes, expected 1",
-        "edge 1->2: chain node has an extra predecessor (summand 2)",
-    ]
+    for diagram, witness in ((LINEAR, w), (SEVEN_THOUSAND_FOLD, w), (d, swapped)):
+        failures = oracle_replay_chain(diagram, witness)
+        assert failures and failures[0].startswith("level 2: "), (diagram, failures)
 
 
 def test_witness_starts_at_the_smallest_coordinate_of_the_smallest_copy_size():
@@ -159,7 +167,7 @@ def test_witness_starts_at_the_smallest_coordinate_of_the_smallest_copy_size():
         d = BratteliDiagram((sizes,), (), AffineTail(IntMatrix.from_rows(rows), (0,) * len(p)))
         w = find_infinite_k_chain(d)
         assert (w.k, w.start_level, w.node_path, w.cycle_period, w.cycle_summands) == expected
-        assert replay_witness(d, w) == []
+        assert oracle_replay_chain(d, w) == []
 
 
 # --- telescoping -----------------------------------------------------------
@@ -185,7 +193,7 @@ def test_telescope_constant_column_raises():
     with pytest.raises(InfiniteChainError) as exc:
         telescope(constant_column(), 2)
     assert exc.value.witness.k == 1
-    assert replay_witness(constant_column(), exc.value.witness) == []
+    assert oracle_replay_chain(constant_column(), exc.value.witness) == []
 
 
 def test_telescope_min_dim_and_validity():
@@ -235,9 +243,9 @@ def test_telescope_jumps_over_stages_below_the_smallest_summand():
 
 def test_telescope_is_inconclusive_once_the_cut_passes_the_budget():
     assert telescope(LINEAR, 64, budget=64) == ((((64,),), (), LINEAR.tail), 64)
-    assert telescope(LINEAR, 65, budget=64) is INCONCLUSIVE
+    assert telescope(LINEAR, 65, budget=64) is None
     start = time.perf_counter()
-    assert telescope(LINEAR, 100000) is INCONCLUSIVE
+    assert telescope(LINEAR, 100000) is None
     assert time.perf_counter() - start < 1
 
 
@@ -282,7 +290,7 @@ def test_a_persistent_small_summand_raises_before_any_tail_step(monkeypatch):
         telescope(PINNED_AT_TWO, 10**6, budget=100000)
     assert steps == []
     assert exc.value.witness.k == 2
-    assert replay_witness(PINNED_AT_TWO, exc.value.witness) == []
+    assert oracle_replay_chain(PINNED_AT_TWO, exc.value.witness) == []
 
 
 def test_telescope_never_unrolls_past_the_budget(monkeypatch):
@@ -347,7 +355,7 @@ def test_an_answer_at_a_small_budget_is_the_answer_at_a_large_one():
             for budget in (1, 2, 3, 4, 8):
                 for m, answer in answers.items():
                     got = _answer(d, m, budget)
-                    assert got is INCONCLUSIVE or got == answer, (d, m, budget)
+                    assert got is None or got == answer, (d, m, budget)
 
 
 # --- classification --------------------------------------------------------
@@ -366,7 +374,7 @@ def test_classify_constant_column_not_k_stable():
     assert verdict.status == "not-k-stable"
     assert verdict.witness is not None and verdict.witness.k == 1
     assert verdict.certificate is None
-    assert replay_witness(constant_column(), verdict.witness) == []
+    assert oracle_replay_chain(constant_column(), verdict.witness) == []
 
 
 def test_classify_single_level_not_k_stable():
@@ -386,7 +394,7 @@ def test_classify_prefix_only_is_finite_dimensional():
     w = verdict.witness
     assert w is not None and w.kind == "identity-completion"
     assert w.k == 1 and w.start_level == 1
-    assert replay_witness(worked_example(), w) == []
+    assert oracle_replay_chain(worked_example(), w) == []
 
 
 def test_classify_rejects_non_injective():
@@ -404,7 +412,7 @@ def test_classify_mutual_exclusion_and_cross_check():
         verdict = classify(d)
         assert not (verdict.witness is not None and verdict.certificate is not None)
         if verdict.status == "k-stable":
-            k0 = k0_rational_dimension(d)
+            k0 = fm_dimension(d, 1)
             for m, res in fm_profile(d, 11):
                 if m % 2 == 1:
                     assert res.dimension == k0.dimension
@@ -417,7 +425,7 @@ def test_kstable_verdict_and_witness_survive_diagram_moves():
     # a move keeps the algebra, so it keeps the verdict and the chain's size k
     rng = random.Random(412)
     families = (*FAMILIES, random_permutation_tail_diagram, lambda rng: to_diagram(random_document(rng)))
-    pairs, verdicts = 0, set()
+    pairs, verdicts, powered = 0, set(), 0
     for family in families:
         for _ in range(60):
             d = family(rng)
@@ -433,9 +441,14 @@ def test_kstable_verdict_and_witness_survive_diagram_moves():
                 assert after.status == before.status, (move.__name__, d)
                 if before.witness is not None:
                     assert (after.witness.k, after.witness.kind) == (before.witness.k, before.witness.kind), (move.__name__, d)
+                if move is power_tail:
+                    # the L-th power turns every copy cycle into fixed points; the chain keeps its start
+                    first = before.witness.cycle_summands[:1]
+                    assert after.witness == before.witness._replace(cycle_period=1, cycle_summands=first), d
+                    powered += 1
                 pairs += 1
                 verdicts.add(before.status)
-    assert pairs >= 800 and verdicts == {K_STABLE, "not-k-stable"}, pairs
+    assert pairs >= 800 and verdicts == {K_STABLE, "not-k-stable"} and powered >= 30, (pairs, powered)
 
 
 def test_random_growing_diagrams_are_k_stable():
@@ -460,7 +473,7 @@ def test_random_pinned_diagrams_yield_sound_witnesses():
             continue
         w = find_infinite_k_chain(d)
         assert isinstance(w, KChainWitness)
-        assert replay_witness(d, w) == []
+        assert oracle_replay_chain(d, w) == []
         found += 1
     assert found >= 60
 
@@ -484,7 +497,7 @@ def test_telescope_preserves_fm_profile_random():
         verdict = classify(d)
         for m, cuts in verdict.certificate[1:]:
             _assert_minimal_cut(d, cuts[-1], m)
-        if scoped is INCONCLUSIVE:
+        if scoped is None:
             continue
         out = scoped.diagram
         profiles = list(materialize(d, 96)[0])
@@ -508,7 +521,7 @@ def test_permutation_tail_answers_at_budget_one():
     assert verdict.status == "not-k-stable" and verdict.levels == 1
     w = verdict.witness
     assert (w.k, w.start_level, w.cycle_period, w.cycle_summands) == (1, 1, 3, (1, 2, 3))
-    assert replay_witness(d, w) == []
+    assert oracle_replay_chain(d, w) == []
     with pytest.raises(InfiniteChainError) as exc:
         telescope(d, 2, 1)
     assert exc.value.witness == w
@@ -520,7 +533,7 @@ def test_a_tail_without_copy_cycles_is_inconclusive_until_its_walk_ends():
     # stops at the budget, and classify's at its own bound, 1 + 2.(M_MAX - 1) = 15
     d = fibonacci()
     for budget in range(1, 6):
-        assert telescope(d, 8, budget) is INCONCLUSIVE
+        assert telescope(d, 8, budget) is None
     for budget in (6, 7, 1000):
         assert telescope(d, 8, budget).levels == 6
     verdict = classify(d)
@@ -549,7 +562,7 @@ def test_every_copy_cycle_answers_at_budget_one():
         assert verdict.status == "not-k-stable", d
         w = verdict.witness
         assert w.k == min(last[i] for i in strands), (d, w)
-        assert oracle_replay_chain(d, w, len(w.node_path) + 2 * w.cycle_period + 32) == [], (d, w)
+        assert oracle_replay_chain(d, w) == [], (d, w)
         with pytest.raises(InfiniteChainError) as exc:
             telescope(d, w.k + 1, 1)
         assert exc.value.witness == w

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import importlib
 import io
@@ -10,6 +11,8 @@ from pathlib import Path
 import pytest
 
 import afk
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_exported_name_resolves():
@@ -52,21 +55,139 @@ def test_each_export_is_defined_in_the_module_its_table_entry_names():
     for name, module in afk._EXPORTS.items():
         home = importlib.import_module(f"afk.{module}")
         value = getattr(home, name)
-        # classes and functions know their module; the INCONCLUSIVE sentinel's class does
-        defined_in = value.__module__ if hasattr(value, "__qualname__") else type(value).__module__
-        assert defined_in == home.__name__, name
+        assert value.__module__ == home.__name__, name
         assert getattr(afk, name) is value, name
 
 
+def _readme_block(section, language):
+    """The first `language` code block under the README's `## section` heading."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return re.search(rf"## {section}\n.*?```{language}\n(.*?)```", readme, re.S).group(1)
+
+
 def test_the_readme_library_example_runs_on_the_readme_document():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    document = re.search(r"## Input format\n.*?```json\n(.*?)```", readme, re.S).group(1)
-    example = re.search(r"## Library\n.*?```python\n(.*?)```", readme, re.S).group(1)
+    document = _readme_block("Input format", "json")
+    example = _readme_block("Library", "python")
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(example, {"text": document})
     # the README's document has Q + Q in every odd degree and is K-stable
     assert out.getvalue().split("\n") == [f"{m} {2 if m % 2 else 0}" for m in range(1, 10)] + ["k-stable", ""]
+
+
+AFK_MODULES = {"afk"} | {f"afk.{p.stem}" for p in (ROOT / "src" / "afk").glob("*.py") if p.stem != "__init__"}
+
+
+def _afk_references(source):
+    """The names `source` reads from afk.
+
+    A name counts when it is imported from `afk` or an `afk.<module>`
+    (relative imports inside the package included), or read as an
+    attribute of an afk module, as in `_linalg.rank` or `afk.cli.fm_profile`.
+    """
+    tree = ast.parse(source)
+    modules, names = {}, set()  # local alias -> afk module it names; names read from afk
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name in AFK_MODULES:
+                    modules[alias.asname or "afk"] = alias.name if alias.asname else "afk"
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ("afk", node.module))) if node.level else node.module
+            if base in AFK_MODULES:
+                for alias in node.names:
+                    if f"{base}.{alias.name}" in AFK_MODULES:
+                        modules[alias.asname or alias.name] = f"{base}.{alias.name}"
+                    else:
+                        names.add(alias.name)
+
+    def module_of(expr):
+        """The afk module `expr` names, or None."""
+        if isinstance(expr, ast.Name):
+            return modules.get(expr.id)
+        if isinstance(expr, ast.Attribute) and module_of(expr.value):
+            dotted = f"{module_of(expr.value)}.{expr.attr}"
+            return dotted if dotted in AFK_MODULES else None
+        return None
+
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and module_of(node.value)}
+    return names
+
+
+def _bound_in(fn):
+    """Every name function `fn` binds: its parameters, assignment targets, imports and nested definitions."""
+    names = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, ast.alias):
+            names.add((node.asname or node.name).split(".")[0])
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node is not fn:
+            names.add(node.name)
+    return names
+
+
+def _own_reads(source):
+    """The module-level names `source` reads in its own code.
+
+    A read is a loaded name that no enclosing function binds (so a local
+    `d` or `rank` is not the module's `d` or `rank`); annotations are left
+    out, since they only name a type.
+    """
+    reads = set()
+
+    def visit(node, shadowed):
+        if isinstance(node, ast.Name):
+            if isinstance(node.ctx, ast.Load) and node.id not in shadowed:
+                reads.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            # decorators and defaults run in the enclosing scope, the body in the function's own
+            for expr in [*getattr(node, "decorator_list", ()), *node.args.defaults, *node.args.kw_defaults]:
+                visit(expr, shadowed)
+            for stmt in node.body if isinstance(node.body, list) else [node.body]:
+                visit(stmt, shadowed | _bound_in(node))
+        else:
+            for field, value in ast.iter_fields(node):
+                for child in value if isinstance(value, list) else [value]:
+                    if isinstance(child, ast.AST) and field not in ("annotation", "returns"):
+                        visit(child, shadowed)
+
+    visit(ast.parse(source), frozenset())
+    return reads
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    # an exported name is read from afk by another engine module, the benchmark or the README's
+    # library example, or used by the code of the module that defines it
+    engine = {f"afk.{p.stem}": p.read_text(encoding="utf-8") for p in (ROOT / "src" / "afk").glob("*.py")}
+    del engine["afk.__init__"]
+    sources = engine | {str(p): p.read_text(encoding="utf-8") for p in (ROOT / "bench").glob("*.py")}
+    sources["README.md"] = _readme_block("Library", "python")
+    readers = {where: _afk_references(text) for where, text in sources.items()}
+    own = {module: _own_reads(text) for module, text in engine.items()}
+    unread = [
+        name
+        for name, module in afk._EXPORTS.items()
+        if name not in own[f"afk.{module}"]
+        and not any(name in names for where, names in readers.items() if where != f"afk.{module}")
+    ]
+    assert unread == []
+
+
+def test_an_own_read_is_a_use_of_the_module_binding():
+    source = """
+def rank(m): return m
+def d(n): return n
+class Telescoped: pass
+def unused(m): pass
+def caller(d, m: Telescoped) -> Telescoped:
+    rank = 3
+    return d + rank + (lambda unused: unused)(m)
+CONST = d(1)
+"""
+    assert _own_reads(source) & {"rank", "d", "Telescoped", "unused"} == {"d"}
 
 
 def test_an_unknown_package_attribute_raises_attribute_error():
