@@ -8,7 +8,10 @@ can branch on it).  A usage error (an unknown command, a missing or
 malformed flag) also exits 1.  Exit 3 marks an internal invariant violation.
 
 Reports are deterministic: identical input and flags produce byte-identical
-output, so the timing block counts levels instead of wall-clock time.
+output, so the timing block counts levels instead of wall-clock time: for
+`kstable` and `telescope`, the first level from the last prefix level on with
+no summand below 8 or `--min-dim` (no tail level before it is built), or the
+prefix when a copy cycle answers.
 
 `COMMANDS` is the one command table: each name maps to its run function, its
 help text and its own flags, and the flag reader, the parser and the
@@ -397,20 +400,18 @@ def _kstable(args, diagram, budget):
 def _telescope(args, diagram, budget):
     from .kstability import InfiniteChainError, telescope
 
+    what = "has a summand size"  # the first level comes from the input or is checked by telescope
     try:
-        out = telescope(diagram, args.min_dim, budget)
+        out = telescope(diagram, args.min_dim)
+        what = "is at a level number"
+        str(out.levels)
     except InfiniteChainError as exc:
         return "ok", {"outcome": "infinite-chain", "witness": _witness_payload(exc.witness)}, diagram.prefix_len
-    if out is None:
-        return "inconclusive", {"outcome": "inconclusive"}, diagram.horizon(budget)
-    document = from_diagram(out.diagram)
-    try:  # only the first level can come from the tail; the rest is the input's, which printed
-        "".join(map(str, document["levels"][0]))
-    except ValueError:
-        raise ParseError(
-            "--min-dim", "the telescoped first level has a summand size too long to print; ask for a smaller --min-dim"
-        ) from None
-    return "ok", {"outcome": "telescoped", "min_dim": args.min_dim, "diagram": document}, out.levels
+    except InjectivityRequired:
+        raise
+    except ValueError:  # past the int-to-str digit limit, met before the first level kept is built
+        raise ParseError("--min-dim", f"the telescoped first level {what} too long to print; ask for a smaller --min-dim") from None
+    return "ok", {"outcome": "telescoped", "min_dim": args.min_dim, "diagram": from_diagram(out.diagram)}, out.levels
 
 
 def _export_dot(args, diagram, budget):

@@ -5,9 +5,9 @@ non-initial node has the previous node as its only predecessor) certifies a
 finite-dimensional quotient, hence failure of K-stability.  Conversely, a
 diagram whose tail provably carries no infinite chain can be telescoped, for
 every target m, into a presentation whose summands all have size >= m, which
-certifies K-stability.  Telescoping is one walk and one cut: the walk unrolls
-until no summand is < m, and the cut drops every level up to the last one
-holding a summand < m.
+certifies K-stability.  Telescoping is one search and one cut: the search
+finds the first level with no summand < m by doubling powers of the tail,
+and the cut drops every level up to the last one holding a summand < m.
 
 Tail analysis is exact and rests on one static relation of the tail matrix
 Φ.  Row i copies coordinate j when it is the unit vector e_j and slack_i is
@@ -49,8 +49,7 @@ divergent coordinate through divergent feeders reaches a cycle of length L
 at distance d, with d + L <= n; the cycle gains >= 1 every L levels, so for
 m >= 2 the coordinate is >= m from d + L.(m - 1) <= n.(m - 1) levels past
 the prefix on, a bound that a single n-cycle with one unit of slack and all
-sizes 1 meets exactly.  So without a copy cycle `classify` walks at most
-prefix + n.(M_MAX - 1) levels, whatever the budget.
+sizes 1 meets exactly, and that no search for target m passes.
 """
 
 from __future__ import annotations
@@ -59,8 +58,8 @@ from typing import NamedTuple, Optional, Sequence
 
 # loaded on demand: other modules' functions are called through their module (see afk/__init__.py)
 from . import diagram as _diagram
-from .diagram import DEFAULT_BUDGET, BratteliDiagram, InjectivityRequired
-from .linalg import IntMatrix
+from . import linalg as _linalg
+from .diagram import AffineTail, BratteliDiagram, InjectivityRequired
 
 
 class InfiniteChainError(Exception):
@@ -98,12 +97,12 @@ class KChainWitness(NamedTuple):
 
 class KStabilityVerdict(NamedTuple):
     status: str
-    levels: int  # levels of the input the analysis held
+    levels: int  # the first level from the last prefix level on with no summand < M_MAX, or the prefix
     witness: Optional[KChainWitness] = None
     certificate: Optional[tuple[tuple[int, tuple[int, ...]], ...]] = None
 
 
-def _copy_cycles(tm: IntMatrix, slack: Sequence[int]) -> list[tuple[int, ...]]:
+def _copy_cycles(tm: _linalg.IntMatrix, slack: Sequence[int]) -> list[tuple[int, ...]]:
     """The cycles of the copy relation: row i copies j when it is e_j and slack[i] == 0.
 
     Each cycle is listed in forward copy order (j, then the coordinate that
@@ -160,55 +159,54 @@ def find_infinite_k_chain(d: BratteliDiagram) -> Optional[KChainWitness]:
     )
 
 
-def _drop_before(d: BratteliDiagram, profiles: Sequence[tuple[int, ...]], cut: int) -> BratteliDiagram:
-    if cut == 1:
-        return d
-    if cut <= d.prefix_len:
-        return BratteliDiagram(d.prefix_levels[cut - 1 :], d.prefix_matrices[cut - 1 :], d.tail)
-    return BratteliDiagram((profiles[cut - 1],), (), d.tail)
+def _reach(d: BratteliDiagram, m: int, squares: list, level: int, q: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
+    """(cut, level, q) at the first level from `level` (profile q) on with no summand < m.
 
-
-def _walk(d: BratteliDiagram, m: int, levels: int) -> list[tuple[int, ...]]:
-    """The profiles up to the first level, from the last prefix level on, with no summand < m.
-
-    The walk stops after `levels` levels if none shows by then, and the
-    caller reads min(last profile) < m as inconclusive.  It runs only when
-    no copy cycle carries a size < m.  A valid tail has no zero rows, so
-    each summand of a tail level is at least the smallest summand of the
-    level before: from the last prefix level on the minimum never drops,
-    and once no summand is < m none ever is again.
+    `level` is the last prefix level or follows one with a summand < m, no copy
+    cycle carries a size < m, and the minimum never drops (no tail row is 0).
+    Through `squares[i]`, the tail applied 2^i times and squared on demand, the
+    search gallops (level += 2^i while the jump lands on a summand < m), then
+    descends: within n.(m - 1) tail levels, at most 2.log2(n.m) + 2 steps and
+    log2(n.m) squares, all held, square i's entries no larger than the sizes
+    2^i levels on.  The cut, 1 + the last level with a summand < m, is the
+    level reached in the tail, else a scan of the prefix finds it.
     """
-    profiles = []
-    for q in _diagram.unroll(d, levels):
-        profiles.append(q)
-        if len(profiles) >= d.prefix_len and min(q) >= m:
-            break
-    return profiles
-
-
-def _cut(profiles: Sequence[tuple[int, ...]], m: int) -> int:
-    """1 + the last level that holds a summand < m: the first level kept."""
-    return next((lvl + 1 for lvl in range(len(profiles), 0, -1) if min(profiles[lvl - 1]) < m), 1)
+    if min(q) < m:
+        bound, i = d.prefix_len + len(q) * (m - 1), 0
+        while min(ahead := _diagram.tail_step(squares[i], q)) < m:
+            level, q, i = level + 2**i, ahead, i + 1
+            assert level < bound, "the tail-level bound in the module docstring"
+            if i == len(squares):
+                power, shift = squares[-1]
+                squares.append(AffineTail(_linalg.multiply(power, power), _diagram.tail_step(squares[-1], shift)))
+        for j in range(i - 1, -1, -1):  # q at level holds a summand < m, the level 2^(j+1) past it none
+            if min(mid := _diagram.tail_step(squares[j], q)) < m:
+                level, q = level + 2**j, mid
+        level, q = level + 1, _diagram.tail_step(squares[0], q)
+    if level > d.prefix_len:
+        return level, level, q
+    return next((lvl + 1 for lvl in range(level, 0, -1) if min(d.prefix_levels[lvl - 1]) < m), 1), level, q
 
 
 class Telescoped(NamedTuple):
-    """A telescoped presentation and the levels of the input its walk held."""
+    """A telescoped presentation, and the first level from the last prefix level on with no summand < m."""
 
     diagram: BratteliDiagram
     levels: int
 
 
-def telescope(d: BratteliDiagram, m: int, budget: int = DEFAULT_BUDGET) -> Optional[Telescoped]:
-    """Telescope to an equal-colimit presentation with min summand size >= m, or None.
+def telescope(d: BratteliDiagram, m: int) -> Telescoped:
+    """Telescope to an equal-colimit presentation with min summand size >= m.
 
     Raises InfiniteChainError (with its witness) when a copy cycle carries a
     size < m, which then persists, and InjectivityRequired when some
     connecting map has a zero column.  Otherwise every summand reaches m,
     and one cut (dropping levels never changes the limit) before the first
     level kept does what raising the minimum past 1, 2, ..., m-1 in turn
-    would.  No unroll passes the horizon, `d.horizon(budget)`, so the work
-    is bounded by the budget and the input, not by m.  Returns None when a
-    summand is still < m at the horizon: the budget cannot decide.
+    would.  The searches for 2, 5, 26, ..., t.t + 1, ..., m each start where
+    the last stopped, and str() of the largest summand reached stops them
+    with ValueError past the int-to-str digit limit: in an injective tail it
+    never drops, so the first level kept could not print either.
     """
     _diagram.ensure_valid(d)
     if not d.injective:
@@ -216,10 +214,13 @@ def telescope(d: BratteliDiagram, m: int, budget: int = DEFAULT_BUDGET) -> Optio
     chain = find_infinite_k_chain(d)
     if chain is not None and chain.k < m:
         raise InfiniteChainError(chain)
-    profiles = _walk(d, m, d.horizon(budget))
-    if min(profiles[-1]) < m:
-        return None
-    return Telescoped(_drop_before(d, profiles, _cut(profiles, m)), len(profiles))
+    cut, level, q, squares, target = 1, d.prefix_len, d.prefix_levels[-1], [d.tail], 1
+    while target < m:
+        target = min(m, target * target + 1)
+        cut, level, q = _reach(d, target, squares, level, q)
+        str(max(q))  # the digit limit: see above
+    kept = ((q,), ()) if cut > d.prefix_len else (d.prefix_levels[cut - 1 :], d.prefix_matrices[cut - 1 :])
+    return Telescoped(d if cut == 1 else BratteliDiagram(*kept, d.tail), level)
 
 
 def classify(d: BratteliDiagram) -> KStabilityVerdict:
@@ -229,9 +230,7 @@ def classify(d: BratteliDiagram) -> KStabilityVerdict:
     finite-dimensional representation: not K-stable.  A tail-less diagram
     presents a finite-dimensional algebra, its own such representation, and
     its witness is the identity-completion chain through a smallest summand.
-    Without a chain every summand is >= M_MAX within prefix + n.(M_MAX - 1)
-    levels (module docstring), and one walk that long certifies the cuts
-    for every m <= M_MAX.
+    Without a chain, chained searches for m = 2..M_MAX certify every cut.
     """
     _diagram.ensure_valid(d)
     if not d.injective:
@@ -239,8 +238,8 @@ def classify(d: BratteliDiagram) -> KStabilityVerdict:
     chain = find_infinite_k_chain(d)
     if chain is not None:
         return KStabilityVerdict(NOT_K_STABLE, d.prefix_len, witness=chain)
-    profiles = _walk(d, M_MAX, d.prefix_len + d.tail.matrix.rows * (M_MAX - 1))
-    assert min(profiles[-1]) >= M_MAX, "the walk bound in the module docstring"
-    cuts = tuple(_cut(profiles, m) for m in range(2, M_MAX + 1))
-    certificate = tuple((m, cuts[: m - 1]) for m in range(1, M_MAX + 1))
-    return KStabilityVerdict(K_STABLE, len(profiles), certificate=certificate)
+    squares, level, q, certificate = [d.tail], d.prefix_len, d.prefix_levels[-1], [(1, ())]
+    for m in range(2, M_MAX + 1):  # the cuts for m are those for m - 1 and m's own
+        cut, level, q = _reach(d, m, squares, level, q)
+        certificate.append((m, (*certificate[-1][1], cut)))
+    return KStabilityVerdict(K_STABLE, level, certificate=tuple(certificate))

@@ -137,6 +137,38 @@ def random_permutation_tail_diagram(rng, max_cycle=5, max_cycles=3):
     )
 
 
+def random_functional_graph_tail_diagram(rng, max_width=7):
+    """A tail of copies along a function f that misses a coordinate: row i is e_f(i), no slack.
+
+    f is drawn until it has a cycle of length >= 2 and is not onto.  The
+    sizes then rotate with a period >= 2, and each degree's composite over
+    that period is singular, its rank depending on the order of its maps
+    and on the level it starts from.
+    """
+    width = rng.randint(3, max_width)
+    while True:
+        f = [rng.randrange(width) for _ in range(width)]
+        on_cycles = {i for i in range(width) if _returns(f, i)}
+        if len(set(f)) < width and any(f[i] != i for i in on_cycles):
+            break
+    rows = [[int(j == f[i]) for j in range(width)] for i in range(width)]
+    return BratteliDiagram(
+        prefix_levels=(tuple(rng.randint(1, 6) for _ in range(width)),),
+        prefix_matrices=(),
+        tail=AffineTail(matrix=IntMatrix.from_rows(rows), slack=(0,) * width),
+    )
+
+
+def _returns(f, i):
+    """Whether iterating f from i comes back to i."""
+    j = f[i]
+    for _ in range(len(f)):
+        if j == i:
+            return True
+        j = f[j]
+    return False
+
+
 def random_document(rng) -> dict:
     """A document as `parse` returns it."""
     levels, matrices = random_prefix(rng, max_levels=4)

@@ -184,6 +184,34 @@ def _closed_form_parts(last, tail):
     return naive_rank(power), tuple(last[i] for i in strands)
 
 
+def oracle_cut(d, m):
+    """(cut, reached, first): where telescoping diagram `d` to target m cuts, by a plain unroll.
+
+    `reached` is the first level from the last prefix level on with no
+    summand < m, `cut` is 1 + the last level holding a summand < m, and
+    `first` is the profile at the cut.  The sizes are unrolled with Python
+    lists to 40 levels past `reached`, and the cut is read over all of
+    them, so a level there that fell back below m would move it.  The
+    caller rules out a copy cycle carrying a size < m; the unroll gives up
+    after 10^6 levels.
+    """
+    sizes = [list(lvl) for lvl in d.prefix_levels]
+    if d.tail is not None:
+        rows, slack = d.tail.matrix.to_rows(), list(d.tail.slack)
+
+    def step(q):
+        return [sum(a * x for a, x in zip(row, q)) + s for row, s in zip(rows, slack)]
+
+    while min(sizes[-1]) < m:
+        assert d.tail is not None and len(sizes) < 10**6, "no level without a summand < m"
+        sizes.append(step(sizes[-1]))
+    reached = len(sizes)
+    while d.tail is not None and len(sizes) < reached + 40:
+        sizes.append(step(sizes[-1]))
+    cut = 1 + max((t for t, q in enumerate(sizes, start=1) if min(q) < m), default=0)
+    return cut, reached, tuple(sizes[cut - 1])
+
+
 def oracle_replay_chain(d, w):
     """What is wrong with chain witness `w` over a window of levels from its start.
 

@@ -5,13 +5,17 @@ Run standalone (with the printed lines visible) via:
     pytest tests/test_acceptance.py -v -s
 """
 
+import io
+import json
 import random
+import sys
 import time
 from contextlib import contextmanager
 
 from afk.colimit import fm_dimension, fm_profile
 from afk.diagram import BratteliDiagram, validate
-from afk.io import parse, serialize
+from afk.cli import main
+from afk.io import from_diagram, parse, serialize
 from afk.kstability import classify, find_infinite_k_chain, telescope
 from afk.linalg import matvec, multiply
 from afk.truncation import d as survives
@@ -172,10 +176,7 @@ def test_criterion_8b_telescope_preserves_profile():
             if not d.injective:
                 continue
             target = rng.choice([2, 3, 4])
-            scoped = telescope(d, target, budget=96)
-            if scoped is None:
-                continue
-            scoped = scoped.diagram
+            scoped = telescope(d, target).diagram
             before = [r.dimension for _, r in fm_profile(d, 7, budget=96)]
             after = [r.dimension for _, r in fm_profile(scoped, 7, budget=96)]
             assert before == after
@@ -205,12 +206,25 @@ def test_criterion_8d_parse_serialize_roundtrip():
             assert parse(serialize(doc)) == doc
 
 
+def _telescope_report(d, budget):
+    """The JSON report of `telescope --min-dim 9 --budget <budget>` on d, less the budget it echoes."""
+    stdin, stdout = sys.stdin, sys.stdout
+    sys.stdin, sys.stdout = io.StringIO(serialize(from_diagram(d))), io.StringIO()
+    try:
+        assert main(["telescope", "--input", "-", "--min-dim", "9", "--budget", str(budget)]) == 0
+        report = json.loads(sys.stdout.getvalue())
+    finally:
+        sys.stdin, sys.stdout = stdin, stdout
+    del report["flags"]["budget"], report["timing"]["budget_levels"]
+    return report
+
+
 def test_criterion_9_work_scales_with_the_repeat_not_the_budget():
     # one time limit per call, two-column first: code that unrolled the whole
     # budget fails on the linear sizes before the doubling sizes fill memory
     for name, d in (("two-column", two_column()), ("doubling", doubling())):
         with criterion(9, f"{name}: telescope to 9 at budget 10^6 equals budget 64", 5.0):
-            assert telescope(d, 9, 10**6) == telescope(d, 9, 64)
+            assert _telescope_report(d, 10**6) == _telescope_report(d, 64)
         with criterion(9, f"{name}: F_9 at budget 10^6 equals budget 64", 5.0):
             res = fm_dimension(d, 9, 10**6)
             assert res.exact and res == fm_dimension(d, 9, 64)

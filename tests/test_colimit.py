@@ -12,6 +12,7 @@ from afk.linalg import IntMatrix, multiply, rank
 from cases import build_systems, doubling, permutation_tail, single_level, stationary_identity, two_column, worked_example
 from generators import (
     random_document,
+    random_functional_graph_tail_diagram,
     random_growing_tail_diagram,
     random_permutation_tail_diagram,
     random_pinned_tail_diagram,
@@ -349,6 +350,7 @@ def test_exact_fm_and_k0q_survive_diagram_moves():
         random_stationary_tail_diagram,
         random_permutation_tail_diagram,
         lambda rng: to_diagram(random_document(rng)),
+        random_functional_graph_tail_diagram,
     )
     compared, moved_by = 0, Counter()
     for family in families:

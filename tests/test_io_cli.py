@@ -381,13 +381,14 @@ def test_cli_levels_materialized_counts_the_levels_held(tmp_path, capsys):
     assert levels(counting, "k0q") == 2
     assert levels(counting, "fm-profile", "--max-m", "9") == 6
     assert levels(counting, "fm-profile", "--max-m", "9", "--budget", "4") == 4
-    # kstable and telescope: the walk's profiles, or the prefix when a copy cycle answers
+    # kstable and telescope: the first level from the last prefix level on with no summand below
+    # the target (8 for kstable), or the prefix when a copy cycle answers; no budget is read
     doubling = '{"levels":[[1]],"matrices":[],"tail":{"matrix":[[2]],"slack":[0]}}'
     assert levels(doubling, "kstable", "--budget", "8000") == 4  # sizes 1, 2, 4, 8
     assert levels(counting, "kstable") == levels(counting, "kstable", "--budget", "3") == 8  # no budget: 1 + 7
     assert levels(FIBONACCI_JSON, "kstable", "--budget", "1") == 6  # the first level with no summand < 8
     assert levels(counting, "telescope", "--min-dim", "5", "--budget", "8000") == 5
-    assert levels(counting, "telescope", "--min-dim", "9", "--budget", "4") == 4
+    assert levels(counting, "telescope", "--min-dim", "9", "--budget", "4") == 9
     assert levels(TWO_COLUMN_JSON, "telescope", "--min-dim", "2") == 3
     pinned = '{"levels":[[1,1],[1,2]],"matrices":[[[1,0],[1,1]]],"tail":{"matrix":[[1,0],[1,1]],"slack":[0,1]}}'
     assert levels(pinned, "kstable", "--budget", "8000") == 2
@@ -413,7 +414,8 @@ COUNTER_ARGV = (
 
 def test_cli_levels_materialized_never_passes_the_horizon(tmp_path, capsys):
     # the horizon: the prefix, continued by a tail to the budget; an inconclusive report held all of it.
-    # kstable reads no budget: it holds at most the prefix and 7 levels per tail coordinate
+    # kstable and telescope read no budget: their counter is at most the prefix and m - 1 levels per
+    # tail coordinate, for m = 8 and m = 3
     rng = random.Random(2020)
     docs = [TWO_COLUMN_JSON, WORKED_JSON] + [serialize(random_document(rng)) for _ in range(16)]
     inconclusive_below_prefix = tailless = 0
@@ -424,9 +426,10 @@ def test_cli_levels_materialized_never_passes_the_horizon(tmp_path, capsys):
             for argv in COUNTER_ARGV:
                 report = json.loads(run_cli(tmp_path, capsys, text, *argv, "--budget", str(budget))[1])
                 levels = report["timing"]["levels_materialized"]
-                if argv[0] == "kstable":
-                    assert report["status"] != "inconclusive", (text, budget)
-                    assert levels <= d.prefix_len + (d.tail is not None) * len(d.prefix_levels[-1]) * 7, (text, budget)
+                if argv[0] in ("kstable", "telescope"):
+                    steps = 7 if argv[0] == "kstable" else 2
+                    assert report["status"] != "inconclusive", (text, argv, budget)
+                    assert levels <= d.prefix_len + (d.tail is not None) * len(d.prefix_levels[-1]) * steps, (text, budget)
                     continue
                 assert levels <= horizon, (text, argv, budget)
                 if report["status"] == "inconclusive":
@@ -481,15 +484,25 @@ def _without_budget(out):
     return report
 
 
-def test_cli_kstable_answers_at_every_budget_where_telescope_exits_two(tmp_path, capsys):
-    # the K-stable certificate needs the cuts for m <= 8, which telescope finds only from budget 6 on
-    for budget in ("2", "5"):
-        code, out = run_cli(tmp_path, capsys, FIBONACCI_JSON, "telescope", "--min-dim", "8", "--budget", budget)
-        assert code == 2
-        assert json.loads(out)["result"] == {"outcome": "inconclusive"}
-    code, out = run_cli(tmp_path, capsys, FIBONACCI_JSON, "telescope", "--min-dim", "8", "--budget", "6")
-    assert code == 0 and json.loads(out)["result"]["outcome"] == "telescoped"
-    # kstable: the same report at every budget up to one past its walk's bound, prefix + 7n
+LINEAR_JSON = '{"levels":[[1]],"matrices":[],"tail":{"matrix":[[1]],"slack":[1]}}'
+
+
+def test_cli_kstable_and_telescope_answer_alike_at_every_budget(tmp_path, capsys, monkeypatch):
+    # telescope: the same report at --budget 1, 2 and 1024 and from AFK_BUDGET=1; its cut for m = 8
+    # lies at level 6, 57 and 8 of the three tails, and in the prefix of the tail-less document
+    tailless = '{"levels":[[1],[9]],"matrices":[[[1]]]}'
+    monkeypatch.setenv("AFK_BUDGET", "1")
+    for doc in (FIBONACCI_JSON, SLOW_8_CYCLE_JSON, LINEAR_JSON, tailless):
+        for fmt in ("json", "text"):
+            outs = set()
+            for budget in (("--budget", "1"), ("--budget", "2"), ("--budget", "1024"), ()):
+                code, out = run_cli(tmp_path, capsys, doc, "telescope", "--min-dim", "8", *budget, "--format", fmt)
+                assert code == 0, (doc, budget)
+                outs.add(json.dumps(_without_budget(out)) if fmt == "json" else out)
+            assert len(outs) == 1, (doc, fmt)
+        assert json.loads(run_cli(tmp_path, capsys, doc, "telescope", "--min-dim", "8")[1])["result"]["outcome"] == "telescoped"
+    monkeypatch.delenv("AFK_BUDGET")
+    # kstable: the same report at every budget up to one past its search's bound, prefix + 7n
     for doc, bound in ((FIBONACCI_JSON, 15), (SLOW_8_CYCLE_JSON, 57)):
         for fmt in ("json", "text"):
             outs = set()
@@ -564,13 +577,13 @@ def test_cli_reports_are_byte_identical(tmp_path, capsys):
 
 
 def test_cli_budget_env_and_flag(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("AFK_BUDGET", "2")
-    code, _ = run_cli(tmp_path, capsys, FIBONACCI_JSON, "telescope", "--min-dim", "8")
-    assert code == 2  # env budget too small
-    code, _ = run_cli(tmp_path, capsys, FIBONACCI_JSON, "telescope", "--min-dim", "8", "--budget", "16")
+    monkeypatch.setenv("AFK_BUDGET", "1")
+    code, _ = run_cli(tmp_path, capsys, TWO_COLUMN_JSON, "fm", "--m", "3")
+    assert code == 2  # env budget too small: degree 3 repeats past the 3-level prefix
+    code, _ = run_cli(tmp_path, capsys, TWO_COLUMN_JSON, "fm", "--m", "3", "--budget", "16")
     assert code == 0  # flag wins over the environment
     code, out = run_cli(tmp_path, capsys, FIBONACCI_JSON, "kstable")
-    assert code == 0 and json.loads(out)["timing"]["budget_levels"] == 2  # read, and only reported
+    assert code == 0 and json.loads(out)["timing"]["budget_levels"] == 1  # read, and only reported
 
 
 @pytest.mark.parametrize("env", ["0", "-5"])
@@ -883,13 +896,48 @@ def test_cli_telescope_to_a_huge_min_dim_is_bounded_and_never_internal(tmp_path,
         assert report["error"]["locus"] == "--min-dim"
 
 
-def test_cli_telescope_past_the_budget_is_inconclusive(tmp_path, capsys):
-    linear = '{"levels":[[1]],"matrices":[],"tail":{"matrix":[[1]],"slack":[1]}}'
+def test_cli_telescope_past_the_budget_telescopes(tmp_path, capsys):
+    # the cut for 10^5 on the linear tail is level 10^5, past the default budget of 64
     start = time.perf_counter()
-    code, out = run_cli(tmp_path, capsys, linear, "telescope", "--min-dim", "100000")
+    code, out = run_cli(tmp_path, capsys, LINEAR_JSON, "telescope", "--min-dim", "100000")
     assert time.perf_counter() - start < 1
-    assert code == 2
-    assert json.loads(out)["result"] == {"outcome": "inconclusive"}
+    report = json.loads(out)
+    assert code == 0 and report["result"]["diagram"]["levels"] == [[100000]]
+    assert report["timing"]["levels_materialized"] == 100000
+    # the slow 8-cycle reaches 10^30 at level 1 + 8.(10^30 - 1): a few hundred tail steps, not a walk
+    spent = []
+    for _ in range(3):  # the best of three, so a busy host does not fail it
+        start = time.perf_counter()
+        code, out = run_cli(tmp_path, capsys, SLOW_8_CYCLE_JSON, "telescope", "--min-dim", str(10**30), "--budget", "1")
+        spent.append(time.perf_counter() - start)
+        assert code == 0
+    assert min(spent) < 0.05, spent
+    report = json.loads(out)
+    assert report["timing"]["levels_materialized"] == 1 + 8 * (10**30 - 1)
+    assert min(report["result"]["diagram"]["levels"][0]) == 10**30
+
+
+@needs_digit_limit
+def test_cli_telescope_refuses_what_it_cannot_print_before_building_it(tmp_path, capsys, monkeypatch):
+    # summand 2 grows by 1 a level and summand 1 doubles: the cut for 10^12 is level 10^12, whose
+    # first summand, 2^(10^12 - 1), is never built; the search stops once a size passes the digit limit
+    doubling_and_counting = '{"levels":[[1,1]],"matrices":[],"tail":{"matrix":[[2,0],[0,1]],"slack":[0,1]}}'
+    start = time.perf_counter()
+    code, out = run_cli(tmp_path, capsys, doubling_and_counting, "telescope", "--min-dim", str(10**12))
+    assert time.perf_counter() - start < 1
+    assert code == 1 and json.loads(out)["error"] == {
+        "locus": "--min-dim",
+        "message": "the telescoped first level has a summand size too long to print; ask for a smaller --min-dim",
+    }
+    assert run_cli(tmp_path, capsys, doubling_and_counting, "kstable")[0] == 0
+    # a slow cycle of width n >= 2 puts the cut for a 4300-digit --min-dim past level 10^4300, with
+    # every size printable; the search for it takes seconds, so the engine's answer is stood in for
+    from afk import kstability
+
+    monkeypatch.setattr(kstability, "telescope", lambda d, m: kstability.Telescoped(d, 10**4300))
+    code, out = run_cli(tmp_path, capsys, TWO_COLUMN_JSON, "telescope", "--min-dim", "2")
+    assert code == 1 and json.loads(out)["error"]["locus"] == "--min-dim"
+    assert "level number too long to print" in json.loads(out)["error"]["message"]
 
 
 def test_cli_kstable_certifies_cuts_past_the_budget(tmp_path, capsys):

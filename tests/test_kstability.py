@@ -1,12 +1,16 @@
+import io
+import json
+import math
 import random
 import time
 
 import pytest
 
-from afk import diagram
+from afk import diagram, kstability, linalg
+from afk.cli import main
 from afk.colimit import fm_dimension, fm_profile, profile_systems
 from afk.diagram import AffineTail, BratteliDiagram, materialize, tail_step, validate
-from afk.io import to_diagram
+from afk.io import from_diagram, serialize, to_diagram
 from afk.kstability import (
     K_STABLE,
     M_MAX,
@@ -28,7 +32,7 @@ from generators import (
     random_stationary_tail_diagram,
 )
 from moves import MOVES, power_tail
-from oracles import check_coordinate_classes, coordinate_classes, copy_cycle_coordinates, oracle_replay_chain
+from oracles import check_coordinate_classes, coordinate_classes, copy_cycle_coordinates, oracle_cut, oracle_replay_chain
 
 
 # --- coordinate growth classification (the test-side fixpoint) ------------
@@ -137,7 +141,7 @@ def test_find_chain_needs_no_budget():
     assert verdict.status == "not-k-stable" and verdict.witness == find_infinite_k_chain(d)
     assert (verdict.witness.start_level, verdict.witness.cycle_summands) == (1, (1, 2))
     with pytest.raises(InfiniteChainError) as exc:
-        telescope(d, 3, 1)
+        telescope(d, 3)
     assert exc.value.witness == verdict.witness
 
 
@@ -241,20 +245,20 @@ def test_telescope_jumps_over_stages_below_the_smallest_summand():
     assert verdict.certificate == tuple((m, (2,) * (m - 1)) for m in range(1, 9))
 
 
-def test_telescope_is_inconclusive_once_the_cut_passes_the_budget():
-    assert telescope(LINEAR, 64, budget=64) == ((((64,),), (), LINEAR.tail), 64)
-    assert telescope(LINEAR, 65, budget=64) is None
-    start = time.perf_counter()
-    assert telescope(LINEAR, 100000) is None
-    assert time.perf_counter() - start < 1
+def test_telescope_finds_the_cut_past_any_level_budget():
+    # the cut for target m is level m, past the default budget of 64 from m = 65 on
+    for m in (64, 65, 100000, 10**30):
+        start = time.perf_counter()
+        assert telescope(LINEAR, m) == ((((m,),), (), LINEAR.tail), m)
+        assert time.perf_counter() - start < 1
 
 
 def test_telescope_of_a_tail_less_diagram_does_not_depend_on_the_budget():
+    # telescope reads no budget; without a tail the cut lies in the prefix, and no level is stepped
     d = BratteliDiagram(
         prefix_levels=((1,), (2,), (3,)), prefix_matrices=(IntMatrix.identity(1), IntMatrix.identity(1))
     )
-    for budget in (1, 64):
-        assert telescope(d, 3, budget=budget).diagram.prefix_levels == ((3,),)
+    assert telescope(d, 3) == ((((3,),), (), None), 3)
 
 
 # summand 1 stays at size 2 forever; summand 2 starts at 1 and grows
@@ -276,9 +280,9 @@ def _count_tail_steps(monkeypatch):
     return steps
 
 
-def _answer(d, m, budget):
+def _answer(d, m):
     try:
-        return telescope(d, m, budget)
+        return telescope(d, m)
     except InfiniteChainError as exc:
         return exc.witness
 
@@ -287,27 +291,10 @@ def test_a_persistent_small_summand_raises_before_any_tail_step(monkeypatch):
     assert PINNED_AT_TWO.validation.ok  # validation steps the tail once; count after it is cached
     steps = _count_tail_steps(monkeypatch)
     with pytest.raises(InfiniteChainError) as exc:
-        telescope(PINNED_AT_TWO, 10**6, budget=100000)
+        telescope(PINNED_AT_TWO, 10**6)
     assert steps == []
     assert exc.value.witness.k == 2
     assert oracle_replay_chain(PINNED_AT_TWO, exc.value.witness) == []
-
-
-def test_telescope_never_unrolls_past_the_budget(monkeypatch):
-    rng = random.Random(407)
-    draws = [LINEAR, PINNED_AT_TWO, two_column(), constant_column()]
-    draws += [family(rng) for family in FAMILIES for _ in range(30)]
-    # validation steps the tail once; its report is cached on the diagram before counting
-    draws = [d for d in draws if d.validation.ok and d.injective]
-    steps = _count_tail_steps(monkeypatch)
-    for d in draws:
-        for budget in (1, 2, 3, 4, 8, 16):
-            # one walk: the chain search steps no tail
-            allowed = max(budget - d.prefix_len, 0)
-            for m in (2, 3, 5, 9):
-                steps.clear()
-                _answer(d, m, budget)
-                assert len(steps) <= allowed, (d, m, budget)
 
 
 def slow_cycle(n):
@@ -316,8 +303,60 @@ def slow_cycle(n):
     return BratteliDiagram(((1,) * n,), (), AffineTail(IntMatrix.from_rows(rows), (1,) + (0,) * (n - 1)))
 
 
+def _count_searches(monkeypatch):
+    """(m, steps, squarings) for each `_reach` call: a squaring is one product and one tail step."""
+    searches, steps, products = [], [], []
+    step, multiply, reach = diagram.tail_step, linalg.multiply, kstability._reach
+
+    def counted_reach(d, m, *args):
+        before = len(steps), len(products)
+        out = reach(d, m, *args)
+        squarings = len(products) - before[1]
+        searches.append((m, len(steps) - before[0] - squarings, squarings))
+        return out
+
+    monkeypatch.setattr(diagram, "tail_step", lambda tail, q: steps.append(q) or step(tail, q))
+    monkeypatch.setattr(linalg, "multiply", lambda a, b: products.append(a) or multiply(a, b))
+    monkeypatch.setattr(kstability, "_reach", counted_reach)
+    return searches
+
+
+def _assert_searches_double(searches, n):
+    # each target's search doubles its way to the cut: at most 2.ceil(log2(n.m)) + 2 steps that
+    # move a level, and ceil(log2(n.m)) squarings
+    for m, steps, squarings in searches:
+        bound = math.ceil(math.log2(n * m))
+        assert steps <= 2 * bound + 2 and squarings <= bound, (m, steps, squarings)
+
+
+def test_telescope_never_unrolls_past_the_budget(monkeypatch):
+    # telescope takes no budget, and however many levels past one the cut lies, it steps the
+    # tail only in its doubling searches; an infinite chain answers before any search
+    rng = random.Random(407)
+    draws = [LINEAR, PINNED_AT_TWO, two_column(), constant_column()]
+    draws += [family(rng) for family in FAMILIES for _ in range(30)]
+    draws = [d for d in draws if d.validation.ok and d.injective]
+    slow = [slow_cycle(n) for n in range(1, 9)]
+    searches = _count_searches(monkeypatch)
+    telescoped = 0
+    for d in draws + slow:
+        n, is_slow = len(d.prefix_levels[-1]), any(d is s for s in slow)
+        for m in (2, 3, 5, 9) + (10**3, 10**30) * is_slow:
+            searches.clear()
+            if isinstance(_answer(d, m), KChainWitness):
+                assert searches == [], (d, m)
+                continue
+            assert searches, (d, m)
+            _assert_searches_double(searches, n)
+            telescoped += 1
+        if is_slow:
+            assert telescope(d, 10**30).levels == d.prefix_len + n * (10**30 - 1), d
+    assert telescoped >= 200, telescoped
+
+
 def test_classify_never_unrolls_past_prefix_plus_n_levels_per_target(monkeypatch):
-    # the bound prefix + n.(M_MAX - 1) of the module docstring, met exactly by the slow n-cycle
+    # the bound prefix + n.(m - 1) of the module docstring, met exactly by the slow n-cycle; each
+    # target's search doubles its way there, as telescope's do
     rng = random.Random(411)
     draws = [LINEAR, PINNED_AT_TWO, two_column(), constant_column(), fibonacci()]
     draws += [family(rng) for family in (*FAMILIES, random_permutation_tail_diagram) for _ in range(30)]
@@ -326,36 +365,75 @@ def test_classify_never_unrolls_past_prefix_plus_n_levels_per_target(monkeypatch
     slow = [slow_cycle(n) for n in range(1, 9)]
     for d in slow:
         assert d.validation.ok
-    steps = _count_tail_steps(monkeypatch)
+    searches = _count_searches(monkeypatch)
     stable = 0
     for d in draws + slow:
-        steps.clear()
+        n, is_slow = len(d.prefix_levels[-1]), any(d is s for s in slow)
+        searches.clear()
         verdict = classify(d)
-        walked, bound = len(steps), len(d.prefix_levels[-1]) * (M_MAX - 1)
-        assert walked <= bound, d
-        # the levels held: the prefix and the tail steps of the walk
-        assert verdict.levels == d.prefix_len + walked, d
+        _assert_searches_double(searches, n)
         if verdict.status == K_STABLE:
+            assert verdict.levels <= d.prefix_len + n * (M_MAX - 1), d
             assert min(list(materialize(d, verdict.levels)[0])[-1]) >= M_MAX, d
             stable += 1
-        if any(d is s for s in slow):
-            assert walked == bound, d
+        if is_slow:
+            assert verdict.levels == d.prefix_len + n * (M_MAX - 1), d
     assert stable >= 50
     assert classify(LINEAR).certificate[-1] == (8, (2, 3, 4, 5, 6, 7, 8))
 
 
-def test_an_answer_at_a_small_budget_is_the_answer_at_a_large_one():
+def test_telescope_and_classify_cut_where_a_plain_unroll_does():
+    # the oracle unrolls n.999 levels of the slow n-cycle for m = 1000: the narrowest and the widest do
+    rng = random.Random(414)
+    draws = [family(rng) for family in (*FAMILIES, random_permutation_tail_diagram) for _ in range(40)]
+    cases = [(d, (2, 3, 5, 9, 1000)) for d in draws if d.validation.ok and d.injective]
+    cases += [(slow_cycle(n), (2, 3, 5, 9) + (1000,) * (n in (1, 8))) for n in range(1, 9)]
+    compared = certified = 0
+    for d, targets in cases:
+        chain = find_infinite_k_chain(d)
+        for m in targets:
+            if chain is not None and chain.k < m:
+                continue
+            cut, reached, first = oracle_cut(d, m)
+            out = telescope(d, m)
+            assert out.levels == reached, (d, m)
+            if cut > d.prefix_len:
+                assert out.diagram == ((first,), (), d.tail), (d, m)
+            else:
+                assert out.diagram == (d.prefix_levels[cut - 1 :], d.prefix_matrices[cut - 1 :], d.tail), (d, m)
+            compared += 1
+        verdict = classify(d)
+        if verdict.status == K_STABLE:
+            cuts = verdict.certificate[-1][1]
+            assert cuts == tuple(oracle_cut(d, m)[0] for m in range(2, M_MAX + 1)), d
+            assert verdict.levels == oracle_cut(d, M_MAX)[1], d
+            certified += 1
+    assert compared >= 300 and certified >= 80, (compared, certified)
+
+
+def test_an_answer_at_a_small_budget_is_the_answer_at_a_large_one(monkeypatch, capsys):
+    # telescope reads no budget: its report is the same at every --budget and from AFK_BUDGET
     rng = random.Random(408)
+    compared = 0
     for family in FAMILIES:
         for _ in range(40):
             d = family(rng)
             if not (d.validation.ok and d.injective):
                 continue
-            answers = {m: _answer(d, m, 1024) for m in (2, 3, 5, 9)}
-            for budget in (1, 2, 3, 4, 8):
-                for m, answer in answers.items():
-                    got = _answer(d, m, budget)
-                    assert got is None or got == answer, (d, m, budget)
+            text = serialize(from_diagram(d))
+            for m in (2, 9):
+                reports = set()
+                for budget in ("1", "2", "3", "4", "8", "1024", None):
+                    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+                    monkeypatch.setenv("AFK_BUDGET", "1")
+                    argv = ["telescope", "--input", "-", "--min-dim", str(m)] + ["--budget", budget] * (budget is not None)
+                    main(argv)
+                    report = json.loads(capsys.readouterr().out)
+                    del report["flags"]["budget"], report["timing"]["budget_levels"]
+                    reports.add(json.dumps(report, sort_keys=True))
+                assert len(reports) == 1, (d, m)
+                compared += 1
+    assert compared >= 150
 
 
 # --- classification --------------------------------------------------------
@@ -493,13 +571,10 @@ def test_telescope_preserves_fm_profile_random():
         if not d.injective:
             continue
         m_target = rng.choice([2, 3, 4])
-        scoped = telescope(d, m_target, budget=96)
+        out = telescope(d, m_target).diagram
         verdict = classify(d)
         for m, cuts in verdict.certificate[1:]:
             _assert_minimal_cut(d, cuts[-1], m)
-        if scoped is None:
-            continue
-        out = scoped.diagram
         profiles = list(materialize(d, 96)[0])
         cut = profiles.index(out.prefix_levels[0], d.prefix_len - out.prefix_len) + 1
         assert out.tail == d.tail
@@ -523,19 +598,16 @@ def test_permutation_tail_answers_at_budget_one():
     assert (w.k, w.start_level, w.cycle_period, w.cycle_summands) == (1, 1, 3, (1, 2, 3))
     assert oracle_replay_chain(d, w) == []
     with pytest.raises(InfiniteChainError) as exc:
-        telescope(d, 2, 1)
+        telescope(d, 2)
     assert exc.value.witness == w
     assert spent < 1.0
 
 
-def test_a_tail_without_copy_cycles_is_inconclusive_until_its_walk_ends():
-    # Fibonacci sizes: the smallest summand first reaches 8 at level 6; telescope's walk
-    # stops at the budget, and classify's at its own bound, 1 + 2.(M_MAX - 1) = 15
+def test_a_tail_without_copy_cycles_telescopes_with_no_budget():
+    # Fibonacci sizes: the smallest summand first reaches 8 at level 6, which telescope and
+    # classify find alike, without a budget
     d = fibonacci()
-    for budget in range(1, 6):
-        assert telescope(d, 8, budget) is None
-    for budget in (6, 7, 1000):
-        assert telescope(d, 8, budget).levels == 6
+    assert telescope(d, 8) == ((((13, 8),), (), d.tail), 6)
     verdict = classify(d)
     assert verdict.status == K_STABLE and verdict.levels == 6
     assert verdict.certificate[-1] == (8, (3, 4, 5, 5, 6, 6, 6))
@@ -564,7 +636,7 @@ def test_every_copy_cycle_answers_at_budget_one():
         assert w.k == min(last[i] for i in strands), (d, w)
         assert oracle_replay_chain(d, w) == [], (d, w)
         with pytest.raises(InfiniteChainError) as exc:
-            telescope(d, w.k + 1, 1)
+            telescope(d, w.k + 1)
         assert exc.value.witness == w
         chains += 1
         tail_less += d.tail is None
