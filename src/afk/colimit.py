@@ -18,13 +18,16 @@ first unit vector, rank(X) = rank(C·X) = 1 but C²·X = 0.
 `stabilized_at` is the first level whose image already has the limit's
 dimension.  It is found by walking back from the cycle start one map at a
 time and stopping at the first level whose image rank falls below
-dim = rank(P).  Since P·C(k -> t) = P·C(k+1 -> t)·M_k, the rank never grows
-as k falls, so every level below that one falls short too, and the walk
-reads no level it does not need.  A dimension of 0 is reached at level 1.
+dim = rank(P), which `stable_power` returns with P.  Since
+P·C(k -> t) = P·C(k+1 -> t)·M_k, the rank never grows as k falls, so every
+level below that one falls short too, and the walk reads no level it does
+not need.  A dimension of 0 is reached at level 1.  No identity is ever
+built: C starts from the cycle's first map, P = C^0 is None, and the walk's
+first product with a None power is the map itself.
 
 Without a tail the diagram is the finite-dimensional algebra of its last
-level, so the walk starts from the identity there: the dimension is the
-last level's dimension (in degree m, the number of last-level summands with
+level, so the walk starts from P = None there: the dimension is the last
+level's dimension (in degree m, the number of last-level summands with
 m <= 2p - 1).  A tail whose clamped sizes never repeated within the level
 budget gets no number at all: a finite unrolling neither bounds nor
 certifies the limit.
@@ -91,24 +94,21 @@ def colimit_dimension(sys: TruncatedSystem) -> ColimitResult:
     return _colimit(sys, {})
 
 
-def _colimit(sys: TruncatedSystem, powers: dict[IntMatrix, IntMatrix]) -> ColimitResult:
-    """`colimit_dimension`, reading and filling `powers` (cycle composite -> stable power)."""
+def _colimit(sys: TruncatedSystem, powers: dict[IntMatrix, tuple[Optional[IntMatrix], int]]) -> ColimitResult:
+    """`colimit_dimension`, reading and filling `powers` (cycle composite -> stable power and its rank)."""
     if sys.budget_exceeded:
         return ColimitResult(dimension=None, exact=False, stabilized_at=None)
     if sys.cycle_start is None:  # no tail: the last level is the algebra
-        target, image, dim = sys.levels, IntMatrix.identity(sys.dims[-1]), sys.dims[-1]
+        target, image, dim = sys.levels, None, sys.dims[-1]
     else:
         target = sys.cycle_start
-        cycle = IntMatrix.identity(sys.dims[target - 1])
-        for k in range(target - 1, target - 1 + sys.period):
+        cycle = sys.maps[target - 1]
+        for k in range(target, target - 1 + sys.period):
             cycle = _linalg.multiply(sys.maps[k], cycle)
-        image = powers.get(cycle)
-        if image is None:
-            image = powers[cycle] = _linalg.stable_power(cycle)
-        dim = _linalg.rank(image)
+        image, dim = powers.get(cycle) or powers.setdefault(cycle, _linalg.stable_power(cycle))
     level = target if dim else 1
     while level > 1:  # image = P · C(level -> target), of rank dim
-        image = _linalg.multiply(image, sys.maps[level - 2])
+        image = sys.maps[level - 2] if image is None else _linalg.multiply(image, sys.maps[level - 2])
         if _linalg.rank(image) < dim:
             break
         level -= 1

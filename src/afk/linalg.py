@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from itertools import chain
 from operator import mul
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 
 class DimensionMismatch(ValueError):
@@ -60,10 +60,6 @@ class IntMatrix(_IntMatrixFields):
         if len(set(map(len, rows))) > 1:
             raise DimensionMismatch("ragged rows")
         return cls(nrows, ncols, tuple(map(int, chain.from_iterable(rows))))
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -141,14 +137,17 @@ def rank(m: IntMatrix) -> int:
     return piv_row
 
 
-def stable_power(m: IntMatrix) -> IntMatrix:
-    """m^j for the first j >= 0 at which rank(m^j) = rank(m^(j+1)); j <= n."""
+def stable_power(m: IntMatrix) -> tuple[Optional[IntMatrix], int]:
+    """(m^j, rank(m^j)) for the first j >= 0 at which rank(m^j) = rank(m^(j+1)); j <= n.
+
+    m^0 = I_n is returned as None: it is never built, and its rank n needs no
+    elimination.  The first candidate is m itself, and each rank is computed once.
+    """
     if not m.is_square():
         raise NotSquare(f"stable_power needs a square matrix, got {m.shape}")
-    p, r = IntMatrix.identity(m.rows), m.rows
+    p, r, nxt = None, m.rows, m
     while True:
-        nxt = multiply(m, p)
         r_next = rank(nxt)
         if r_next == r:
-            return p
-        p, r = nxt, r_next
+            return p, r
+        p, r, nxt = nxt, r_next, multiply(m, nxt)

@@ -5,6 +5,11 @@ from afk.diagram import DEFAULT_BUDGET, AffineTail, BratteliDiagram
 from afk.linalg import IntMatrix
 
 
+def identity(n: int) -> IntMatrix:
+    """The n x n identity matrix."""
+    return IntMatrix(n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
+
+
 def build_systems(d: BratteliDiagram, degrees, budget: int = DEFAULT_BUDGET) -> list:
     """The truncated system of each degree, as `profile_systems` rows hold it (None for an even one)."""
     return [system for _, system, _ in profile_systems(d, degrees, budget)]
@@ -56,7 +61,7 @@ def stationary_identity(n: int) -> BratteliDiagram:
     return BratteliDiagram(
         prefix_levels=((n,),),
         prefix_matrices=(),
-        tail=AffineTail(matrix=IntMatrix.identity(1), slack=(0,)),
+        tail=AffineTail(matrix=identity(1), slack=(0,)),
     )
 
 

@@ -9,7 +9,7 @@ from afk.colimit import fm_dimension, fm_profile, profile_systems
 from afk.diagram import DEFAULT_BUDGET, AffineTail, BratteliDiagram
 from afk.io import parse, to_diagram
 from afk.linalg import IntMatrix, multiply, rank
-from cases import build_systems, doubling, permutation_tail, single_level, stationary_identity, two_column, worked_example
+from cases import build_systems, doubling, identity, permutation_tail, single_level, stationary_identity, two_column, worked_example
 from generators import (
     random_document,
     random_functional_graph_tail_diagram,
@@ -106,7 +106,7 @@ def test_stabilized_at_is_the_first_level_reaching_the_dimension():
     twin = BratteliDiagram(
         example.prefix_levels,
         example.prefix_matrices,
-        AffineTail(matrix=IntMatrix.identity(4), slack=(0,) * 4),
+        AffineTail(matrix=identity(4), slack=(0,) * 4),
     )
     for d, probed in [(d, d) for d in (two_column(), doubling(), stationary_identity(3))] + [(example, twin)]:
         for m in (1, 3, 5):
@@ -128,7 +128,7 @@ def test_budget_exceeded_reported():
     d = BratteliDiagram(
         prefix_levels=((1,),),
         prefix_matrices=(),
-        tail=AffineTail(matrix=IntMatrix.identity(1), slack=(1,)),
+        tail=AffineTail(matrix=identity(1), slack=(1,)),
     )
     res = fm_dimension(d, 9, budget=3)
     assert not res.exact
@@ -160,7 +160,7 @@ def test_probe_ranks_nonincreasing_in_probe_level():
         previous = None
         for budget in range(4, 10):
             [sys] = build_systems(d, (m,), budget=budget)
-            comp = IntMatrix.identity(sys.dims[0])
+            comp = identity(sys.dims[0])
             for mat in sys.maps:
                 comp = multiply(mat, comp)
             r = rank(comp)
@@ -300,6 +300,52 @@ def test_profile_systems_sweeps_each_cap_class_once(monkeypatch):
         distinct = {id(sys) for _, sys, _ in rows if sys is not None}
         assert len(swept) == len(distinct) < 20  # 20 odd degrees share fewer systems
         assert {id(sys) for sys in swept} == distinct
+
+
+def test_the_colimit_never_multiplies_or_ranks_an_identity(monkeypatch):
+    # per swept class: period - 1 products for the composite, one per stable-power step after
+    # the first, and at most one per walk step.  No operand is an identity the colimit built:
+    # an I_n (n >= 1; I_0 is the empty matrix) is one of the system's own maps.
+    rng = random.Random(2811)
+    cases = [stationary_tail_of_width(rng, w) for w in range(3, 9)] + [permutation_tail((3, 4, 5, 7))]
+    cases += [to_diagram(parse(text)) for text in SAME_SIZE_COMPOSITES] + [worked_example(), single_level(3)]
+    calls, operands, where = Counter(), [], ["walk"]
+    multiply, rank, stable_power, colimit = afk.linalg.multiply, afk.linalg.rank, afk.linalg.stable_power, afk.colimit._colimit
+
+    def counted_multiply(a, b):
+        calls["multiply"] += 1
+        operands.extend((a, b))
+        return multiply(a, b)
+
+    def counted_rank(a):
+        calls[where[-1]] += 1
+        operands.append(a)
+        return rank(a)
+
+    def powered(m):
+        where.append("power")
+        try:
+            return stable_power(m)
+        finally:
+            where.pop()
+
+    def swept(sys, powers):
+        before = calls.copy()
+        operands.clear()
+        res = colimit(sys, powers)
+        spent = calls - before
+        assert spent["multiply"] <= (sys.period or 1) - 1 + max(spent["power"] - 1, 0) + spent["walk"], sys
+        identities = [a for a in operands if a.rows and a == identity(a.rows)]
+        assert all(any(a is m for m in sys.maps) for a in identities), sys
+        return res
+
+    monkeypatch.setattr(afk.linalg, "multiply", counted_multiply)
+    monkeypatch.setattr(afk.linalg, "rank", counted_rank)
+    monkeypatch.setattr(afk.linalg, "stable_power", powered)
+    monkeypatch.setattr(afk.colimit, "_colimit", swept)
+    for d in cases:
+        fm_profile(d, 39)
+    assert calls["multiply"] and calls["power"] and calls["walk"]
 
 
 def test_fm_profile_validates_the_diagram_once(monkeypatch):

@@ -22,7 +22,7 @@ from afk.diagram import (
 from afk.io import export_dot
 from afk.kstability import KChainWitness, classify, telescope
 from afk.linalg import DimensionMismatch, IntMatrix, multiply
-from cases import build_systems, constant_column, single_level, two_column, worked_example
+from cases import build_systems, constant_column, identity, single_level, two_column, worked_example
 from generators import (
     random_growing_tail_diagram,
     random_pinned_tail_diagram,
@@ -35,7 +35,7 @@ from oracles import coordinate_classes
 def compose_multiplicities(d, frm, to, seed=None):
     """seed . (connecting matrices from level `frm` up to `to`)."""
     profiles, matrices = map(list, materialize(d, to))
-    out = IntMatrix.identity(len(profiles[frm - 1]))
+    out = identity(len(profiles[frm - 1]))
     for phi in matrices[frm - 1 :]:
         out = multiply(phi, out)
     return out if seed is None else multiply(seed, out)
@@ -94,7 +94,7 @@ def test_every_entry_point_refuses_an_invalid_diagram(call):
     overflow = BratteliDiagram(
         prefix_levels=((2,), (1,)),
         prefix_matrices=(IntMatrix.from_rows([[1]]),),
-        tail=AffineTail(matrix=IntMatrix.identity(1), slack=(0,)),
+        tail=AffineTail(matrix=identity(1), slack=(0,)),
     )
     zero_row = BratteliDiagram(
         prefix_levels=((1, 1),),
@@ -120,19 +120,19 @@ def test_construction_rejects_bad_shapes():
     with pytest.raises(ShapeMismatch):
         AffineTail(matrix=IntMatrix.from_rows([[1, 0]]), slack=(0,))
     with pytest.raises(ShapeMismatch):
-        AffineTail(matrix=IntMatrix.identity(2), slack=(0,))
+        AffineTail(matrix=identity(2), slack=(0,))
 
 
 @pytest.mark.parametrize("build, error", [
     (lambda: IntMatrix(2, 2, (1, 2, 3)), DimensionMismatch),
     (lambda: IntMatrix(-1, 0, ()), DimensionMismatch),
     (lambda: IntMatrix.from_rows([[1, 2], [3]]), DimensionMismatch),
-    (lambda: AffineTail(IntMatrix.identity(1), (-1,)), ShapeMismatch),
+    (lambda: AffineTail(identity(1), (-1,)), ShapeMismatch),
     (lambda: AffineTail(IntMatrix.from_rows([[-1]]), (0,)), ShapeMismatch),
     (lambda: BratteliDiagram((), ()), EmptyLevel),
     (lambda: BratteliDiagram(((1,), (2,)), ()), ShapeMismatch),
     (lambda: BratteliDiagram(((1,), (2,)), (IntMatrix.from_rows([[-1]]),)), ShapeMismatch),
-    (lambda: BratteliDiagram(((1,),), (), AffineTail(IntMatrix.identity(2), (0, 0))), ShapeMismatch),
+    (lambda: BratteliDiagram(((1,),), (), AffineTail(identity(2), (0, 0))), ShapeMismatch),
 ])
 def test_records_with_invariants_reject_bad_shapes(build, error):
     with pytest.raises(error):
@@ -258,7 +258,7 @@ def test_unroll_to_repeat_matches_a_scan_over_materialize():
 
 def test_compose_identity_at_same_level():
     d = worked_example()
-    assert compose_multiplicities(d, 2, 2) == IntMatrix.identity(4)
+    assert compose_multiplicities(d, 2, 2) == identity(4)
 
 
 def test_compose_two_column_square():

@@ -22,7 +22,7 @@ from afk.kstability import (
     telescope,
 )
 from afk.linalg import IntMatrix
-from cases import constant_column, fibonacci, permutation_tail, single_level, two_column, worked_example
+from cases import constant_column, fibonacci, identity, permutation_tail, single_level, two_column, worked_example
 from generators import (
     random_document,
     random_growing_tail_diagram,
@@ -110,10 +110,10 @@ def test_a_tail_less_chain_is_the_chain_of_its_identity_tail():
         levels, matrices = random_prefix(rng)
         d = BratteliDiagram(tuple(levels), tuple(matrices))
         n = len(d.prefix_levels[-1])
-        identity = BratteliDiagram(d.prefix_levels, d.prefix_matrices, AffineTail(IntMatrix.identity(n), (0,) * n))
+        identity_tailed = BratteliDiagram(d.prefix_levels, d.prefix_matrices, AffineTail(identity(n), (0,) * n))
         w = find_infinite_k_chain(d)
         assert w.kind == "identity-completion", d
-        assert w == find_infinite_k_chain(identity)._replace(kind="identity-completion"), d
+        assert w == find_infinite_k_chain(identity_tailed)._replace(kind="identity-completion"), d
 
 
 def test_find_chain_swap_tail():
@@ -256,7 +256,7 @@ def test_telescope_finds_the_cut_past_any_level_budget():
 def test_telescope_of_a_tail_less_diagram_does_not_depend_on_the_budget():
     # telescope reads no budget; without a tail the cut lies in the prefix, and no level is stepped
     d = BratteliDiagram(
-        prefix_levels=((1,), (2,), (3,)), prefix_matrices=(IntMatrix.identity(1), IntMatrix.identity(1))
+        prefix_levels=((1,), (2,), (3,)), prefix_matrices=(identity(1), identity(1))
     )
     assert telescope(d, 3) == ((((3,),), (), None), 3)
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from afk.linalg import DimensionMismatch, IntMatrix, NotSquare, multiply, rank, stable_power
+from cases import identity
 from oracles import naive_rank
 
 
@@ -23,7 +24,7 @@ def within(a, b):
 
 
 def eventual_rank(m):
-    return rank(stable_power(m))
+    return stable_power(m)[1]
 
 
 def test_rank_invertible_triangular():
@@ -50,8 +51,8 @@ def test_rank_degenerate_shapes():
 
 def test_multiply_identity():
     phi = M([[1, 0, 0], [1, 1, 0], [2, 0, 1], [0, 1, 2]])
-    assert multiply(IntMatrix.identity(4), phi) == phi
-    assert multiply(phi, IntMatrix.identity(3)) == phi
+    assert multiply(identity(4), phi) == phi
+    assert multiply(phi, identity(3)) == phi
 
 
 def test_multiply_hand_example():
@@ -70,7 +71,7 @@ def test_eventual_rank_nilpotent():
 
 def test_eventual_rank_invertible():
     assert eventual_rank(M([[1, 0], [1, 1]])) == 2
-    assert stable_power(M([[1, 0], [1, 1]])) == IntMatrix.identity(2)
+    assert stable_power(M([[1, 0], [1, 1]])) == (None, 2)  # m^0 = I_2, never built
 
 
 def test_eventual_rank_idempotent_like():
@@ -89,23 +90,30 @@ def test_eventual_rank_empty():
 
 def test_eventual_rank_equals_rank_of_nth_power():
     # the colimit needs more than rank(P) = rank(m^n): P.x must also have
-    # the rank of m^n.x for every x
+    # the rank of m^n.x for every x.  A power of None is m^0 = I_n.
     rng = random.Random(7)
     for _ in range(200):
         n = rng.randint(1, 6)
         m = M([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
-        nth = IntMatrix.identity(n)
-        for _ in range(n):
-            nth = multiply(m, nth)
+        powers = [identity(n)]
+        for _ in range(n + 1):
+            powers.append(multiply(m, powers[-1]))
+        power, r = stable_power(m)
+        plain = identity(n) if power is None else power
+        j = powers.index(plain)  # P = m^j
+        assert j <= n and (power is None) == (j == 0)
+        assert j == min(i for i in range(n + 1) if rank(powers[i]) == rank(powers[i + 1]))
+        if power is not None:
+            assert r == rank(power)
         width = rng.randint(1, 3)
         x = M([[rng.randint(-2, 2) for _ in range(width)] for _ in range(n)])
-        assert eventual_rank(m) == rank(nth)
-        assert rank(multiply(stable_power(m), x)) == rank(multiply(nth, x))
+        assert r == rank(powers[n])
+        assert rank(multiply(plain, x)) == rank(multiply(powers[n], x))
 
 
 def test_image_through_identity_and_zero():
     s = columns([[1, 0], [0, 1]])
-    assert multiply(IntMatrix.identity(2), s) == s
+    assert multiply(identity(2), s) == s
     assert rank(multiply(IntMatrix(3, 2, (0,) * 6), s)) == 0
 
 

@@ -6,7 +6,7 @@ from afk.colimit import profile_systems
 from afk.diagram import AffineTail, BratteliDiagram, materialize
 from afk.linalg import IntMatrix, multiply
 from afk.truncation import TruncatedSystem, d
-from cases import build_systems, doubling, permutation_tail, stationary_identity, two_column, worked_example
+from cases import build_systems, doubling, identity, permutation_tail, stationary_identity, two_column, worked_example
 from generators import (
     random_growing_tail_diagram,
     random_pinned_tail_diagram,
@@ -137,7 +137,7 @@ def test_build_system_budget_exceeded_flag():
     dg = BratteliDiagram(
         prefix_levels=((1,),),
         prefix_matrices=(),
-        tail=AffineTail(matrix=IntMatrix.identity(1), slack=(1,)),
+        tail=AffineTail(matrix=identity(1), slack=(1,)),
     )
     [sys] = build_systems(dg, (9,), budget=3)
     assert sys.budget_exceeded
