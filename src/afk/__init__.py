@@ -21,7 +21,6 @@ _EXPORTS = {
     "DiagramError": "diagram",
     "DimensionMismatch": "linalg",
     "EmptyLevel": "diagram",
-    "InfiniteChainError": "kstability",
     "InjectivityRequired": "diagram",
     "IntMatrix": "linalg",
     "KChainWitness": "kstability",
@@ -31,7 +30,6 @@ _EXPORTS = {
     "ParseError": "io",
     "ShapeMismatch": "diagram",
     "SizeOverflowAtEdge": "diagram",
-    "Telescoped": "kstability",
     "TruncatedSystem": "truncation",
     "ValidationReport": "diagram",
     "classify": "kstability",

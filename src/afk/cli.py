@@ -8,10 +8,12 @@ can branch on it).  A usage error (an unknown command, a missing or
 malformed flag) also exits 1.  Exit 3 marks an internal invariant violation.
 
 Reports are deterministic: identical input and flags produce byte-identical
-output, so the timing block counts levels instead of wall-clock time: for
-`kstable` and `telescope`, the first level from the last prefix level on with
-no summand below 8 or `--min-dim` (no tail level before it is built), or the
-prefix when a copy cycle answers.
+output, so the timing block counts levels instead of wall-clock time: the
+levels the call builds one after another.  That is the prefix for
+`validate`, `kstable` and `telescope`, whose searches jump through powers of
+the tail; for `fm`, `fm-profile` and `k0q`, the levels their unroll held, to
+the first repeat or the horizon when inconclusive (none for an even `fm`
+degree); the horizon for `export-dot`; and 0 for a refused input.
 
 `COMMANDS` is the one command table: each name maps to its run function, its
 help text and its own flags, and the flag reader, the parser and the
@@ -362,7 +364,11 @@ def _fm(args, diagram, budget):
 def _fm_profile(args, diagram, budget):
     from .colimit import profile_systems
 
-    rows = profile_systems(diagram, range(1, args.max_m + 1), budget)
+    try:
+        degrees = tuple(range(1, args.max_m + 1))
+    except (OverflowError, MemoryError):  # past a tuple's length or past memory: the engine never runs
+        raise ParseError("--max-m", "too many degrees to list; ask for a smaller --max-m") from None
+    rows = profile_systems(diagram, degrees, budget)
     profile = [
         {
             "m": m,
@@ -394,24 +400,21 @@ def _kstable(args, diagram, budget):
         result["witness"] = _witness_payload(verdict.witness)
     if verdict.certificate is not None:
         result["certificate"] = [{"m": m, "cuts": list(cuts)} for m, cuts in verdict.certificate]
-    return "ok", result, verdict.levels
+    return "ok", result, diagram.prefix_len
 
 
 def _telescope(args, diagram, budget):
-    from .kstability import InfiniteChainError, telescope
+    from .kstability import KChainWitness, telescope
 
-    what = "has a summand size"  # the first level comes from the input or is checked by telescope
     try:
         out = telescope(diagram, args.min_dim)
-        what = "is at a level number"
-        str(out.levels)
-    except InfiniteChainError as exc:
-        return "ok", {"outcome": "infinite-chain", "witness": _witness_payload(exc.witness)}, diagram.prefix_len
     except InjectivityRequired:
         raise
     except ValueError:  # past the int-to-str digit limit, met before the first level kept is built
-        raise ParseError("--min-dim", f"the telescoped first level {what} too long to print; ask for a smaller --min-dim") from None
-    return "ok", {"outcome": "telescoped", "min_dim": args.min_dim, "diagram": from_diagram(out.diagram)}, out.levels
+        raise ParseError("--min-dim", "the telescoped first level has a summand size too long to print; ask for a smaller --min-dim") from None
+    if isinstance(out, KChainWitness):
+        return "ok", {"outcome": "infinite-chain", "witness": _witness_payload(out)}, diagram.prefix_len
+    return "ok", {"outcome": "telescoped", "min_dim": args.min_dim, "diagram": from_diagram(out)}, diagram.prefix_len
 
 
 def _export_dot(args, diagram, budget):

@@ -62,14 +62,6 @@ from . import linalg as _linalg
 from .diagram import AffineTail, BratteliDiagram, InjectivityRequired
 
 
-class InfiniteChainError(Exception):
-    """Telescoping hit an infinite chain; the witness rides along."""
-
-    def __init__(self, witness: "KChainWitness"):
-        super().__init__(f"infinite {witness.k}-chain starting at level {witness.start_level}")
-        self.witness = witness
-
-
 NOT_K_STABLE = "not-k-stable"
 K_STABLE = "k-stable"
 
@@ -97,7 +89,6 @@ class KChainWitness(NamedTuple):
 
 class KStabilityVerdict(NamedTuple):
     status: str
-    levels: int  # the first level from the last prefix level on with no summand < M_MAX, or the prefix
     witness: Optional[KChainWitness] = None
     certificate: Optional[tuple[tuple[int, tuple[int, ...]], ...]] = None
 
@@ -188,39 +179,33 @@ def _reach(d: BratteliDiagram, m: int, squares: list, level: int, q: tuple[int, 
     return next((lvl + 1 for lvl in range(level, 0, -1) if min(d.prefix_levels[lvl - 1]) < m), 1), level, q
 
 
-class Telescoped(NamedTuple):
-    """A telescoped presentation, and the first level from the last prefix level on with no summand < m."""
-
-    diagram: BratteliDiagram
-    levels: int
-
-
-def telescope(d: BratteliDiagram, m: int) -> Telescoped:
+def telescope(d: BratteliDiagram, m: int) -> BratteliDiagram | KChainWitness:
     """Telescope to an equal-colimit presentation with min summand size >= m.
 
-    Raises InfiniteChainError (with its witness) when a copy cycle carries a
-    size < m, which then persists, and InjectivityRequired when some
-    connecting map has a zero column.  Otherwise every summand reaches m,
-    and one cut (dropping levels never changes the limit) before the first
-    level kept does what raising the minimum past 1, 2, ..., m-1 in turn
-    would.  The searches for 2, 5, 26, ..., t.t + 1, ..., m each start where
-    the last stopped, and str() of the largest summand reached stops them
-    with ValueError past the int-to-str digit limit: in an injective tail it
-    never drops, so the first level kept could not print either.
+    Returns the chain's witness when a copy cycle carries a size < m, which
+    then persists, and raises InjectivityRequired when some connecting map
+    has a zero column.  Otherwise every summand reaches m, and one cut
+    (dropping levels never changes the limit) before the first level kept,
+    or d itself when that is level 1, does what raising the minimum past 1,
+    2, ..., m-1 in turn would.  The searches for 2, 5, 26, ..., t.t + 1,
+    ..., m each start where the last stopped, and str() of the largest
+    summand reached stops them with ValueError past the int-to-str digit
+    limit: in an injective tail it never drops, so the first level kept
+    could not print either.
     """
     _diagram.ensure_valid(d)
     if not d.injective:
         raise InjectivityRequired("telescoping assumes injective connecting maps")
     chain = find_infinite_k_chain(d)
     if chain is not None and chain.k < m:
-        raise InfiniteChainError(chain)
+        return chain
     cut, level, q, squares, target = 1, d.prefix_len, d.prefix_levels[-1], [d.tail], 1
     while target < m:
         target = min(m, target * target + 1)
         cut, level, q = _reach(d, target, squares, level, q)
         str(max(q))  # the digit limit: see above
     kept = ((q,), ()) if cut > d.prefix_len else (d.prefix_levels[cut - 1 :], d.prefix_matrices[cut - 1 :])
-    return Telescoped(d if cut == 1 else BratteliDiagram(*kept, d.tail), level)
+    return d if cut == 1 else BratteliDiagram(*kept, d.tail)
 
 
 def classify(d: BratteliDiagram) -> KStabilityVerdict:
@@ -237,9 +222,9 @@ def classify(d: BratteliDiagram) -> KStabilityVerdict:
         raise InjectivityRequired("classification requires injective connecting maps")
     chain = find_infinite_k_chain(d)
     if chain is not None:
-        return KStabilityVerdict(NOT_K_STABLE, d.prefix_len, witness=chain)
+        return KStabilityVerdict(NOT_K_STABLE, witness=chain)
     squares, level, q, certificate = [d.tail], d.prefix_len, d.prefix_levels[-1], [(1, ())]
     for m in range(2, M_MAX + 1):  # the cuts for m are those for m - 1 and m's own
         cut, level, q = _reach(d, m, squares, level, q)
         certificate.append((m, (*certificate[-1][1], cut)))
-    return KStabilityVerdict(K_STABLE, level, certificate=tuple(certificate))
+    return KStabilityVerdict(K_STABLE, certificate=tuple(certificate))

@@ -128,7 +128,7 @@ def test_criterion_6_oracle_equivalence():
 def test_criterion_7_k_stable_cross_check():
     with criterion(7, "K-stable corpus: odd-degree dimensions equal the rational K0 rank", 30.0):
         rng = random.Random(170915)
-        corpus = [two_column(), doubling(), telescope(two_column(), 3).diagram]
+        corpus = [two_column(), doubling(), telescope(two_column(), 3)]
         for _ in range(80):
             d = random_growing_tail_diagram(rng)
             if d.injective:
@@ -176,7 +176,7 @@ def test_criterion_8b_telescope_preserves_profile():
             if not d.injective:
                 continue
             target = rng.choice([2, 3, 4])
-            scoped = telescope(d, target).diagram
+            scoped = telescope(d, target)
             before = [r.dimension for _, r in fm_profile(d, 7, budget=96)]
             after = [r.dimension for _, r in fm_profile(scoped, 7, budget=96)]
             assert before == after

@@ -146,7 +146,7 @@ def test_records_are_immutable_tuples():
         (d.tail.matrix, "rows"), (d.tail, "slack"), (d, "tail"), (d.validation, "ok"),
         (ValidationProblem("k", None, 1, "m"), "kind"), (verdict, "status"),
         (KChainWitness(1, 1, (), 1, (1,)), "k"), (fm_profile(d, 1)[0][1], "dimension"),
-        (build_systems(d, (3,))[0], "dims"), (telescope(d, 2), "levels"),
+        (build_systems(d, (3,))[0], "dims"), (telescope(d, 2), "prefix_levels"),
     ]
     for record, name in records:
         with pytest.raises(AttributeError):

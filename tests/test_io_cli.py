@@ -368,32 +368,77 @@ def test_cli_fm_profile(tmp_path, capsys):
     assert dims == [(1, 2), (2, 0), (3, 2), (4, 0), (5, 2), (6, 0)]
 
 
-def test_cli_levels_materialized_counts_the_levels_held(tmp_path, capsys):
-    def levels(doc, *argv):
-        return json.loads(run_cli(tmp_path, capsys, doc, *argv)[1])["timing"]["levels_materialized"]
+def _held(d, m, budget):
+    """Levels a plain unroll holds for degree m: to the first repeat of the sizes clamped at (m + 1) / 2
+    from the last prefix level on, else the horizon; none for an even degree."""
+    if m % 2 == 0:
+        return 0
+    horizon, h, q, seen = d.horizon(budget), (m + 1) // 2, d.prefix_levels[-1], set()
+    for level in range(d.prefix_len, horizon + 1):  # without a tail, the horizon is the prefix
+        if (key := tuple(min(x, h) for x in q)) in seen:
+            return level
+        seen.add(key)
+        if level < horizon:
+            q = tuple(sum(a * x for a, x in zip(row, q)) + s for row, s in zip(d.tail.matrix.to_rows(), d.tail.slack))
+    return horizon
 
-    fm = [levels(TWO_COLUMN_JSON, "fm", "--m", str(m)) for m in (1, 3, 5)]
-    assert levels(TWO_COLUMN_JSON, "k0q") == fm[0]
-    assert levels(TWO_COLUMN_JSON, "fm-profile", "--max-m", "6") == max(fm)
-    assert levels(WORKED_JSON, "k0q") == levels(WORKED_JSON, "fm-profile", "--max-m", "9") == 2
-    # sizes 1, 2, 3, ...: degree 9 clamps at 5, so its sizes repeat at level 6
-    counting = '{"levels":[[1]],"matrices":[],"tail":{"matrix":[[1]],"slack":[1]}}'
-    assert levels(counting, "k0q") == 2
-    assert levels(counting, "fm-profile", "--max-m", "9") == 6
-    assert levels(counting, "fm-profile", "--max-m", "9", "--budget", "4") == 4
-    # kstable and telescope: the first level from the last prefix level on with no summand below
-    # the target (8 for kstable), or the prefix when a copy cycle answers; no budget is read
+
+# The counter rule: `timing.levels_materialized` is the levels a call builds one after another, by
+# command, from (diagram, argv, budget).  kstable and telescope build the prefix alone, as their
+# searches jump through powers of the tail.  A refused input reports 0.
+COUNTER_RULE = {
+    "validate": lambda d, argv, budget: d.prefix_len,
+    "kstable": lambda d, argv, budget: d.prefix_len,
+    "telescope": lambda d, argv, budget: d.prefix_len,
+    "fm": lambda d, argv, budget: _held(d, int(argv[2]), budget),
+    "fm-profile": lambda d, argv, budget: _held(d, int(argv[2]) - (int(argv[2]) % 2 == 0), budget),  # its top odd degree
+    "k0q": lambda d, argv, budget: _held(d, 1, budget),
+    "export-dot": lambda d, argv, budget: d.horizon(budget),
+}
+
+
+def _expected_levels(text, argv, budget, report):
+    if report["status"] == "invalid" and argv[0] != "validate":  # validate reports on what others refuse
+        return 0
+    return COUNTER_RULE[argv[0]](to_diagram(parse(text)), argv, budget)
+
+
+def test_cli_levels_materialized_counts_the_levels_held(tmp_path, capsys):
+    counting = '{"levels":[[1]],"matrices":[],"tail":{"matrix":[[1]],"slack":[1]}}'  # sizes 1, 2, 3, ...
     doubling = '{"levels":[[1]],"matrices":[],"tail":{"matrix":[[2]],"slack":[0]}}'
-    assert levels(doubling, "kstable", "--budget", "8000") == 4  # sizes 1, 2, 4, 8
-    assert levels(counting, "kstable") == levels(counting, "kstable", "--budget", "3") == 8  # no budget: 1 + 7
-    assert levels(FIBONACCI_JSON, "kstable", "--budget", "1") == 6  # the first level with no summand < 8
-    assert levels(counting, "telescope", "--min-dim", "5", "--budget", "8000") == 5
-    assert levels(counting, "telescope", "--min-dim", "9", "--budget", "4") == 9
-    assert levels(TWO_COLUMN_JSON, "telescope", "--min-dim", "2") == 3
     pinned = '{"levels":[[1,1],[1,2]],"matrices":[[[1,0],[1,1]]],"tail":{"matrix":[[1,0],[1,1]],"slack":[0,1]}}'
-    assert levels(pinned, "kstable", "--budget", "8000") == 2
-    assert levels(pinned, "telescope", "--min-dim", "2", "--budget", "8000") == 2
-    assert levels(WORKED_JSON, "kstable") == levels(WORKED_JSON, "telescope", "--min-dim", "2") == 2
+    cases = (  # (document, argv, the counter, worked out by hand)
+        (TWO_COLUMN_JSON, ("validate",), 3),
+        (WORKED_JSON, ("validate",), 2),
+        # the unroll's first repeat: the two-column sizes clamped at 1, 2 or 3 repeat at level 4
+        (TWO_COLUMN_JSON, ("k0q",), 4),
+        (TWO_COLUMN_JSON, ("fm", "--m", "5"), 4),
+        (TWO_COLUMN_JSON, ("fm-profile", "--max-m", "6"), 4),
+        (TWO_COLUMN_JSON, ("fm", "--m", "2"), 0),  # an even degree holds no system
+        (WORKED_JSON, ("k0q",), 2),
+        (WORKED_JSON, ("fm-profile", "--max-m", "9"), 2),
+        (counting, ("k0q",), 2),
+        (counting, ("fm-profile", "--max-m", "9"), 6),  # degree 9 clamps at 5, so its sizes repeat at level 6
+        (counting, ("fm-profile", "--max-m", "9", "--budget", "4"), 4),  # inconclusive: the horizon
+        # the prefix, wherever the search's cut lies and whatever the budget
+        (doubling, ("kstable", "--budget", "8000"), 1),
+        (counting, ("kstable", "--budget", "3"), 1),  # its cut for m = 8 is level 8
+        (FIBONACCI_JSON, ("kstable", "--budget", "1"), 1),
+        (counting, ("telescope", "--min-dim", "9", "--budget", "4"), 1),
+        (TWO_COLUMN_JSON, ("telescope", "--min-dim", "2"), 3),
+        (pinned, ("kstable", "--budget", "8000"), 2),  # a copy cycle answers
+        (pinned, ("telescope", "--min-dim", "2", "--budget", "8000"), 2),
+        (WORKED_JSON, ("kstable",), 2),
+        (WORKED_JSON, ("telescope", "--min-dim", "2"), 2),
+        (TWO_COLUMN_JSON, ("export-dot", "--budget", "7"), 7),
+        (WORKED_JSON, ("export-dot",), 2),
+        (OVERFLOW_JSON, ("fm", "--m", "3"), 0),
+        (NON_INJECTIVE_JSON, ("telescope", "--min-dim", "2"), 0),
+    )
+    for text, argv, levels in cases:
+        report = json.loads(run_cli(tmp_path, capsys, text, *argv)[1])
+        budget = report["timing"]["budget_levels"]
+        assert report["timing"]["levels_materialized"] == levels == _expected_levels(text, argv, budget, report), argv
 
 
 def test_cli_export_dot_counts_the_levels_drawn(tmp_path, capsys):
@@ -413,12 +458,11 @@ COUNTER_ARGV = (
 
 
 def test_cli_levels_materialized_never_passes_the_horizon(tmp_path, capsys):
-    # the horizon: the prefix, continued by a tail to the budget; an inconclusive report held all of it.
-    # kstable and telescope read no budget: their counter is at most the prefix and m - 1 levels per
-    # tail coordinate, for m = 8 and m = 3
+    # the horizon: the prefix, continued by a tail to the budget; every counter follows the rule and
+    # stays within it, and an inconclusive report held all of it
     rng = random.Random(2020)
     docs = [TWO_COLUMN_JSON, WORKED_JSON] + [serialize(random_document(rng)) for _ in range(16)]
-    inconclusive_below_prefix = tailless = 0
+    inconclusive_below_prefix = tailless = refused = 0
     for text in docs:
         d = to_diagram(parse(text))
         for budget in range(1, d.prefix_len + 3):
@@ -426,17 +470,14 @@ def test_cli_levels_materialized_never_passes_the_horizon(tmp_path, capsys):
             for argv in COUNTER_ARGV:
                 report = json.loads(run_cli(tmp_path, capsys, text, *argv, "--budget", str(budget))[1])
                 levels = report["timing"]["levels_materialized"]
-                if argv[0] in ("kstable", "telescope"):
-                    steps = 7 if argv[0] == "kstable" else 2
-                    assert report["status"] != "inconclusive", (text, argv, budget)
-                    assert levels <= d.prefix_len + (d.tail is not None) * len(d.prefix_levels[-1]) * steps, (text, budget)
-                    continue
-                assert levels <= horizon, (text, argv, budget)
+                assert levels == _expected_levels(text, argv, budget, report) <= horizon, (text, argv, budget)
                 if report["status"] == "inconclusive":
+                    assert argv[0] not in ("kstable", "telescope"), (text, argv, budget)
                     assert levels == horizon, (text, argv, budget)
                     inconclusive_below_prefix += budget < d.prefix_len
                 tailless += d.tail is None
-    assert inconclusive_below_prefix >= 10 and tailless >= 100
+                refused += levels == 0
+    assert inconclusive_below_prefix >= 10 and tailless >= 100 and refused >= 10, (inconclusive_below_prefix, tailless, refused)
     # the 3-level two-column prefix: degree 3 finds no repeat at budget 1, having held all 3 levels
     report = json.loads(run_cli(tmp_path, capsys, TWO_COLUMN_JSON, "fm", "--m", "3", "--budget", "1")[1])
     assert report["status"] == "inconclusive"
@@ -513,7 +554,7 @@ def test_cli_kstable_and_telescope_answer_alike_at_every_budget(tmp_path, capsys
             assert len(outs) == 1, (doc, fmt)
         report = _without_budget(run_cli(tmp_path, capsys, doc, "kstable")[1])
         assert report["result"]["verdict"] == "k-stable"
-        assert report["timing"]["levels_materialized"] == (6 if doc == FIBONACCI_JSON else bound)
+        assert report["timing"]["levels_materialized"] == 1  # the prefix: the search jumps to its cuts
 
 
 def test_cli_export_dot_text_is_raw(tmp_path, capsys):
@@ -896,14 +937,15 @@ def test_cli_telescope_to_a_huge_min_dim_is_bounded_and_never_internal(tmp_path,
         assert report["error"]["locus"] == "--min-dim"
 
 
-def test_cli_telescope_past_the_budget_telescopes(tmp_path, capsys):
-    # the cut for 10^5 on the linear tail is level 10^5, past the default budget of 64
+def test_cli_telescope_past_the_budget_telescopes(tmp_path, capsys, monkeypatch):
+    # the cut for 10^5 on the linear tail is level 10^5, past the default budget of 64; the report
+    # counts the one prefix level, the only level built one after another
     start = time.perf_counter()
     code, out = run_cli(tmp_path, capsys, LINEAR_JSON, "telescope", "--min-dim", "100000")
     assert time.perf_counter() - start < 1
     report = json.loads(out)
     assert code == 0 and report["result"]["diagram"]["levels"] == [[100000]]
-    assert report["timing"]["levels_materialized"] == 100000
+    assert report["timing"]["levels_materialized"] == 1
     # the slow 8-cycle reaches 10^30 at level 1 + 8.(10^30 - 1): a few hundred tail steps, not a walk
     spent = []
     for _ in range(3):  # the best of three, so a busy host does not fail it
@@ -913,12 +955,24 @@ def test_cli_telescope_past_the_budget_telescopes(tmp_path, capsys):
         assert code == 0
     assert min(spent) < 0.05, spent
     report = json.loads(out)
-    assert report["timing"]["levels_materialized"] == 1 + 8 * (10**30 - 1)
+    assert report["timing"]["levels_materialized"] == 1
     assert min(report["result"]["diagram"]["levels"][0]) == 10**30
+    from afk import kstability
+
+    reached, reach = [], kstability._reach
+
+    def recorded(*args):
+        out = reach(*args)
+        reached.append(out[1])
+        return out
+
+    monkeypatch.setattr(kstability, "_reach", recorded)
+    run_cli(tmp_path, capsys, SLOW_8_CYCLE_JSON, "telescope", "--min-dim", str(10**30))
+    assert reached[-1] == 1 + 8 * (10**30 - 1)
 
 
 @needs_digit_limit
-def test_cli_telescope_refuses_what_it_cannot_print_before_building_it(tmp_path, capsys, monkeypatch):
+def test_cli_telescope_refuses_what_it_cannot_print_before_building_it(tmp_path, capsys):
     # summand 2 grows by 1 a level and summand 1 doubles: the cut for 10^12 is level 10^12, whose
     # first summand, 2^(10^12 - 1), is never built; the search stops once a size passes the digit limit
     doubling_and_counting = '{"levels":[[1,1]],"matrices":[],"tail":{"matrix":[[2,0],[0,1]],"slack":[0,1]}}'
@@ -930,14 +984,6 @@ def test_cli_telescope_refuses_what_it_cannot_print_before_building_it(tmp_path,
         "message": "the telescoped first level has a summand size too long to print; ask for a smaller --min-dim",
     }
     assert run_cli(tmp_path, capsys, doubling_and_counting, "kstable")[0] == 0
-    # a slow cycle of width n >= 2 puts the cut for a 4300-digit --min-dim past level 10^4300, with
-    # every size printable; the search for it takes seconds, so the engine's answer is stood in for
-    from afk import kstability
-
-    monkeypatch.setattr(kstability, "telescope", lambda d, m: kstability.Telescoped(d, 10**4300))
-    code, out = run_cli(tmp_path, capsys, TWO_COLUMN_JSON, "telescope", "--min-dim", "2")
-    assert code == 1 and json.loads(out)["error"]["locus"] == "--min-dim"
-    assert "level number too long to print" in json.loads(out)["error"]["message"]
 
 
 def test_cli_kstable_certifies_cuts_past_the_budget(tmp_path, capsys):
@@ -947,7 +993,7 @@ def test_cli_kstable_certifies_cuts_past_the_budget(tmp_path, capsys):
     report = json.loads(out)
     assert code == 0
     assert report["result"]["certificate"][-1] == {"m": 8, "cuts": [2, 3, 4, 5, 6, 7, 8]}
-    assert report["timing"] == {"budget_levels": 4, "levels_materialized": 8}
+    assert report["timing"] == {"budget_levels": 4, "levels_materialized": 1}
 
 
 OVERFLOW_JSON = '{"levels":[[2],[1]],"matrices":[[[1]]]}'
@@ -988,6 +1034,43 @@ def test_cli_integer_flags_never_exit_three(tmp_path_factory, command, value, bu
     path.write_text(doc, encoding="utf-8")
     argv = [command[0], "--input", str(path), command[1], str(value), "--budget", str(budget), "--format", fmt]
     assert main(argv) != 3
+
+
+# runs `afk` with its address space capped at 1 GiB, so that a value past memory fails at once
+CAPPED_CHILD = """
+import resource, sys
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+resource.setrlimit(resource.RLIMIT_AS, (2**30 if hard == resource.RLIM_INFINITY else min(2**30, hard), hard))
+from afk.cli import main
+raise SystemExit(main(sys.argv[1:]))
+"""
+
+
+def test_cli_flag_values_past_any_list_never_exit_three(tmp_path, capsys):
+    # 10^30 degrees are past a tuple's length: fm-profile refuses them as it refuses --max-m 0, and
+    # every other integer flag answers at 10^30 (10^30 + 1 for an odd degree) on both tails
+    huge = 10**30
+    for doc in (LINEAR_JSON, SLOW_8_CYCLE_JSON):
+        code, out = run_cli(tmp_path, capsys, doc, "fm-profile", "--max-m", str(huge))
+        assert code == 1 and json.loads(out)["error"]["locus"] == "--max-m"
+        for argv in (
+            ("fm", "--m", str(huge + 1)), ("telescope", "--min-dim", str(huge)), ("export-dot", "--degree", str(huge + 1)),
+            ("fm", "--m", "3", "--budget", str(huge)), ("k0q", "--budget", str(huge)),
+            ("kstable", "--budget", str(huge)), ("validate", "--budget", str(huge)),
+        ):
+            start = time.perf_counter()
+            code, out = run_cli(tmp_path, capsys, doc, *argv)
+            assert code != 3 and time.perf_counter() - start < 2, (doc, argv, out)
+    # 10^10 degrees fit a tuple's length but not 1 GiB: the MemoryError is refused alike
+    path = tmp_path / "linear.json"
+    path.write_text(LINEAR_JSON, encoding="utf-8")
+    src = Path(afk.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", CAPPED_CHILD, "fm-profile", "--input", str(path), "--max-m", str(10**10)],
+        stdin=subprocess.DEVNULL, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+    )
+    assert proc.returncode == 1, (proc.stdout, proc.stderr)
+    assert json.loads(proc.stdout)["error"]["locus"] == "--max-m"
 
 
 # --- the report writer ------------------------------------------------------

@@ -14,7 +14,6 @@ from afk.io import from_diagram, serialize, to_diagram
 from afk.kstability import (
     K_STABLE,
     M_MAX,
-    InfiniteChainError,
     InjectivityRequired,
     KChainWitness,
     classify,
@@ -140,9 +139,7 @@ def test_find_chain_needs_no_budget():
     verdict = classify(d)
     assert verdict.status == "not-k-stable" and verdict.witness == find_infinite_k_chain(d)
     assert (verdict.witness.start_level, verdict.witness.cycle_summands) == (1, (1, 2))
-    with pytest.raises(InfiniteChainError) as exc:
-        telescope(d, 3)
-    assert exc.value.witness == verdict.witness
+    assert telescope(d, 3) == verdict.witness
 
 
 # sizes, p (row i copies column p[i]) and the witness (k, start, node_path, cycle_period, cycle_summands)
@@ -178,7 +175,7 @@ def test_witness_starts_at_the_smallest_coordinate_of_the_smallest_copy_size():
 
 
 def test_telescope_two_column_drops_first_level():
-    out = telescope(two_column(), 2).diagram
+    out = telescope(two_column(), 2)
     assert isinstance(out, BratteliDiagram)
     assert out.prefix_levels == ((2, 2), (3, 4))
     assert out.tail == two_column().tail
@@ -190,19 +187,18 @@ def test_telescope_unchanged_when_min_dim_suffices():
         prefix_matrices=(),
         tail=AffineTail(matrix=IntMatrix.from_rows([[1, 0], [1, 1]]), slack=(1, 0)),
     )
-    assert telescope(d, 3).diagram is d
+    assert telescope(d, 3) is d
 
 
-def test_telescope_constant_column_raises():
-    with pytest.raises(InfiniteChainError) as exc:
-        telescope(constant_column(), 2)
-    assert exc.value.witness.k == 1
-    assert oracle_replay_chain(constant_column(), exc.value.witness) == []
+def test_telescope_constant_column_returns_the_witness():
+    w = telescope(constant_column(), 2)
+    assert isinstance(w, KChainWitness) and w.k == 1
+    assert oracle_replay_chain(constant_column(), w) == []
 
 
 def test_telescope_min_dim_and_validity():
     for m in (2, 3, 5, 8):
-        out = telescope(two_column(), m).diagram
+        out = telescope(two_column(), m)
         assert isinstance(out, BratteliDiagram)
         assert min(out.prefix_levels[0]) >= m
         assert validate(out).ok
@@ -221,7 +217,7 @@ def test_telescope_requires_injectivity():
 def test_telescope_preserves_fm_profile_two_column():
     d = two_column()
     base = [(m, r.dimension, r.exact) for m, r in fm_profile(d, 9)]
-    scoped = telescope(d, 4).diagram
+    scoped = telescope(d, 4)
     assert [(m, r.dimension, r.exact) for m, r in fm_profile(scoped, 9)] == base
 
 
@@ -236,7 +232,7 @@ LINEAR = BratteliDiagram(
 
 def test_telescope_jumps_over_stages_below_the_smallest_summand():
     start = time.perf_counter()
-    out = telescope(SEVEN_THOUSAND_FOLD, 10**100).diagram
+    out = telescope(SEVEN_THOUSAND_FOLD, 10**100)
     assert time.perf_counter() - start < 1
     assert out.prefix_levels == ((7000**27,),)  # the first size >= 10^100
     # level 1 is the only one with a summand < 8, so every target keeps level 2 on
@@ -249,7 +245,7 @@ def test_telescope_finds_the_cut_past_any_level_budget():
     # the cut for target m is level m, past the default budget of 64 from m = 65 on
     for m in (64, 65, 100000, 10**30):
         start = time.perf_counter()
-        assert telescope(LINEAR, m) == ((((m,),), (), LINEAR.tail), m)
+        assert telescope(LINEAR, m) == (((m,),), (), LINEAR.tail)
         assert time.perf_counter() - start < 1
 
 
@@ -258,7 +254,7 @@ def test_telescope_of_a_tail_less_diagram_does_not_depend_on_the_budget():
     d = BratteliDiagram(
         prefix_levels=((1,), (2,), (3,)), prefix_matrices=(identity(1), identity(1))
     )
-    assert telescope(d, 3) == ((((3,),), (), None), 3)
+    assert telescope(d, 3) == (((3,),), (), None)
 
 
 # summand 1 stays at size 2 forever; summand 2 starts at 1 and grows
@@ -280,21 +276,13 @@ def _count_tail_steps(monkeypatch):
     return steps
 
 
-def _answer(d, m):
-    try:
-        return telescope(d, m)
-    except InfiniteChainError as exc:
-        return exc.witness
-
-
-def test_a_persistent_small_summand_raises_before_any_tail_step(monkeypatch):
+def test_a_persistent_small_summand_answers_before_any_tail_step(monkeypatch):
     assert PINNED_AT_TWO.validation.ok  # validation steps the tail once; count after it is cached
     steps = _count_tail_steps(monkeypatch)
-    with pytest.raises(InfiniteChainError) as exc:
-        telescope(PINNED_AT_TWO, 10**6)
+    w = telescope(PINNED_AT_TWO, 10**6)
     assert steps == []
-    assert exc.value.witness.k == 2
-    assert oracle_replay_chain(PINNED_AT_TWO, exc.value.witness) == []
+    assert isinstance(w, KChainWitness) and w.k == 2
+    assert oracle_replay_chain(PINNED_AT_TWO, w) == []
 
 
 def slow_cycle(n):
@@ -304,7 +292,7 @@ def slow_cycle(n):
 
 
 def _count_searches(monkeypatch):
-    """(m, steps, squarings) for each `_reach` call: a squaring is one product and one tail step."""
+    """(m, steps, squarings, level reached) for each `_reach` call: a squaring is one product and one tail step."""
     searches, steps, products = [], [], []
     step, multiply, reach = diagram.tail_step, linalg.multiply, kstability._reach
 
@@ -312,7 +300,7 @@ def _count_searches(monkeypatch):
         before = len(steps), len(products)
         out = reach(d, m, *args)
         squarings = len(products) - before[1]
-        searches.append((m, len(steps) - before[0] - squarings, squarings))
+        searches.append((m, len(steps) - before[0] - squarings, squarings, out[1]))
         return out
 
     monkeypatch.setattr(diagram, "tail_step", lambda tail, q: steps.append(q) or step(tail, q))
@@ -324,7 +312,7 @@ def _count_searches(monkeypatch):
 def _assert_searches_double(searches, n):
     # each target's search doubles its way to the cut: at most 2.ceil(log2(n.m)) + 2 steps that
     # move a level, and ceil(log2(n.m)) squarings
-    for m, steps, squarings in searches:
+    for m, steps, squarings, _ in searches:
         bound = math.ceil(math.log2(n * m))
         assert steps <= 2 * bound + 2 and squarings <= bound, (m, steps, squarings)
 
@@ -343,14 +331,16 @@ def test_telescope_never_unrolls_past_the_budget(monkeypatch):
         n, is_slow = len(d.prefix_levels[-1]), any(d is s for s in slow)
         for m in (2, 3, 5, 9) + (10**3, 10**30) * is_slow:
             searches.clear()
-            if isinstance(_answer(d, m), KChainWitness):
+            if isinstance(telescope(d, m), KChainWitness):
                 assert searches == [], (d, m)
                 continue
             assert searches, (d, m)
             _assert_searches_double(searches, n)
             telescoped += 1
         if is_slow:
-            assert telescope(d, 10**30).levels == d.prefix_len + n * (10**30 - 1), d
+            searches.clear()
+            telescope(d, 10**30)
+            assert searches[-1][3] == d.prefix_len + n * (10**30 - 1), d
     assert telescoped >= 200, telescoped
 
 
@@ -373,21 +363,25 @@ def test_classify_never_unrolls_past_prefix_plus_n_levels_per_target(monkeypatch
         verdict = classify(d)
         _assert_searches_double(searches, n)
         if verdict.status == K_STABLE:
-            assert verdict.levels <= d.prefix_len + n * (M_MAX - 1), d
-            assert min(list(materialize(d, verdict.levels)[0])[-1]) >= M_MAX, d
+            reached = searches[-1][3]  # the search for M_MAX goes deepest
+            assert reached <= d.prefix_len + n * (M_MAX - 1), d
+            assert min(list(materialize(d, reached)[0])[-1]) >= M_MAX, d
             stable += 1
-        if is_slow:
-            assert verdict.levels == d.prefix_len + n * (M_MAX - 1), d
+            if is_slow:
+                assert reached == d.prefix_len + n * (M_MAX - 1), d
+        else:
+            assert not is_slow and searches == [], d
     assert stable >= 50
     assert classify(LINEAR).certificate[-1] == (8, (2, 3, 4, 5, 6, 7, 8))
 
 
-def test_telescope_and_classify_cut_where_a_plain_unroll_does():
+def test_telescope_and_classify_cut_where_a_plain_unroll_does(monkeypatch):
     # the oracle unrolls n.999 levels of the slow n-cycle for m = 1000: the narrowest and the widest do
     rng = random.Random(414)
     draws = [family(rng) for family in (*FAMILIES, random_permutation_tail_diagram) for _ in range(40)]
     cases = [(d, (2, 3, 5, 9, 1000)) for d in draws if d.validation.ok and d.injective]
     cases += [(slow_cycle(n), (2, 3, 5, 9) + (1000,) * (n in (1, 8))) for n in range(1, 9)]
+    searches = _count_searches(monkeypatch)
     compared = certified = 0
     for d, targets in cases:
         chain = find_infinite_k_chain(d)
@@ -395,18 +389,20 @@ def test_telescope_and_classify_cut_where_a_plain_unroll_does():
             if chain is not None and chain.k < m:
                 continue
             cut, reached, first = oracle_cut(d, m)
+            searches.clear()
             out = telescope(d, m)
-            assert out.levels == reached, (d, m)
+            assert searches[-1][3] == reached, (d, m)
             if cut > d.prefix_len:
-                assert out.diagram == ((first,), (), d.tail), (d, m)
+                assert out == ((first,), (), d.tail), (d, m)
             else:
-                assert out.diagram == (d.prefix_levels[cut - 1 :], d.prefix_matrices[cut - 1 :], d.tail), (d, m)
+                assert out == (d.prefix_levels[cut - 1 :], d.prefix_matrices[cut - 1 :], d.tail), (d, m)
             compared += 1
+        searches.clear()
         verdict = classify(d)
         if verdict.status == K_STABLE:
             cuts = verdict.certificate[-1][1]
             assert cuts == tuple(oracle_cut(d, m)[0] for m in range(2, M_MAX + 1)), d
-            assert verdict.levels == oracle_cut(d, M_MAX)[1], d
+            assert searches[-1][3] == oracle_cut(d, M_MAX)[1], d
             certified += 1
     assert compared >= 300 and certified >= 80, (compared, certified)
 
@@ -499,17 +495,28 @@ def test_classify_mutual_exclusion_and_cross_check():
 # --- randomized families ---------------------------------------------------
 
 
+def _telescope_outcome(d, m):
+    """telescope(d, m) as (the witness's (k, kind), or None once each listed summand is >= m)."""
+    out = telescope(d, m)
+    if isinstance(out, KChainWitness):
+        return out.k, out.kind
+    assert all(min(q) >= m for q in out.prefix_levels), (d, m)
+    return None
+
+
 def test_kstable_verdict_and_witness_survive_diagram_moves():
-    # a move keeps the algebra, so it keeps the verdict and the chain's size k
+    # a move keeps the algebra, so it keeps the verdict and the chain's size k, and telescope's
+    # outcome for each target
     rng = random.Random(412)
     families = (*FAMILIES, random_permutation_tail_diagram, lambda rng: to_diagram(random_document(rng)))
-    pairs, verdicts, powered = 0, set(), 0
+    pairs, verdicts, powered, outcomes = 0, set(), 0, set()
     for family in families:
         for _ in range(60):
             d = family(rng)
             if not (d.validation.ok and d.injective):
                 continue
             before = classify(d)
+            telescoped = {m: _telescope_outcome(d, m) for m in (2, 3, 5, 9)}
             for move in MOVES:
                 moved = move(d, rng)
                 if moved is None:
@@ -519,6 +526,9 @@ def test_kstable_verdict_and_witness_survive_diagram_moves():
                 assert after.status == before.status, (move.__name__, d)
                 if before.witness is not None:
                     assert (after.witness.k, after.witness.kind) == (before.witness.k, before.witness.kind), (move.__name__, d)
+                for m, outcome in telescoped.items():
+                    assert _telescope_outcome(moved, m) == outcome, (move.__name__, d, m)
+                    outcomes.add(outcome is None)
                 if move is power_tail:
                     # the L-th power turns every copy cycle into fixed points; the chain keeps its start
                     first = before.witness.cycle_summands[:1]
@@ -527,6 +537,7 @@ def test_kstable_verdict_and_witness_survive_diagram_moves():
                 pairs += 1
                 verdicts.add(before.status)
     assert pairs >= 800 and verdicts == {K_STABLE, "not-k-stable"} and powered >= 30, (pairs, powered)
+    assert outcomes == {True, False}
 
 
 def test_random_growing_diagrams_are_k_stable():
@@ -571,7 +582,7 @@ def test_telescope_preserves_fm_profile_random():
         if not d.injective:
             continue
         m_target = rng.choice([2, 3, 4])
-        out = telescope(d, m_target).diagram
+        out = telescope(d, m_target)
         verdict = classify(d)
         for m, cuts in verdict.certificate[1:]:
             _assert_minimal_cut(d, cuts[-1], m)
@@ -593,23 +604,24 @@ def test_permutation_tail_answers_at_budget_one():
     start = time.perf_counter()
     verdict = classify(d)
     spent = time.perf_counter() - start
-    assert verdict.status == "not-k-stable" and verdict.levels == 1
+    assert verdict.status == "not-k-stable"
     w = verdict.witness
     assert (w.k, w.start_level, w.cycle_period, w.cycle_summands) == (1, 1, 3, (1, 2, 3))
     assert oracle_replay_chain(d, w) == []
-    with pytest.raises(InfiniteChainError) as exc:
-        telescope(d, 2)
-    assert exc.value.witness == w
+    assert telescope(d, 2) == w
     assert spent < 1.0
 
 
-def test_a_tail_without_copy_cycles_telescopes_with_no_budget():
+def test_a_tail_without_copy_cycles_telescopes_with_no_budget(monkeypatch):
     # Fibonacci sizes: the smallest summand first reaches 8 at level 6, which telescope and
     # classify find alike, without a budget
     d = fibonacci()
-    assert telescope(d, 8) == ((((13, 8),), (), d.tail), 6)
+    searches = _count_searches(monkeypatch)
+    assert telescope(d, 8) == (((13, 8),), (), d.tail)
+    assert searches[-1][3] == 6
+    searches.clear()
     verdict = classify(d)
-    assert verdict.status == K_STABLE and verdict.levels == 6
+    assert verdict.status == K_STABLE and searches[-1][3] == 6
     assert verdict.certificate[-1] == (8, (3, 4, 5, 5, 6, 6, 6))
 
 
@@ -635,9 +647,7 @@ def test_every_copy_cycle_answers_at_budget_one():
         w = verdict.witness
         assert w.k == min(last[i] for i in strands), (d, w)
         assert oracle_replay_chain(d, w) == [], (d, w)
-        with pytest.raises(InfiniteChainError) as exc:
-            telescope(d, w.k + 1)
-        assert exc.value.witness == w
+        assert telescope(d, w.k + 1) == w
         chains += 1
         tail_less += d.tail is None
     assert chains >= 150 and tail_less >= 10

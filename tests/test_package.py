@@ -71,8 +71,9 @@ def test_the_readme_library_example_runs_on_the_readme_document():
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(example, {"text": document})
-    # the README's document has Q + Q in every odd degree and is K-stable
-    assert out.getvalue().split("\n") == [f"{m} {2 if m % 2 else 0}" for m in range(1, 10)] + ["k-stable", ""]
+    # the README's document has Q + Q in every odd degree and is K-stable; its first level with no
+    # summand below 4 is (4, 7), one tail step past the prefix
+    assert out.getvalue().split("\n") == [f"{m} {2 if m % 2 else 0}" for m in range(1, 10)] + ["k-stable", "(4, 7)", ""]
 
 
 AFK_MODULES = {"afk"} | {f"afk.{p.stem}" for p in (ROOT / "src" / "afk").glob("*.py") if p.stem != "__init__"}
