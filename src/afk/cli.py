@@ -6,6 +6,9 @@ ok -> 0, invalid -> 1 (a parse or validation failure, or input the command
 refuses), inconclusive -> 2 (inconclusive at the level budget, so scripts
 can branch on it).  A usage error (an unknown command, a missing or
 malformed flag) also exits 1.  Exit 3 marks an internal invariant violation.
+Every refusal of a flag's value names that flag as its locus, and only this
+module names flags: the engine and `io` raise plain errors, which the
+command that called them turns into the refusal at its flag.
 
 Reports are deterministic: identical input and flags produce byte-identical
 output, so the timing block counts levels instead of wall-clock time: the
@@ -324,13 +327,6 @@ def _read_input(path: str) -> str:
         raise ParseError(path, str(exc)) from None
 
 
-def _problems(report) -> list[dict]:
-    return [
-        {"kind": p.kind, "level": p.level, "summand": p.summand, "message": p.message}
-        for p in report.problems
-    ]
-
-
 # Each command maps (args, diagram, budget) to (status, result, levels materialized).
 
 
@@ -340,15 +336,24 @@ def _validate(args, diagram, budget):
         "valid": v.ok,
         "injective": v.injective,
         "edge_unital": list(v.edge_unital),
-        "problems": _problems(v),
+        "problems": [p._asdict() for p in v.problems],
     }
     return ("ok" if v.ok else "invalid"), result, diagram.prefix_len
 
 
-def _fm(args, diagram, budget):
+def _profile_systems(diagram, degrees, budget):
+    """`colimit.profile_systems`, with an unroll past memory refused at `--budget`."""
     from .colimit import profile_systems
 
-    [(m, system, res)] = profile_systems(diagram, (args.m,), budget)
+    try:
+        return profile_systems(diagram, degrees, budget)
+    except MemoryError:
+        pass  # refused below, once the traceback that holds the levels unrolled is freed
+    raise ParseError("--budget", "the levels up to the budget do not fit in memory; ask for a smaller --budget")
+
+
+def _fm(args, diagram, budget):
+    [(m, system, res)] = _profile_systems(diagram, (args.m,), budget)
     result = _colimit_payload(res)
     result["m"] = m
     levels_used = 0
@@ -362,13 +367,11 @@ def _fm(args, diagram, budget):
 
 
 def _fm_profile(args, diagram, budget):
-    from .colimit import profile_systems
-
     try:
         degrees = tuple(range(1, args.max_m + 1))
     except (OverflowError, MemoryError):  # past a tuple's length or past memory: the engine never runs
         raise ParseError("--max-m", "too many degrees to list; ask for a smaller --max-m") from None
-    rows = profile_systems(diagram, degrees, budget)
+    rows = _profile_systems(diagram, degrees, budget)
     profile = [
         {
             "m": m,
@@ -385,9 +388,7 @@ def _fm_profile(args, diagram, budget):
 
 
 def _k0q(args, diagram, budget):
-    from .colimit import profile_systems
-
-    [(_, system, res)] = profile_systems(diagram, (1,), budget)
+    [(_, system, res)] = _profile_systems(diagram, (1,), budget)
     return ("ok" if res.exact else "inconclusive"), _colimit_payload(res), _levels_used(system, diagram, budget)
 
 
@@ -418,8 +419,13 @@ def _telescope(args, diagram, budget):
 
 
 def _export_dot(args, diagram, budget):
-    dot = export_dot(diagram, degree=args.degree, budget=budget, quoted=args.format == "json")
-    return "ok", {"dot": dot}, diagram.horizon(budget)
+    try:
+        return "ok", {"dot": export_dot(diagram, degree=args.degree, budget=budget, quoted=args.format == "json")}, diagram.horizon(budget)
+    except ValueError as exc:  # a size past the int-to-str digit limit, named by its level
+        raise ParseError("--budget", f"{exc}; draw fewer levels") from None
+    except MemoryError:
+        pass  # refused below, once the traceback that holds the levels drawn is freed
+    raise ParseError("--budget", "the levels up to the budget do not fit in memory; draw fewer levels")
 
 
 class Command(NamedTuple):
@@ -456,7 +462,7 @@ def _dispatch(args) -> int:
     flags["budget"] = budget
     problems = None
     if args.command != "validate" and not diagram.validation.ok:
-        problems = _problems(diagram.validation)
+        problems = [p._asdict() for p in diagram.validation.problems]
     else:
         try:
             status, result, levels_used = COMMANDS[args.command].run(args, diagram, budget)

@@ -147,22 +147,21 @@ class BratteliDiagram(_BratteliDiagramFields):
         """The last level an analysis at `budget` may hold: the prefix, continued by a tail to `budget`."""
         return self.prefix_len if self.tail is None else max(budget, self.prefix_len)
 
-    @property
-    def injective(self) -> bool:
-        """True iff no connecting matrix (prefix or tail) has a zero column."""
-        mats = self.prefix_matrices if self.tail is None else (*self.prefix_matrices, self.tail.matrix)
-        return all(any(m.entries[j :: m.cols]) for m in mats for j in range(m.cols))
-
     def matrix_after(self, level: int) -> IntMatrix:
         """The matrix joining `level` (1-based) to the next: a prefix one, or the tail's past the prefix."""
         return self.prefix_matrices[level - 1] if level < self.prefix_len else self.tail.matrix
 
 
 def validate(d: BratteliDiagram) -> ValidationReport:
-    """Check the size inequality phi.p <= q at every edge; report unitality.
+    """Check the size inequality phi.p <= q at every edge; report unitality and injectivity.
 
-    The tail only needs positivity and no zero rows: its own size law makes
-    the edge inequality hold by construction at every unrolled level.
+    The tail only needs no zero rows: its own size law makes the edge
+    inequality hold by construction at every unrolled level, and it keeps
+    every size positive.  A tail size is q'_i = (row i).q + slack_i, with q
+    positive and the row and slack non-negative, so it is below 1 exactly
+    when row i is zero and slack_i is 0; a zero row is reported for its
+    summand whatever its slack.  Injective: no connecting matrix, prefix or
+    tail, has a zero column.
     """
     problems: list[ValidationProblem] = []
     unital: list[bool] = []
@@ -195,21 +194,10 @@ def validate(d: BratteliDiagram) -> ValidationReport:
                         f"tail summand {i + 1} receives no edges (zero row)",
                     )
                 )
-        # positivity of the first generated tail level; later ones only grow
-        # in the sense q'_i >= slack_i + (row i applied to positives) >= 1
-        for i, v in enumerate(tail_step(d.tail, d.prefix_levels[-1])):
-            if v < 1:
-                problems.append(
-                    ValidationProblem(
-                        "tail-empty-summand",
-                        None,
-                        i + 1,
-                        f"tail summand {i + 1} would have size {v} < 1",
-                    )
-                )
+    mats = d.prefix_matrices if d.tail is None else (*d.prefix_matrices, d.tail.matrix)
     return ValidationReport(
         ok=not problems,
-        injective=d.injective,
+        injective=all(any(m.entries[j :: m.cols]) for m in mats for j in range(m.cols)),
         edge_unital=tuple(unital),
         problems=tuple(problems),
     )

@@ -219,8 +219,8 @@ def export_dot(d: BratteliDiagram, degree: Optional[int] = None, budget: int = D
     holds an escaped copy of a large DOT.
 
     A size too long for `str` (the interpreter's int-to-str digit limit) is
-    refused with a ParseError at `--budget` naming its level: only the levels
-    a tail adds beyond the parsed prefix can grow that long.
+    refused with a ValueError naming its level: only the levels a tail adds
+    beyond the parsed prefix can grow that long.
     """
     if degree is not None:  # only a degree's labels need the survival rule
         from .truncation import d as degree_indicator
@@ -241,7 +241,7 @@ def export_dot(d: BratteliDiagram, degree: Optional[int] = None, budget: int = D
         try:
             text = template.format(*labels)
         except ValueError:
-            raise ParseError("--budget", f"level {name} has a summand size too long to print; draw fewer levels") from None
+            raise ValueError(f"level {name} has a summand size too long to print") from None
         parts.append(text.replace(_LEVEL, name))
         names.append(name)
     edge_templates: dict[int, str] = {}  # by matrix object

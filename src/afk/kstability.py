@@ -194,7 +194,7 @@ def telescope(d: BratteliDiagram, m: int) -> BratteliDiagram | KChainWitness:
     could not print either.
     """
     _diagram.ensure_valid(d)
-    if not d.injective:
+    if not d.validation.injective:
         raise InjectivityRequired("telescoping assumes injective connecting maps")
     chain = find_infinite_k_chain(d)
     if chain is not None and chain.k < m:
@@ -218,7 +218,7 @@ def classify(d: BratteliDiagram) -> KStabilityVerdict:
     Without a chain, chained searches for m = 2..M_MAX certify every cut.
     """
     _diagram.ensure_valid(d)
-    if not d.injective:
+    if not d.validation.injective:
         raise InjectivityRequired("classification requires injective connecting maps")
     chain = find_infinite_k_chain(d)
     if chain is not None:

@@ -131,7 +131,7 @@ def test_criterion_7_k_stable_cross_check():
         corpus = [two_column(), doubling(), telescope(two_column(), 3)]
         for _ in range(80):
             d = random_growing_tail_diagram(rng)
-            if d.injective:
+            if d.validation.injective:
                 corpus.append(d)
         checked = 0
         for d in corpus:
@@ -173,7 +173,7 @@ def test_criterion_8b_telescope_preserves_profile():
         cases = 0
         while cases < 200:
             d = random_growing_tail_diagram(rng)
-            if not d.injective:
+            if not d.validation.injective:
                 continue
             target = rng.choice([2, 3, 4])
             scoped = telescope(d, target)

@@ -159,14 +159,30 @@ def test_records_are_immutable_tuples():
 
 
 def test_tail_zero_row_reported():
-    d = BratteliDiagram(
-        prefix_levels=((1, 1),),
-        prefix_matrices=(),
-        tail=AffineTail(matrix=IntMatrix.from_rows([[0, 1], [0, 0]]), slack=(0, 1)),
-    )
-    report = validate(d)
-    assert not report.ok
-    assert any(p.kind == "tail-zero-row" for p in report.problems)
+    # with slack 0 the first tail size of summand 2 is 0, with slack 1 it is 1: one problem either way
+    for slack in (0, 1):
+        d = BratteliDiagram(
+            prefix_levels=((1, 1),),
+            prefix_matrices=(),
+            tail=AffineTail(matrix=IntMatrix.from_rows([[0, 1], [0, 0]]), slack=(0, slack)),
+        )
+        report = validate(d)
+        assert not report.ok
+        assert [(p.kind, p.level, p.summand) for p in report.problems] == [("tail-zero-row", None, 2)]
+
+
+def test_validation_injective_is_the_zero_column_scan():
+    rng = random.Random(30)
+    draws = [BratteliDiagram(*map(tuple, random_prefix(rng))) for _ in range(40)]
+    for family in (random_growing_tail_diagram, random_pinned_tail_diagram, random_stationary_tail_diagram):
+        draws += [family(rng) for _ in range(40)]
+    seen = set()
+    for d in draws:
+        mats = [*d.prefix_matrices, *([d.tail.matrix] if d.tail else [])]
+        want = all(any(m.to_rows()[i][j] for i in range(m.rows)) for m in mats for j in range(m.cols))
+        assert d.validation.injective == want, d
+        seen.add(want)
+    assert seen == {False, True}
 
 
 def test_materialize_two_column():
@@ -329,10 +345,10 @@ def test_equal_size_chain_edges_have_multiplicity_one():
 
 
 def test_injective_flag():
-    assert two_column().injective
-    assert constant_column().injective
+    assert two_column().validation.injective
+    assert constant_column().validation.injective
     d = BratteliDiagram(
         prefix_levels=((1, 1), (3,)),
         prefix_matrices=(IntMatrix.from_rows([[1, 0]]),),
     )
-    assert not d.injective
+    assert not d.validation.injective

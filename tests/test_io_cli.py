@@ -252,10 +252,10 @@ def test_parse_refuses_an_integer_literal_past_the_digit_limit():
 def test_export_dot_refuses_a_size_past_the_digit_limit():
     d = to_diagram(parse(TWENTY_FOLD_JSON))
     for quoted in (False, True):
-        with pytest.raises(ParseError) as exc:
+        with pytest.raises(ValueError) as exc:  # the library names the level; `cli` names the flag
             export_dot(d, budget=4000, quoted=quoted)
-        assert exc.value.locus == "--budget"
-        assert "level 3307 " in exc.value.reason
+        assert exc.type is ValueError
+        assert str(exc.value) == "level 3307 has a summand size too long to print"
         assert export_dot(d, budget=3306, quoted=quoted).count("rank=same") == 3306
         assert export_dot(d, degree=3, budget=4000, quoted=quoted).count("rank=same") == 4000  # 0/1 labels
 
@@ -1036,13 +1036,14 @@ def test_cli_integer_flags_never_exit_three(tmp_path_factory, command, value, bu
     assert main(argv) != 3
 
 
-# runs `afk` with its address space capped at 1 GiB, so that a value past memory fails at once
+# runs `afk` with its address space capped at argv[1] bytes, so that a value past memory fails soon
 CAPPED_CHILD = """
 import resource, sys
+cap = int(sys.argv[1])
 _, hard = resource.getrlimit(resource.RLIMIT_AS)
-resource.setrlimit(resource.RLIMIT_AS, (2**30 if hard == resource.RLIM_INFINITY else min(2**30, hard), hard))
+resource.setrlimit(resource.RLIMIT_AS, (cap if hard == resource.RLIM_INFINITY else min(cap, hard), hard))
 from afk.cli import main
-raise SystemExit(main(sys.argv[1:]))
+raise SystemExit(main(sys.argv[2:]))
 """
 
 
@@ -1061,16 +1062,33 @@ def test_cli_flag_values_past_any_list_never_exit_three(tmp_path, capsys):
             start = time.perf_counter()
             code, out = run_cli(tmp_path, capsys, doc, *argv)
             assert code != 3 and time.perf_counter() - start < 2, (doc, argv, out)
-    # 10^10 degrees fit a tuple's length but not 1 GiB: the MemoryError is refused alike
-    path = tmp_path / "linear.json"
-    path.write_text(LINEAR_JSON, encoding="utf-8")
+    # 10^10 degrees fit a tuple's length but not 1 GiB: the MemoryError is refused alike; an fm unroll
+    # and a drawing that hold every level up to --budget 10^9 run out of 384 MiB and are refused at --budget
+    linear, constant = tmp_path / "linear.json", tmp_path / "constant.json"
+    linear.write_text(LINEAR_JSON, encoding="utf-8")
+    constant.write_text('{"levels":[[1]],"tail":{"matrix":[[1]]}}', encoding="utf-8")
     src = Path(afk.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-c", CAPPED_CHILD, "fm-profile", "--input", str(path), "--max-m", str(10**10)],
-        stdin=subprocess.DEVNULL, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
-    )
-    assert proc.returncode == 1, (proc.stdout, proc.stderr)
-    assert json.loads(proc.stdout)["error"]["locus"] == "--max-m"
+    children = [
+        (2**30, "--max-m", ("fm-profile", "--input", str(linear), "--max-m", str(10**10))),
+        (384 * 2**20, "--budget", ("fm", "--input", str(linear), "--m", str(huge + 1), "--budget", str(10**9))),
+        (384 * 2**20, "--budget", ("export-dot", "--input", str(constant), "--budget", str(10**9))),
+    ]
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", CAPPED_CHILD, str(cap), *argv], stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        for cap, _, argv in children
+    ]
+    try:
+        for proc, (_, locus, argv) in zip(procs, children):
+            out, err = proc.communicate(timeout=60)
+            assert proc.returncode == 1, (argv, out, err)
+            assert json.loads(out)["error"]["locus"] == locus, (argv, out, err)
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.wait()
 
 
 # --- the report writer ------------------------------------------------------

@@ -202,7 +202,7 @@ def test_telescope_min_dim_and_validity():
         assert isinstance(out, BratteliDiagram)
         assert min(out.prefix_levels[0]) >= m
         assert validate(out).ok
-        assert out.injective
+        assert out.validation.injective
 
 
 def test_telescope_requires_injectivity():
@@ -323,7 +323,7 @@ def test_telescope_never_unrolls_past_the_budget(monkeypatch):
     rng = random.Random(407)
     draws = [LINEAR, PINNED_AT_TWO, two_column(), constant_column()]
     draws += [family(rng) for family in FAMILIES for _ in range(30)]
-    draws = [d for d in draws if d.validation.ok and d.injective]
+    draws = [d for d in draws if d.validation.ok and d.validation.injective]
     slow = [slow_cycle(n) for n in range(1, 9)]
     searches = _count_searches(monkeypatch)
     telescoped = 0
@@ -351,7 +351,7 @@ def test_classify_never_unrolls_past_prefix_plus_n_levels_per_target(monkeypatch
     draws = [LINEAR, PINNED_AT_TWO, two_column(), constant_column(), fibonacci()]
     draws += [family(rng) for family in (*FAMILIES, random_permutation_tail_diagram) for _ in range(30)]
     draws += [to_diagram(random_document(rng)) for _ in range(30)]
-    draws = [d for d in draws if d.validation.ok and d.injective]
+    draws = [d for d in draws if d.validation.ok and d.validation.injective]
     slow = [slow_cycle(n) for n in range(1, 9)]
     for d in slow:
         assert d.validation.ok
@@ -379,7 +379,7 @@ def test_telescope_and_classify_cut_where_a_plain_unroll_does(monkeypatch):
     # the oracle unrolls n.999 levels of the slow n-cycle for m = 1000: the narrowest and the widest do
     rng = random.Random(414)
     draws = [family(rng) for family in (*FAMILIES, random_permutation_tail_diagram) for _ in range(40)]
-    cases = [(d, (2, 3, 5, 9, 1000)) for d in draws if d.validation.ok and d.injective]
+    cases = [(d, (2, 3, 5, 9, 1000)) for d in draws if d.validation.ok and d.validation.injective]
     cases += [(slow_cycle(n), (2, 3, 5, 9) + (1000,) * (n in (1, 8))) for n in range(1, 9)]
     searches = _count_searches(monkeypatch)
     compared = certified = 0
@@ -414,7 +414,7 @@ def test_an_answer_at_a_small_budget_is_the_answer_at_a_large_one(monkeypatch, c
     for family in FAMILIES:
         for _ in range(40):
             d = family(rng)
-            if not (d.validation.ok and d.injective):
+            if not (d.validation.ok and d.validation.injective):
                 continue
             text = serialize(from_diagram(d))
             for m in (2, 9):
@@ -513,7 +513,7 @@ def test_kstable_verdict_and_witness_survive_diagram_moves():
     for family in families:
         for _ in range(60):
             d = family(rng)
-            if not (d.validation.ok and d.injective):
+            if not (d.validation.ok and d.validation.injective):
                 continue
             before = classify(d)
             telescoped = {m: _telescope_outcome(d, m) for m in (2, 3, 5, 9)}
@@ -521,7 +521,7 @@ def test_kstable_verdict_and_witness_survive_diagram_moves():
                 moved = move(d, rng)
                 if moved is None:
                     continue
-                assert moved.validation.ok and moved.injective, (move.__name__, d)
+                assert moved.validation.ok and moved.validation.injective, (move.__name__, d)
                 after = classify(moved)
                 assert after.status == before.status, (move.__name__, d)
                 if before.witness is not None:
@@ -545,7 +545,7 @@ def test_random_growing_diagrams_are_k_stable():
     stable = 0
     for _ in range(120):
         d = random_growing_tail_diagram(rng)
-        if not d.injective:
+        if not d.validation.injective:
             continue
         verdict = classify(d)
         assert verdict.status == "k-stable"
@@ -558,7 +558,7 @@ def test_random_pinned_diagrams_yield_sound_witnesses():
     found = 0
     for _ in range(120):
         d = random_pinned_tail_diagram(rng)
-        if not d.injective or not validate(d).ok:
+        if not d.validation.injective or not validate(d).ok:
             continue
         w = find_infinite_k_chain(d)
         assert isinstance(w, KChainWitness)
@@ -579,7 +579,7 @@ def test_telescope_preserves_fm_profile_random():
     done = 0
     for _ in range(80):
         d = random_growing_tail_diagram(rng)
-        if not d.injective:
+        if not d.validation.injective:
             continue
         m_target = rng.choice([2, 3, 4])
         out = telescope(d, m_target)
@@ -634,7 +634,7 @@ def test_every_copy_cycle_answers_at_budget_one():
     draws += [to_diagram(random_document(rng)) for _ in range(80)]
     chains = tail_less = 0
     for d in draws:
-        if not (d.validation.ok and d.injective):
+        if not (d.validation.ok and d.validation.injective):
             continue
         verdict = classify(d)
         last = d.prefix_levels[-1]
@@ -685,7 +685,7 @@ def test_classify_agrees_with_the_rational_k_stability_comparison():
     for family, draw in families.items():
         for _ in range(300):
             d = draw()
-            if not (d.validation.ok and d.injective):
+            if not (d.validation.ok and d.validation.injective):
                 continue  # classify refuses it
             verdict = classify(d)
             b = _bounded_size(d)
