@@ -19,11 +19,19 @@ the engine's `BratteliDiagram` from it and `from_diagram` the way back.
 
 from __future__ import annotations
 
-import hashlib
 import json
-from itertools import count, islice
+from functools import partial
+from itertools import chain, groupby, islice, repeat
 from json.encoder import encode_basestring_ascii
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
+
+try:  # CPython's own SHA-256, as `random` takes its SHA-512: `import hashlib` loads and probes OpenSSL
+    from _sha2 import sha256  # 3.12 on
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .diagram import DEFAULT_BUDGET, AffineTail, BratteliDiagram, DiagramError, materialize
 from .linalg import IntMatrix
@@ -134,7 +142,7 @@ def serialize(doc: dict) -> str:
 
 
 def input_digest(doc: dict) -> str:
-    return "sha256:" + hashlib.sha256(serialize(doc).encode("utf-8")).hexdigest()
+    return "sha256:" + sha256(serialize(doc).encode("utf-8")).hexdigest()
 
 
 def to_diagram(doc: dict) -> BratteliDiagram:
@@ -169,34 +177,45 @@ class JSONText(str):
     __slots__ = ()
 
 
-_LEVEL, _SOURCE, _TARGET = "\0", "\1", "\2"  # level numbers' places in the templates
+_CHUNK = 256  # levels unrolled and drawn at a time: a size too long to print is met at most this far past
+_SLOT = "\0"  # where a template's text is cut into its constant pieces; DOT text holds no NUL
 
 
-def _level_template(width: int) -> str:
-    """A level's node lines and its `rank=same` line: label i is format field {i}, the level number `_LEVEL`."""
-    names = [f'"L{_LEVEL}S{i}"' for i in range(1, width + 1)]
-    nodes = "".join(f'  {n} [label="{{{i}}}"];\n' for i, n in enumerate(names))
-    return nodes + f"  {{{{ rank=same; {'; '.join(names)}; }}}}\n"
+def _level_template(width: int, quote) -> tuple[list[str], list[int]]:
+    """A level's node lines and `rank=same` line as (pieces, slots): slot 0 is the level number, slot i summand i's label."""
+    names = [f'"L{_SLOT}S{i}"' for i in range(1, width + 1)]
+    text = "".join(f'  {n} [label="{_SLOT}"];\n' for n in names) + f"  {{ rank=same; {'; '.join(names)}; }}\n"
+    slots = [*chain.from_iterable((0, i) for i in range(1, width + 1)), *repeat(0, width)]
+    return [quote(piece) for piece in text.split(_SLOT)], slots
 
 
-def _edge_template(m: IntMatrix) -> str:
-    """The edge lines of `m`, the source and target level numbers left as `_SOURCE` and `_TARGET`."""
-    return "".join(
-        f'  "L{_SOURCE}S{j + 1}" -> "L{_TARGET}S{i + 1}" [label="{mult}"];\n'
+def _edge_template(m: IntMatrix, quote) -> tuple[list[str], list[int]]:
+    """The edge lines of `m` as (pieces, slots): slot 0 is the source level number, slot 1 the target's."""
+    lines = [
+        f'  "L{_SLOT}S{j + 1}" -> "L{_SLOT}S{i + 1}" [label="{mult}"];\n'
         for i in range(m.rows)
         for j, mult in enumerate(m.row(i))
         if mult > 0
-    )
+    ]
+    return [quote(piece) for piece in "".join(lines).split(_SLOT)], [0, 1] * len(lines)
 
 
-def _quote(template: str) -> str:
-    """`template` as it reads inside a JSON string literal, its fields and level placeholders kept.
+def _fill(template: tuple[list[str], list[int]], columns: list, rows: int) -> Iterator[str]:
+    """The strs of `template` filled `rows` times, in order: in row r, its k-th slot reads row r of `columns[slots[k]]`."""
+    pieces, slots = template
+    fields = [repeat(pieces[0], rows)]
+    for slot, piece in zip(slots, pieces[1:]):
+        fields += (columns[slot], repeat(piece, rows))
+    return chain.from_iterable(zip(*fields))
+
+
+def _quote(text: str) -> str:
+    """`text` as it reads inside a JSON string literal.
 
     Labels and level numbers are integers, which JSON writes as they are, so
-    quoting a template before it is filled equals quoting the filled text.
+    quoting a template's pieces equals quoting the filled text.
     """
-    text = encode_basestring_ascii(template)[1:-1]
-    return text.replace("\\u0000", _LEVEL).replace("\\u0001", _SOURCE).replace("\\u0002", _TARGET)
+    return encode_basestring_ascii(text)[1:-1]
 
 
 def export_dot(d: BratteliDiagram, degree: Optional[int] = None, budget: int = DEFAULT_BUDGET, quoted: bool = False) -> str:
@@ -206,50 +225,57 @@ def export_dot(d: BratteliDiagram, degree: Optional[int] = None, budget: int = D
     0/1 survival indicator when a degree is given; edges carry multiplicities.
     All node lines come first, level by level, then all edge lines.
 
-    The text is drawn from templates built once per call: one per level
-    width (`_level_template`) and one per matrix (`_edge_template`; a tail
-    repeats one matrix object).  Each level number is made into a str once,
-    as the level is drawn.  A level is one `str.format` of its labels and
-    one `str.replace` of its number; an edge block is two `str.replace`s,
-    of its source and its target number.
+    The text is drawn from templates, each a list of constant pieces and the
+    index of the column each slot between them reads: one per run of
+    consecutive levels of one width (`_level_template`), whose columns are
+    the level numbers, each made into a str once, and each summand's
+    labels; and one per run of one matrix object (`_edge_template`; a tail
+    repeats one matrix object), whose columns are the source and target
+    level numbers.  `_fill` pairs the pieces (`itertools.repeat`) with the
+    columns, `_CHUNK` levels of a run at a time, and the whole text is one
+    `str.join` of what it yields: no level is drawn on its own.
 
     With `quoted`, the result is the JSON string literal of that text, as
     `json.encoder.encode_basestring_ascii` writes it, in a `JSONText`: the
-    templates are quoted once instead of the text, so the JSON report never
+    pieces are quoted once instead of the text, so the JSON report never
     holds an escaped copy of a large DOT.
 
     A size too long for `str` (the interpreter's int-to-str digit limit) is
     refused with a ValueError naming its level: only the levels a tail adds
     beyond the parsed prefix can grow that long.
     """
+    quote = _quote if quoted else str  # str of a str is the same str
+    profiles, matrices = materialize(d, d.horizon(budget))
     if degree is not None:  # only a degree's labels need the survival rule
         from .truncation import d as degree_indicator
 
-    quote = _quote if quoted else str  # str of a str is the same str
-    profiles, matrices = materialize(d, d.horizon(budget))
+        indicator = partial(degree_indicator, degree)
+        profiles = (tuple(map(indicator, profile)) for profile in profiles)
     parts = ['"'] if quoted else []
     parts.append(quote("digraph bratteli {\n  rankdir=TB;\n  node [shape=circle];\n"))
-    level_templates: dict[int, str] = {}  # by width
-    names: list[str] = []  # each level's number, made once as it is drawn, for its nodes and its edges
-    # each level is drawn as it is stepped, so a size too long to print is met
-    # without unrolling the levels after it
-    for profile, name in zip(profiles, map(str, count(1))):
-        labels = profile if degree is None else [degree_indicator(degree, p) for p in profile]
-        template = level_templates.get(len(profile))
-        if template is None:
-            template = level_templates[len(profile)] = quote(_level_template(len(profile)))
-        try:
-            text = template.format(*labels)
-        except ValueError:
-            raise ValueError(f"level {name} has a summand size too long to print") from None
-        parts.append(text.replace(_LEVEL, name))
-        names.append(name)
-    edge_templates: dict[int, str] = {}  # by matrix object
-    for source, target, m in zip(names, islice(names, 1, None), matrices):
-        block = edge_templates.get(id(m))
-        if block is None:
-            block = edge_templates[id(m)] = quote(_edge_template(m))
-        parts.append(block.replace(_SOURCE, source).replace(_TARGET, target))
+    names: list[str] = []  # each level's number, made once as its chunk is drawn, for its nodes and its edges
+    # a run is unrolled one chunk at a time, so a size too long to print is met
+    # without unrolling the levels after its chunk
+    for width, run in groupby(profiles, len):
+        template = _level_template(width, quote)
+        while chunk := list(islice(run, _CHUNK)):
+            numbers = list(map(str, range(len(names) + 1, len(names) + len(chunk) + 1)))
+            try:
+                parts.extend(_fill(template, [numbers, *map(partial(map, str), zip(*chunk))], len(chunk)))
+            except ValueError:  # a size past the int-to-str digit limit, in one of the chunk's levels
+                for name, profile in zip(numbers, chunk):
+                    try:
+                        str(max(profile))  # its longest size, the first str refuses
+                    except ValueError:
+                        raise ValueError(f"level {name} has a summand size too long to print") from None
+                raise
+            names += numbers
+    at = 0  # the index of a run's first source level in `names`
+    for _, run in groupby(matrices, id):
+        run = list(run)
+        columns = [names[at : at + len(run)], names[at + 1 : at + len(run) + 1]]
+        parts.extend(_fill(_edge_template(run[0], quote), columns, len(run)))
+        at += len(run)
     parts.append(quote("}\n"))
     if not quoted:
         return "".join(parts)

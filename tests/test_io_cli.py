@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -137,6 +138,17 @@ def test_digest_ignores_whitespace():
         assert input_digest(parse(text)) == input_digest(parse(other)), text
 
 
+def test_input_digest_is_hashlib_sha256_of_the_canonical_text():
+    # the digest comes from CPython's own SHA-256 module where it has one; hashlib's is the reference
+    rng = random.Random("digest")
+    for n in range(300):
+        doc = random_document(rng)
+        if n % 3 == 0:  # a longer, non-ASCII text
+            doc["metadata"] = {"name": "Bratteli \u00fc" * rng.randint(0, 40), "n": n}
+        want = hashlib.sha256(serialize(doc).encode("utf-8")).hexdigest()
+        assert input_digest(doc) == "sha256:" + want
+
+
 def test_from_diagram_roundtrip():
     for d in (two_column(), worked_example(), single_level(3)):
         assert to_diagram(from_diagram(d)) == d
@@ -232,6 +244,27 @@ def test_export_dot_matches_the_line_oracle_on_wide_levels_past_level_1000():
         assert _first_difference(export_dot(d, degree, 1001, quoted=True), encode_basestring_ascii(want)) is None
 
 
+def test_export_dot_matches_the_line_oracle_on_21_summands_across_chunk_edges():
+    # 21 summands, past a slot scheme that names each label slot by one character; K - 1, K, K + 1 and
+    # 2K + 1 levels, with the width-21 run starting at level 1 and at level 2, so that a chunk edge falls
+    # on every side of the last level
+    K, n = afk.io._CHUNK, 21
+    rows = [[int(j == (i + 1) % n) + int(i == j and i % 4 == 0) for j in range(n)] for i in range(n)]
+    tail = AffineTail(IntMatrix.from_rows(rows), tuple(i % 3 for i in range(n)))
+    diagrams = (
+        BratteliDiagram(((1,) * n,), (), tail),
+        BratteliDiagram(((1,), (2,) * n), (IntMatrix.from_rows([[2]] * n),), tail),
+    )
+    for d in diagrams:
+        assert d.validation.ok
+        for levels in (K - 1, K, K + 1, 2 * K + 1):
+            for degree in (None, 5):
+                want = oracle_dot(d, degree, levels)
+                assert _first_difference(export_dot(d, degree, levels), want) is None
+                got = export_dot(d, degree, levels, quoted=True)
+                assert _first_difference(got, encode_basestring_ascii(want)) is None
+
+
 # `str` and `int` refuse integers of more than 4300 digits by default
 needs_digit_limit = pytest.mark.skipif(
     getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300, reason="needs the default int-to-str digit limit"
@@ -258,6 +291,53 @@ def test_export_dot_refuses_a_size_past_the_digit_limit():
         assert str(exc.value) == "level 3307 has a summand size too long to print"
         assert export_dot(d, budget=3306, quoted=quoted).count("rank=same") == 3306
         assert export_dot(d, degree=3, budget=4000, quoted=quoted).count("rank=same") == 4000  # 0/1 labels
+
+
+def _first_level_past_the_digit_limit(d):
+    """(level, sizes) of the first level with a size of more than 4300 digits, by a plain simulation."""
+    q, level = list(d.prefix_levels[-1]), d.prefix_len
+    rows, slack = d.tail.matrix.to_rows(), list(d.tail.slack)
+    while max(q) < 10**4300:
+        q = [sum(a * x for a, x in zip(row, q)) + s for row, s in zip(rows, slack)]
+        level += 1
+    return level, q
+
+
+def _doubling_past_the_digit_limit_at(level):
+    """A width-1 doubling tail whose first size of more than 4300 digits is at `level`."""
+    first = -(-(10**4300) // 2 ** (level - 1))  # the least size whose doubling reaches 10^4300 at `level`
+    return BratteliDiagram(((first,),), (), AffineTail(IntMatrix.from_rows([[2]]), (0,)))
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("case", ["first-of-a-chunk", "last-of-a-chunk", "second-coordinate-first"])
+def test_export_dot_names_the_first_level_past_the_digit_limit_at_most_one_chunk_past_it(case, monkeypatch):
+    K = afk.io._CHUNK  # a width-1 or width-2 run starts at level 1: its chunks start at levels 1, K + 1, ...
+    if case == "first-of-a-chunk":
+        d, where = _doubling_past_the_digit_limit_at(2 * K + 1), 1
+    elif case == "last-of-a-chunk":
+        d, where = _doubling_past_the_digit_limit_at(2 * K), 0
+    else:  # 2^629 * 10^4000 has 4190 digits, 3^629 * 10^4000 has 4301
+        d, where = BratteliDiagram(((10**4000, 10**4000),), (), AffineTail(IntMatrix.from_rows([[2, 0], [0, 3]]), (0, 0))), None
+    level, sizes = _first_level_past_the_digit_limit(d)
+    assert level % K == where if where is not None else sizes[0] < 10**4300 <= sizes[1]
+    step, steps = afk.diagram.tail_step, []
+
+    def counting(tail, q):
+        steps.append(None)
+        return step(tail, q)
+
+    monkeypatch.setattr(afk.diagram, "tail_step", counting)
+    for quoted in (False, True):
+        for degree in (None, 1):
+            steps.clear()
+            if degree is None:
+                with pytest.raises(ValueError) as exc:
+                    export_dot(d, degree, budget=level + 3 * K, quoted=quoted)
+                assert str(exc.value) == f"level {level} has a summand size too long to print"
+                assert len(steps) <= level - 2 + K  # to the end of the level's chunk, and no chunk past it
+            else:  # 0/1 labels print at any size
+                assert export_dot(d, degree, budget=level + 3 * K, quoted=quoted).count("rank=same") == level + 3 * K
 
 
 @needs_digit_limit

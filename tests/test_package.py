@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import importlib
+import importlib.util
 import io
 import os
 import re
@@ -254,3 +255,19 @@ def test_a_cold_command_loads_only_its_own_engine_modules():
         else:  # a well-formed call is read from the command table
             assert not loaded & {"argparse", "gettext"}, name
             assert not loaded & STARTUP_ARGV[name][1], (name, loaded & STARTUP_ARGV[name][1])
+
+
+def test_a_json_validate_call_loads_no_openssl_where_a_builtin_sha256_exists():
+    # `io.input_digest` takes CPython's own SHA-256 (`_sha2` on 3.12 on, `_sha256` before): `hashlib` would
+    # load and probe OpenSSL's `_hashlib` in every cold call
+    if not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
+        pytest.skip("this interpreter has no built-in SHA-256 module")
+    src = str(Path(afk.__file__).resolve().parents[1])
+    child = subprocess.run(
+        [sys.executable, "-c", STARTUP_SCRIPT, "validate", "--format", "json"],
+        input=TAIL_DOCUMENT, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    code, modules = child.stdout.splitlines()
+    assert code == "0"
+    assert not set(modules.split()) & {"hashlib", "_hashlib"}
